@@ -2,8 +2,8 @@
 
 Subpackages
 -----------
-graph       typed streams, stateless nodes, wiring, traversal, DOT export
-runtime     tick-based deterministic executor
+graph       typed streams, plain and fold nodes, wiring, traversal, DOT export
+runtime     tick-based deterministic executor owning logs and fold state
 collection  correlation-key dataset assembly and JSON-Lines persistence
 mlkit       small dependency-free learners (linear, tree, bigram, quantile)
 services    in-process request/response service framework (the baseline)

@@ -15,6 +15,8 @@ wait for every new allocation.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..collection import CollectionSpec, StreamSelect
 from ..graph import Category, GraphBuilder, Schema
@@ -143,49 +145,48 @@ def fit_wait_model(rows) -> LinearModel:
 # ----------------------------------------------------------------------
 
 
-def _merged_replay(inputs):
-    """Single ordered view of the world: registrations, completions, requests.
+@dataclass
+class _Fleet:
+    """Allocator fold state: driver positions, busy drivers, ride -> driver."""
+
+    positions: dict[int, tuple[float, float]] = field(default_factory=dict)
+    busy: set[int] = field(default_factory=set)
+    ride_driver: dict[int, int] = field(default_factory=dict)
+
+
+_FLEET_UPDATE, _COMPLETION, _REQUEST = range(3)
+
+
+def _allocator(inputs, fleet: _Fleet):
+    """Serve the delta in world order: fleet updates, completions, requests.
 
     Within a tick, fleet updates land first, then completions free their
     drivers, then requests are served in arrival order. Matches the call
     order the service build sees.
     """
-    entries = []
-    for rec in inputs["drivers"].history:
-        entries.append((rec.tick, 0, rec.seq, "driver", rec))
-    for rec in inputs["completions"].history:
-        entries.append((rec.tick, 1, rec.seq, "completion", rec))
-    for rec in inputs["requests"].history:
-        entries.append((rec.tick, 2, rec.seq, "request", rec))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return entries
-
-
-def _allocator(inputs):
-    new_from = inputs["requests"].new_from
-    positions: dict[int, tuple[float, float]] = {}
-    busy: set[int] = set()
-    ride_driver: dict[int, int] = {}
+    delta = [(rec.tick, _FLEET_UPDATE, rec.seq, rec) for rec in inputs["drivers"].new]
+    delta += [(rec.tick, _COMPLETION, rec.seq, rec) for rec in inputs["completions"].new]
+    delta += [(rec.tick, _REQUEST, rec.seq, rec) for rec in inputs["requests"].new]
+    delta.sort(key=itemgetter(0, 1, 2))
     out = []
-    for tick, _, seq, kind, rec in _merged_replay(inputs):
-        if kind == "driver":
-            positions[rec["driver_id"]] = (rec["x"], rec["y"])
-        elif kind == "completion":
-            driver = ride_driver.pop(rec["ride_id"], None)
+    for tick, kind, _, rec in delta:
+        if kind == _FLEET_UPDATE:
+            fleet.positions[rec["driver_id"]] = (rec["x"], rec["y"])
+        elif kind == _COMPLETION:
+            driver = fleet.ride_driver.pop(rec["ride_id"], None)
             if driver is not None:
-                busy.discard(driver)
+                fleet.busy.discard(driver)
         else:
             available = [
                 (driver_id, xy[0], xy[1])
-                for driver_id, xy in sorted(positions.items())
-                if driver_id not in busy
+                for driver_id, xy in sorted(fleet.positions.items())
+                if driver_id not in fleet.busy
             ]
             alloc = allocate_ride(rec["ride_id"], rec["rider_x"], rec["rider_y"], tick, available)
             if alloc["matched"]:
-                busy.add(alloc["driver_id"])
-                ride_driver[alloc["ride_id"]] = alloc["driver_id"]
-            if seq >= new_from:
-                out.append(alloc)
+                fleet.busy.add(alloc["driver_id"])
+                fleet.ride_driver[alloc["ride_id"]] = alloc["driver_id"]
+            out.append(alloc)
     return {"allocations": out}
 
 
@@ -198,8 +199,10 @@ def _publisher(inputs):
     }
 
 
-def _tracker(inputs):
-    by_ride = {r["ride_id"]: r for r in inputs["allocations"].history}
+def _tracker(inputs, by_ride: dict):
+    """Fold over allocations (ride_id -> latest allocation) joined with pickups."""
+    for alloc in inputs["allocations"].new:
+        by_ride[alloc["ride_id"]] = alloc
     out = []
     for pickup in inputs["pickups"].new:
         alloc = by_ride.get(pickup["ride_id"])
@@ -240,8 +243,9 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
     b.stream("allocations", Category.INTERNAL, ALLOCATION)
     b.stream("assignments", Category.OUTPUT, ASSIGNMENT)
     b.stream("pickup_waits", Category.OUTPUT, PICKUP_WAIT)
-    b.node(
+    b.fold(
         "allocator",
+        _Fleet,
         _allocator,
         inputs={"requests": "ride_requests", "drivers": "driver_events", "completions": "ride_completions"},
         outputs={"allocations": "allocations"},
@@ -252,8 +256,9 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
         inputs={"allocations": "allocations"},
         outputs={"assignments": "assignments"},
     )
-    b.node(
+    b.fold(
         "pickup_tracker",
+        dict,
         _tracker,
         inputs={"allocations": "allocations", "pickups": "raw_pickups"},
         outputs={"waits": "pickup_waits"},

@@ -26,8 +26,9 @@ USAGE_ERROR = 1
 RUNTIME_ERROR = 2
 MISMATCH = 3
 
-STAGES = ("min", "data", "ml")
-PARADIGMS = ("fbp", "soa")
+
+class UsageError(Exception):
+    """Arguments that parse but name no valid run (exit code 1)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,15 +47,15 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="execute a scenario against one app version")
     run.add_argument("app", choices=apps.APP_NAMES)
-    run.add_argument("paradigm", choices=PARADIGMS)
-    run.add_argument("stage", choices=STAGES)
+    run.add_argument("paradigm", choices=apps.PARADIGMS)
+    run.add_argument("stage", choices=apps.APP_STAGES)
     run.add_argument("--ticks", type=int, default=100)
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--report", metavar="PATH", default=None)
 
     graph = sub.add_parser("graph", help="export the dataflow graph as DOT")
     graph.add_argument("app", choices=apps.APP_NAMES)
-    graph.add_argument("stage", choices=STAGES)
+    graph.add_argument("stage", choices=apps.APP_STAGES)
     graph.add_argument("--out", metavar="PATH", default=None)
 
     coll = sub.add_parser("collect", help="run the data stage and write the dataset")
@@ -65,9 +66,9 @@ def _build_parser() -> _Parser:
 
     dif = sub.add_parser("diff", help="affected components between two stages")
     dif.add_argument("app", choices=apps.APP_NAMES)
-    dif.add_argument("stage_a", choices=STAGES)
-    dif.add_argument("stage_b", choices=STAGES)
-    dif.add_argument("--paradigm", choices=PARADIGMS, required=True)
+    dif.add_argument("stage_a", choices=apps.APP_STAGES)
+    dif.add_argument("stage_b", choices=apps.APP_STAGES)
+    dif.add_argument("--paradigm", choices=apps.PARADIGMS, required=True)
 
     eq = sub.add_parser("equiv", help="compare min-stage outputs across paradigms")
     eq.add_argument("app", choices=apps.APP_NAMES)
@@ -77,8 +78,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _scenario(args):
+    """The scenario named by `--ticks`/`--seed`; one it refuses is a usage error."""
+    try:
+        return apps.make_scenario(args.app, args.ticks, args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _cmd_run(args) -> int:
-    scenario = apps.make_scenario(args.app, args.ticks, args.seed)
+    scenario = _scenario(args)
     report = run_scenario(scenario, apps.app_version(args.app, args.paradigm, args.stage))
     text = report.to_json()
     print(text)
@@ -101,7 +110,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_collect(args) -> int:
-    scenario = apps.make_scenario(args.app, args.ticks, args.seed)
+    scenario = _scenario(args)
     result = execute(scenario, apps.app_version(args.app, "fbp", "data"))
     if result.dataset_rows is None:
         print(
@@ -126,7 +135,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    scenario = apps.make_scenario(args.app, args.ticks, args.seed)
+    scenario = _scenario(args)
     fbp = run_scenario(scenario, apps.app_version(args.app, "fbp", "min"))
     soa = run_scenario(scenario, apps.app_version(args.app, "soa", "min"))
     if fbp.digests == soa.digests:
@@ -157,6 +166,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit:
         raise
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR

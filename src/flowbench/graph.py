@@ -1,11 +1,12 @@
-"""Dataflow graph model: typed streams, stateless nodes, external wiring.
+"""Dataflow graph model: typed streams, processing nodes, external wiring.
 
 A program is a bipartite graph of named streams (typed, append-only logs)
-and processing nodes (pure transforms with named ports). Wiring lives in
-the graph, not in the nodes, so the whole program is a traversable data
-structure: `upstream_closure` / `downstream_closure` answer provenance and
-impact questions, `topological_order` schedules execution, `export_dot`
-renders the program as a picture.
+and processing nodes (deterministic transforms with named ports, plain or
+folding over runtime-owned state). Wiring lives in the graph, not in the
+nodes, so the whole program is a traversable data structure:
+`upstream_closure` / `downstream_closure` answer provenance and impact
+questions, `topological_order` schedules execution, `export_dot` renders
+the program as a picture.
 
 Construction never fails on a malformed graph; `validate` reports every
 broken invariant as data so callers can decide what to do.
@@ -14,7 +15,7 @@ broken invariant as data so callers can decide what to do.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Mapping
 
@@ -63,6 +64,9 @@ class Schema:
             if fname in seen:
                 raise ValueError(f"schema {self.name!r}: duplicate field {fname!r}")
             seen.add(fname)
+        # Name -> position lookup for `Record.__getitem__`; a plain
+        # attribute, so equality and hash still depend on the fields only.
+        object.__setattr__(self, "_index", {fname: i for i, (fname, _) in enumerate(self.fields)})
 
     @property
     def field_names(self) -> tuple[str, ...]:
@@ -80,7 +84,7 @@ class Schema:
         ints are accepted for float fields (and widened); bool is never
         treated as an int.
         """
-        extra = set(values) - set(self.field_names)
+        extra = set(values).difference(self._index)
         if extra:
             raise SchemaMismatchError(
                 f"schema {self.name!r}: unexpected fields {sorted(extra)}"
@@ -130,7 +134,7 @@ class Record:
     seq: int
 
     def __getitem__(self, name: str):
-        return self.values[self.schema.field_names.index(name)]
+        return self.values[self.schema._index[name]]
 
     def as_dict(self) -> dict[str, Any]:
         return dict(zip(self.schema.field_names, self.values))
@@ -149,17 +153,22 @@ class PortDecl:
     schema: Schema
 
 
-# Transforms map {in-port: PortView} -> {out-port: [field->value mapping, ...]}.
-Transform = Callable[[dict], dict]
+# Transforms map {in-port: PortView} -> {out-port: [field->value mapping, ...]};
+# a fold's transform also takes its state: (inputs, state) -> outputs.
+Transform = Callable[..., dict]
 
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """Stateless transform with named ports.
+    """Deterministic transform with named ports.
 
-    The transform must be deterministic and hold no state between calls;
-    the runtime re-presents full input history on every invocation so
-    aggregates stay pure functions of their inputs.
+    The transform itself holds no state between calls. A plain node
+    (`init` None) gets `transform(inputs)` and recomputes from what its
+    in-ports show. A fold node gets `transform(inputs, state)`: the runtime
+    calls `init()` once per instance for a fresh state, passes that same
+    object on every tick, and the transform updates it in place from the
+    `.new` deltas. Outputs stay pure functions of the input logs because
+    only the runtime creates and keeps the state.
     """
 
     id: str
@@ -167,6 +176,7 @@ class NodeSpec:
     out_ports: tuple[PortDecl, ...]
     transform: Transform
     logic_version: str = "v1"
+    init: Callable[[], Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -256,6 +266,20 @@ class GraphBuilder:
         self._nodes.append(
             NodeSpec(node_id, tuple(in_ports), tuple(out_ports), transform, logic_version)
         )
+        return self
+
+    def fold(
+        self,
+        node_id: str,
+        init: Callable[[], Any],
+        step: Transform,
+        inputs: Mapping[str, str],
+        outputs: Mapping[str, str],
+        logic_version: str = "v1",
+    ) -> "GraphBuilder":
+        """Declare a fold node: `step(inputs, state)` over runtime-owned `init()` state."""
+        self.node(node_id, step, inputs, outputs, logic_version)
+        self._nodes[-1] = replace(self._nodes[-1], init=init)
         return self
 
     def build(self) -> FlowGraph:

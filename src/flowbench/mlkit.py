@@ -7,16 +7,14 @@ Feature dimensionality is tiny everywhere (d <= 6), so pure-Python linear
 algebra is exact and fast enough; no numerical library is worth the
 dependency here.
 
-All models are immutable once fitted and serialize to canonical JSON for
-offline-to-online handoff.
+All models are immutable once fitted and serialize to plain documents
+(`to_doc`) for offline-to-online handoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .canon import canonical_json
 
 START = "<s>"
 END = "</s>"
@@ -324,7 +322,3 @@ def quantile(sketch: QuantileSketch, q: float) -> float:
     n = len(sketch.values)
     idx = max(1, math.ceil(q * n))
     return sketch.values[idx - 1]
-
-
-def model_to_json(model) -> str:
-    return canonical_json(model.to_doc())

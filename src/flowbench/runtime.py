@@ -1,11 +1,21 @@
 """Tick-based deterministic executor for a validated FlowGraph.
 
-The runtime owns all state: stream logs and per-node read cursors. Nodes
-stay literally stateless because every invocation receives the full
-history of each wired input stream plus the delta range that is new since
-the node last ran. One `step()` executes every node exactly once in a
-frozen topological order, so records produced upstream are visible
-downstream within the same tick.
+The runtime owns all state: stream logs, per-node read cursors and the
+state of fold nodes. A plain node is stateless: each call it sees, per
+wired in-port, the live log plus the delta that is new since it last ran.
+A fold node (`NodeSpec.init` set) also gets a state object that the
+runtime creates once per instance with `init()` and hands back on every
+call; the transform updates it in place from `.new`. Since the runtime
+creates and keeps that state, every output is still a pure function of
+the input logs, and two instances of one graph never share it.
+
+One `step()` executes every node exactly once in a frozen topological
+order, so records produced upstream are visible downstream within the
+same tick. A node's outputs are checked against their schemas before any
+of them is appended, so a bad row leaves no rows of that node in the
+logs. After a `TransformError` the instance must be discarded all the
+same: earlier nodes of that tick have appended, and fold state may
+already have advanced.
 """
 
 from __future__ import annotations
@@ -32,36 +42,27 @@ class TransformError(Exception):
     """A node transform produced output that violates its port contract."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Length and seed of a run. Seeds are full 64-bit values."""
-
-    ticks: int
-    seed: int
-
-    def __post_init__(self):
-        if self.ticks < 1:
-            raise ValueError("ticks must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-
-
 class PortView:
-    """What a transform sees on one in-port: full history plus a delta marker."""
+    """What a transform sees on one in-port: the live log plus a delta marker.
+
+    `records` is the stream's log itself, not a copy, so a view is valid
+    only for the duration of the call it was passed to. `.new` copies the
+    delta; `.history` copies the whole log, so read it only when needed.
+    """
 
     __slots__ = ("records", "new_from")
 
-    def __init__(self, records: tuple[Record, ...], new_from: int):
+    def __init__(self, records: list[Record], new_from: int):
         self.records = records
         self.new_from = new_from
 
     @property
     def history(self) -> tuple[Record, ...]:
-        return self.records
+        return tuple(self.records)
 
     @property
     def new(self) -> tuple[Record, ...]:
-        return self.records[self.new_from:]
+        return tuple(self.records[self.new_from:])
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,7 @@ class RuntimeInstance:
         self._producer_count = {
             s.id: len(graph.producers_of(s.id)) for s in graph.streams
         }
+        self._state = {n.id: n.init() for n in graph.nodes if n.init is not None}
         self.tick = 0
         self.invocations: dict[str, int] = {n.id: 0 for n in graph.nodes}
 
@@ -106,7 +108,7 @@ class RuntimeInstance:
         decl = self._decl(stream_id)
         if decl.category is not Category.INPUT:
             raise StreamWriteError(f"{stream_id!r} is not an input stream")
-        return self._append(decl, values)
+        return self._append(decl, decl.schema.coerce_row(values))
 
     def append_collected(self, stream_id: str, values) -> Record:
         """Runtime-owned write path for producer-less output streams.
@@ -119,10 +121,9 @@ class RuntimeInstance:
             raise StreamWriteError(f"{stream_id!r} is not an output stream")
         if self._producer_count[stream_id]:
             raise StreamWriteError(f"{stream_id!r} is produced by a node")
-        return self._append(decl, values)
+        return self._append(decl, decl.schema.coerce_row(values))
 
-    def _append(self, decl, values) -> Record:
-        row = decl.schema.coerce_row(values)
+    def _append(self, decl, row: tuple) -> Record:
         log = self._logs[decl.id]
         rec = Record(decl.schema, row, self.tick, len(log))
         log.append(rec)
@@ -140,26 +141,32 @@ class RuntimeInstance:
             inputs = {}
             for port in node.in_ports:
                 sid = self._in_wiring[(nid, port.name)]
-                log = self._logs[sid]
-                inputs[port.name] = PortView(tuple(log), self._cursors[(nid, port.name)])
-            result = node.transform(inputs) or {}
+                inputs[port.name] = PortView(self._logs[sid], self._cursors[(nid, port.name)])
+            if node.init is None:
+                result = node.transform(inputs)
+            else:
+                result = node.transform(inputs, self._state[nid])
+            result = result or {}
             unknown = set(result) - {p.name for p in node.out_ports}
             if unknown:
                 raise TransformError(
-                    f"node {nid!r} emitted to undeclared ports {sorted(unknown)}"
+                    f"node {nid!r} at tick {self.tick} emitted to undeclared ports {sorted(unknown)}"
                 )
+            staged = []
             for port in node.out_ports:
-                rows = result.get(port.name, ())
-                sid = self._out_wiring[(nid, port.name)]
-                decl = self._streams[sid]
+                decl = self._streams[self._out_wiring[(nid, port.name)]]
+                try:
+                    rows = [decl.schema.coerce_row(row) for row in result.get(port.name, ())]
+                except SchemaMismatchError as exc:
+                    raise TransformError(
+                        f"node {nid!r} port {port.name!r} at tick {self.tick}: {exc}"
+                    ) from exc
+                staged.append((decl, rows))
+            for decl, rows in staged:
                 for row in rows:
-                    try:
-                        self._append(decl, row)
-                    except SchemaMismatchError as exc:
-                        raise TransformError(
-                            f"node {nid!r} port {port.name!r}: {exc}"
-                        ) from exc
-                    produced[sid] = produced.get(sid, 0) + 1
+                    self._append(decl, row)
+                if rows:
+                    produced[decl.id] = produced.get(decl.id, 0) + len(rows)
             for port in node.in_ports:
                 sid = self._in_wiring[(nid, port.name)]
                 self._cursors[(nid, port.name)] = len(self._logs[sid])

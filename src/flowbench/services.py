@@ -106,14 +106,6 @@ class ServiceContext:
         return self._registry.call(self.service_id, callee, api, request)
 
 
-def store_get(context: ServiceContext, table: str, key: str):
-    return context.store_get(table, key)
-
-
-def store_put(context: ServiceContext, table: str, key: str, document: dict) -> None:
-    context.store_put(table, key, document)
-
-
 @dataclass(frozen=True)
 class CallEntry:
     caller: str

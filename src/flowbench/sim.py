@@ -31,7 +31,11 @@ class Event:
 
 @dataclass(frozen=True)
 class Scenario:
-    """World configuration. Same scenario, same event sequence."""
+    """World configuration. Same scenario, same event sequence.
+
+    Seeds are full 64-bit values; anything outside [0, 2**64) is refused
+    rather than masked, so two seed labels never name the same run.
+    """
 
     app: str
     ticks: int
@@ -41,6 +45,8 @@ class Scenario:
     def __post_init__(self):
         if self.ticks < 0:
             raise ValueError("ticks must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 class World:
@@ -54,10 +60,6 @@ class World:
 
     def observe(self, tick: int, docs: list[dict]) -> None:
         """Called once per tick with the app's sorted observation batch."""
-
-
-def generate_events(world: World, tick: int) -> list[Event]:
-    return world.generate_events(tick)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,26 @@ class TestUsageErrors:
     def test_missing_subcommand_exits_one(self, capsys):
         assert main([]) == 1
 
+    def test_negative_seed_exits_one(self, capsys):
+        assert main(["run", "playlist_builder", "fbp", "min", "--ticks", "3", "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_exits_one(self, capsys):
+        argv = ["run", "playlist_builder", "fbp", "min", "--ticks", "3",
+                "--seed", "100000000000000000000000"]
+        assert main(argv) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_negative_ticks_exits_one(self, capsys):
+        assert main(["run", "playlist_builder", "fbp", "min", "--ticks", "-5"]) == 1
+        assert "ticks" in capsys.readouterr().err
+
+    def test_bad_seed_is_usage_error_for_collect_and_equiv(self, tmp_path):
+        assert main(["collect", "insurance_claims", "--seed", "-1",
+                     "--out", str(tmp_path / "x.jsonl")]) == 1
+        assert not (tmp_path / "x.jsonl").exists()
+        assert main(["equiv", "playlist_builder", "--ticks", "-5"]) == 1
+
 
 class TestRun:
     def test_prints_report_and_writes_identical_file(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowbench.graph import Category, GraphBuilder, GraphValidationError, Schema
-from flowbench.runtime import RunConfig, StreamWriteError, TransformError, start
+from flowbench.runtime import StreamWriteError, TransformError, start
 from flowbench.rng import SplitMix64
 from util_graphs import POINT, chain_graph, random_dag
 
@@ -28,6 +28,15 @@ class TestStart:
         one.inject("i", {"x": 1})
         assert one.length("i") == 1
         assert two.length("i") == 0
+
+        graph = running_sum_graph(fold=True)
+        one, two = start(graph), start(graph)
+        one.inject("i", {"k": 0, "v": 5})
+        one.step()
+        two.inject("i", {"k": 0, "v": 1})
+        two.step()
+        assert [r["total"] for r in one.read("o")] == [5]
+        assert [r["total"] for r in two.read("o")] == [1]
 
 
 class TestInject:
@@ -100,6 +109,28 @@ class TestStep:
         with pytest.raises(TransformError, match="'A'"):
             inst.step()
 
+    def test_bad_port_leaves_no_rows_from_earlier_ports(self):
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("good", Category.OUTPUT, POINT)
+        b.stream("bad", Category.OUTPUT, Schema("other", (("y", "int"),)))
+        b.node(
+            "A",
+            lambda inputs: {
+                "good": [r.as_dict() for r in inputs["in"].new],
+                "bad": [r.as_dict() for r in inputs["in"].new],
+            },
+            inputs={"in": "i"},
+            outputs={"good": "good", "bad": "bad"},
+        )
+        inst = start(b.build())
+        inst.step()
+        inst.inject("i", {"x": 1})
+        with pytest.raises(TransformError, match="node 'A' port 'bad' at tick 1"):
+            inst.step()
+        assert inst.length("good") == 0
+        assert inst.length("bad") == 0
+
 
 class TestRead:
     def _three_records(self):
@@ -126,14 +157,61 @@ class TestRead:
             self._three_records().read("ghost", 0)
 
 
-class TestRunConfig:
-    def test_rejects_zero_ticks(self):
-        with pytest.raises(ValueError):
-            RunConfig(ticks=0, seed=1)
+KV = Schema("kv", (("k", "int"), ("v", "int")))
+TOTAL = Schema("total", (("k", "int"), ("total", "int")))
 
-    def test_rejects_oversized_seed(self):
-        with pytest.raises(ValueError):
-            RunConfig(ticks=1, seed=2**64)
+
+def _sum_fold(inputs, totals):
+    out = []
+    for rec in inputs["in"].new:
+        totals[rec["k"]] = totals.get(rec["k"], 0) + rec["v"]
+        out.append({"k": rec["k"], "total": totals[rec["k"]]})
+    return {"out": out}
+
+
+def _sum_recompute(inputs):
+    """Oracle: the same running sums, recomputed from full history."""
+    totals: dict[int, int] = {}
+    out = []
+    for rec in inputs["in"].history:
+        totals[rec["k"]] = totals.get(rec["k"], 0) + rec["v"]
+        if rec.seq >= inputs["in"].new_from:
+            out.append({"k": rec["k"], "total": totals[rec["k"]]})
+    return {"out": out}
+
+
+def running_sum_graph(fold: bool):
+    """i -> sum -> o: per-key running totals, as a fold or as a recompute."""
+    b = GraphBuilder()
+    b.stream("i", Category.INPUT, KV)
+    b.stream("o", Category.OUTPUT, TOTAL)
+    wiring = {"inputs": {"in": "i"}, "outputs": {"out": "o"}}
+    if fold:
+        b.fold("sum", dict, _sum_fold, **wiring)
+    else:
+        b.node("sum", _sum_recompute, **wiring)
+    return b.build()
+
+
+class TestFold:
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 3), st.integers(-5, 5)), max_size=4),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fold_equals_recompute_from_history(self, ticks):
+        fold = start(running_sum_graph(fold=True))
+        oracle = start(running_sum_graph(fold=False))
+        for rows in ticks:
+            for k, v in rows:
+                fold.inject("i", {"k": k, "v": v})
+                oracle.inject("i", {"k": k, "v": v})
+            fold.step()
+            oracle.step()
+            got = [(r.tick, r.values) for r in fold.read("o")]
+            assert got == [(r.tick, r.values) for r in oracle.read("o")]
 
 
 def _drive(graph, seed, ticks=5):
@@ -164,8 +242,9 @@ class TestRunProperties:
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=25, deadline=None)
     def test_replay_on_fresh_instance_reproduces_logs(self, seed):
-        # Nodes carry no hidden state, so replaying the injection/tick
-        # protocol on a brand-new instance must give the same logs.
+        # All state lives in the instance (logs, cursors, fold state), so
+        # replaying the injection/tick protocol on a brand-new instance
+        # must give the same logs.
         graph = random_dag(seed)
         logs_a, inst_a = _drive(graph, seed, ticks=4)
         logs_b, _ = _drive(graph, seed, ticks=4)

@@ -12,8 +12,6 @@ from flowbench.services import (
     ServiceRegistry,
     ServiceSpec,
     UnknownServiceError,
-    store_get,
-    store_put,
 )
 
 
@@ -133,18 +131,18 @@ class TestStores:
 
     def test_put_then_get(self):
         ctx = self._ctx()
-        store_put(ctx, "t", "k", {"v": 1})
-        assert store_get(ctx, "t", "k") == {"v": 1}
+        ctx.store_put("t", "k", {"v": 1})
+        assert ctx.store_get("t", "k") == {"v": 1}
 
     def test_get_missing_is_absent(self):
         assert self._ctx().store_get("t", "nope") is None
 
     def test_tables_are_independent(self):
         ctx = self._ctx()
-        store_put(ctx, "t1", "k", {"v": 1})
-        store_put(ctx, "t2", "k", {"v": 2})
-        assert store_get(ctx, "t1", "k") == {"v": 1}
-        assert store_get(ctx, "t2", "k") == {"v": 2}
+        ctx.store_put("t1", "k", {"v": 1})
+        ctx.store_put("t2", "k", {"v": 2})
+        assert ctx.store_get("t1", "k") == {"v": 1}
+        assert ctx.store_get("t2", "k") == {"v": 2}
 
     def test_routines_are_the_store_accessors(self):
         spec = ServiceSpec(

@@ -1,5 +1,7 @@
 """Simulation harness: event generation, the tick loop, reports."""
 
+import pytest
+
 from flowbench import apps
 from flowbench.apps import ride_allocation
 from flowbench.canon import canonical_json
@@ -62,6 +64,22 @@ class TestGenerateEvents:
         run_scenario(scenario, apps.app_version("mblogger", "soa", "min"))
 
 
+class TestScenario:
+    def test_rejects_oversized_seed(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            Scenario("mblogger", 1, 2**64)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            Scenario("mblogger", 1, -1)
+
+    def test_tick_bound(self):
+        # Zero ticks is a valid, empty run; only negative counts are refused.
+        assert Scenario("mblogger", 0, 2**64 - 1).ticks == 0
+        with pytest.raises(ValueError, match="ticks"):
+            Scenario("mblogger", -1, 0)
+
+
 class TestRunScenario:
     def test_zero_ticks_is_empty_report(self):
         scenario = apps.make_scenario("playlist_builder", 0, 1)
@@ -88,8 +106,6 @@ class TestRunScenario:
         assert '"app":"playlist_builder"' in text
 
     def test_rejects_negative_ticks(self):
-        import pytest
-
         with pytest.raises(ValueError):
             Scenario("mblogger", -1, 0)
 
