@@ -5,6 +5,11 @@ bundles the artifact itself (graph or service registry) with the routing
 tables the simulation needs: which event kinds it can deliver and which
 outputs are observable. Business logic lives in per-app shared functions
 so the two paradigms differ only in architecture.
+
+The model stage of an app that trains offline takes its fitted model as a
+build argument. Built without one (for structure only: manifests, diffs,
+graph export), the model-serving node or API is `untrained` and refuses
+to run.
 """
 
 from __future__ import annotations
@@ -16,6 +21,23 @@ APP_STAGES = ("min", "data", "ml")
 PARADIGMS = ("fbp", "soa")
 
 _KEY_PREFIX = {"fbp": "fb", "soa": "soa"}
+
+
+class UntrainedModelError(RuntimeError):
+    """A structure-only build of a model stage was asked to serve."""
+
+
+def untrained(app: str, paradigm: str) -> Callable:
+    """Stand-in for the model-serving node transform or API handler of a
+    build made without a model: every call raises `UntrainedModelError`."""
+
+    def refuse(*args):
+        raise UntrainedModelError(
+            f"{app} {paradigm} ml was built for structure only and has no trained model;"
+            " build it with apps.build_app to run it"
+        )
+
+    return refuse
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,19 @@ are fast-tracked; everything else takes the standard path.
 
 Data stage declares the dataset pairing claim attributes with the final
 decision. Model stage swaps the whole screening chain for one decision
-tree trained on that dataset; the output interface is untouched.
+tree trained on that dataset (`train`); the output interface is untouched.
 """
 
 from __future__ import annotations
 
+from .. import sim
 from ..collection import CollectionSpec, StreamSelect
 from ..graph import Category, GraphBuilder, Schema
 from ..mlkit import TreeModel, fit_tree, predict_tree
 from ..rng import SplitMix64, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute
+from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute, untrained
 
 DEFAULT_PARAMS = {"claim_rate": 4.0}
 
@@ -119,6 +120,15 @@ def fit_claim_model(rows) -> TreeModel:
     return fit_tree(data, max_depth=TREE_DEPTH)
 
 
+def train(paradigm: str, scenario: Scenario) -> tuple[TreeModel, list]:
+    """The model stage's offline training: the data stage's dataset, fitted.
+
+    Returns the tree and the rows it was fitted on.
+    """
+    rows = sim.training_rows("insurance_claims", paradigm, scenario)
+    return fit_claim_model(rows), rows
+
+
 # ----------------------------------------------------------------------
 # Dataflow build
 # ----------------------------------------------------------------------
@@ -170,23 +180,18 @@ def _classifier(model: TreeModel):
     return transform
 
 
-def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
+def build_fbp(stage: str, scenario: Scenario, model: TreeModel | None = None) -> FbpBuild:
+    """The dataflow build; the ml stage classifies with `model` (None: a
+    structure-only build whose classifier refuses to run)."""
     b = GraphBuilder()
     b.stream("claims", Category.INPUT, CLAIM)
     b.stream("screened_kind", Category.INTERNAL, SCREENED)
     b.stream("decisions", Category.OUTPUT, DECISION)
 
-    extras = {}
     if stage == "ml":
-        from .. import sim as _sim
-
-        rows = _sim.training_rows("insurance_claims", "fbp", scenario)
-        model = fit_claim_model(rows)
-        extras["model"] = model
-        extras["training_rows"] = rows
         b.node(
             "classifier",
-            _classifier(model),
+            _classifier(model) if model is not None else untrained("insurance_claims", "fbp"),
             inputs={"claims": "claims"},
             outputs={"screened": "screened_kind"},
         )
@@ -228,7 +233,6 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
         routes={"claim": StreamRoute("claims")},
         obs_kinds={"decisions": "decision"},
         collection=collection,
-        extras=extras,
     )
 
 
@@ -237,7 +241,7 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
 # ----------------------------------------------------------------------
 
 
-def _rules_service(stage: str) -> ServiceSpec:
+def _rules_service(stage: str, trained: bool) -> ServiceSpec:
     if stage == "ml":
         def predict(req, ctx):
             model = TreeModel.from_doc(ctx.routine("get_model"))
@@ -248,7 +252,7 @@ def _rules_service(stage: str) -> ServiceSpec:
             apis=(
                 ApiSpec(
                     "predict",
-                    predict,
+                    predict if trained else untrained("insurance_claims", "soa"),
                     ("kind", "amount", "prior_claims", "flagged"),
                     ("decision",),
                 ),
@@ -359,20 +363,14 @@ def _intake_service(stage: str) -> ServiceSpec:
     return ServiceSpec("intake", apis=tuple(apis), routines=tuple(routines))
 
 
-def build_soa(stage: str, scenario: Scenario) -> SoaBuild:
+def build_soa(stage: str, scenario: Scenario, model: TreeModel | None = None) -> SoaBuild:
+    """The service build; the ml stage seeds `model` into the rules store
+    (None: a structure-only build whose `predict` refuses to run)."""
     registry = ServiceRegistry()
-    registry.register(_rules_service(stage))
+    registry.register(_rules_service(stage, model is not None))
     registry.register(_payout_service(stage))
     registry.register(_intake_service(stage))
-
-    extras = {}
-    if stage == "ml":
-        from .. import sim as _sim
-
-        rows = _sim.training_rows("insurance_claims", "soa", scenario)
-        model = fit_claim_model(rows)
-        extras["model"] = model
-        extras["training_rows"] = rows
+    if model is not None:
         registry.context_for("rules").routine("put_model", model.to_doc())
 
     export = None
@@ -387,7 +385,6 @@ def build_soa(stage: str, scenario: Scenario) -> SoaBuild:
         registry,
         routes={"claim": ApiRoute("intake", "submit_claim", obs_kind="decision")},
         export_dataset=export,
-        extras=extras,
     )
 
 

@@ -8,8 +8,8 @@ busy until the ride completes, and tracks realized pickup waits.
 Data stage: the realized waits become labels, the allocation context
 (distance, free-driver count, time of day) the features; the pairing is
 declared as a dataset output stream and assembled by the collection
-tooling. Model stage: a regression over that dataset estimates the pickup
-wait for every new allocation.
+tooling. Model stage: a regression over that dataset (`train`) estimates
+the pickup wait for every new allocation.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from .. import sim
 from ..collection import CollectionSpec, StreamSelect
 from ..graph import Category, GraphBuilder, Schema
 from ..mlkit import LinearModel, predict_linear, fit_linear
 from ..rng import SplitMix64, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute
+from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute, untrained
 
 DEFAULT_PARAMS = {
     "n_drivers": 20,
@@ -140,6 +141,15 @@ def fit_wait_model(rows) -> LinearModel:
     return fit_linear(data)
 
 
+def train(paradigm: str, scenario: Scenario) -> tuple[LinearModel, list]:
+    """The model stage's offline training: the data stage's dataset, fitted.
+
+    Returns the regression and the rows it was fitted on.
+    """
+    rows = sim.training_rows("ride_allocation", paradigm, scenario)
+    return fit_wait_model(rows), rows
+
+
 # ----------------------------------------------------------------------
 # Dataflow build
 # ----------------------------------------------------------------------
@@ -234,7 +244,9 @@ def _estimator(model: LinearModel):
     return transform
 
 
-def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
+def build_fbp(stage: str, scenario: Scenario, model: LinearModel | None = None) -> FbpBuild:
+    """The dataflow build; the ml stage estimates waits with `model` (None:
+    a structure-only build whose estimator refuses to run)."""
     b = GraphBuilder()
     b.stream("ride_requests", Category.INPUT, RIDE_REQUEST)
     b.stream("driver_events", Category.INPUT, DRIVER_EVENT)
@@ -264,22 +276,15 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
         outputs={"waits": "pickup_waits"},
     )
 
-    extras = {}
     collection = None
     if stage in ("data", "ml"):
         b.stream("wait_dataset", Category.OUTPUT, WAIT_DATASET)
         collection = COLLECTION
     if stage == "ml":
-        from .. import sim as _sim
-
-        rows = _sim.training_rows("ride_allocation", "fbp", scenario)
-        model = fit_wait_model(rows)
-        extras["model"] = model
-        extras["training_rows"] = rows
         b.stream("wait_estimates", Category.OUTPUT, WAIT_ESTIMATE)
         b.node(
             "wait_estimator",
-            _estimator(model),
+            _estimator(model) if model is not None else untrained("ride_allocation", "fbp"),
             inputs={"allocations": "allocations"},
             outputs={"estimates": "wait_estimates"},
         )
@@ -293,7 +298,7 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
         "raw_pickup": StreamRoute("raw_pickups"),
         "ride_request": StreamRoute("ride_requests"),
     }
-    return FbpBuild(b.build(), routes, obs_kinds, collection, extras)
+    return FbpBuild(b.build(), routes, obs_kinds, collection)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +347,7 @@ def _drivers_service() -> ServiceSpec:
     )
 
 
-def _allocator_service(stage: str, scenario: Scenario) -> ServiceSpec:
+def _allocator_service(stage: str, trained: bool) -> ServiceSpec:
     store_allocations = stage in ("data", "ml")
 
     def allocate(req, ctx):
@@ -354,7 +359,7 @@ def _allocator_service(stage: str, scenario: Scenario) -> ServiceSpec:
         if alloc["matched"]:
             ctx.call("drivers", "set_busy", {"driver_id": alloc["driver_id"]})
         if store_allocations:
-            ctx.routine("save_allocation", alloc)
+            ctx.routine("save_allocation", dict(alloc))
         return alloc
 
     apis = [
@@ -387,7 +392,8 @@ def _allocator_service(stage: str, scenario: Scenario) -> ServiceSpec:
                 "estimated_wait": predict_linear(model, feature_vector(alloc)),
             }
 
-        apis.append(ApiSpec("estimate_wait", estimate_wait, ("ride_id",), ("ride_id", "estimated_wait")))
+        handler = estimate_wait if trained else untrained("ride_allocation", "soa")
+        apis.append(ApiSpec("estimate_wait", handler, ("ride_id",), ("ride_id", "estimated_wait")))
         routines.extend(
             (
                 RoutineSpec("put_model", lambda ctx, doc: ctx.store_put("models", "wait", doc)),
@@ -468,20 +474,14 @@ def _rides_service(stage: str) -> ServiceSpec:
     return ServiceSpec("rides", apis=tuple(apis), routines=tuple(routines))
 
 
-def build_soa(stage: str, scenario: Scenario) -> SoaBuild:
+def build_soa(stage: str, scenario: Scenario, model: LinearModel | None = None) -> SoaBuild:
+    """The service build; the ml stage seeds `model` into the allocator
+    store (None: a structure-only build whose `estimate_wait` refuses to run)."""
     registry = ServiceRegistry()
     registry.register(_drivers_service())
-    registry.register(_allocator_service(stage, scenario))
+    registry.register(_allocator_service(stage, model is not None))
     registry.register(_rides_service(stage))
-
-    extras = {}
-    if stage == "ml":
-        from .. import sim as _sim
-
-        rows = _sim.training_rows("ride_allocation", "soa", scenario)
-        model = fit_wait_model(rows)
-        extras["model"] = model
-        extras["training_rows"] = rows
+    if model is not None:
         registry.context_for("allocator").routine("put_model", model.to_doc())
 
     routes = {
@@ -501,7 +501,7 @@ def build_soa(stage: str, scenario: Scenario) -> SoaBuild:
             docs = reg.call("sim", "rides", "export_dataset", {})["rows"]
             return [DatasetRow.from_doc(d) for d in docs]
 
-    return SoaBuild(registry, routes, export, extras)
+    return SoaBuild(registry, routes, export)
 
 
 # ----------------------------------------------------------------------

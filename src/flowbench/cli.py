@@ -99,7 +99,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_graph(args) -> int:
     scenario = apps.make_scenario(args.app, metrics.MANIFEST_TICKS, metrics.MANIFEST_SEED)
-    built = apps.build_app(apps.app_version(args.app, "fbp", args.stage), scenario)
+    built = apps.build_structure(apps.app_version(args.app, "fbp", args.stage), scenario)
     text = export_dot(built.graph)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

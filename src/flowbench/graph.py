@@ -64,13 +64,10 @@ class Schema:
             if fname in seen:
                 raise ValueError(f"schema {self.name!r}: duplicate field {fname!r}")
             seen.add(fname)
-        # Name -> position lookup for `Record.__getitem__`; a plain
-        # attribute, so equality and hash still depend on the fields only.
-        object.__setattr__(self, "_index", {fname: i for i, (fname, _) in enumerate(self.fields)})
-
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(fname for fname, _ in self.fields)
+        # Field names in order, and name -> position for `Record.__getitem__`;
+        # plain attributes, so equality and hash still depend on the fields only.
+        object.__setattr__(self, "field_names", tuple(fname for fname, _ in self.fields))
+        object.__setattr__(self, "_index", {fname: i for i, fname in enumerate(self.field_names)})
 
     def field_type(self, name: str) -> str:
         for fname, ftype in self.fields:

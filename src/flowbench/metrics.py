@@ -102,13 +102,14 @@ def soa_manifest(registry, version_key: str) -> ComponentManifest:
 
 
 def manifest(version, scenario: Scenario | None = None) -> ComponentManifest:
-    """Inventory one app version. Builds it (training included for model
-    stages) under a fixed default scenario unless one is supplied."""
+    """Inventory one app version from its structure-only build
+    (`apps.build_structure`: nothing trains or simulates), under a fixed
+    default scenario unless one is supplied."""
     from . import apps
 
     if scenario is None:
         scenario = apps.make_scenario(version.app, MANIFEST_TICKS, MANIFEST_SEED)
-    built = apps.build_app(version, scenario)
+    built = apps.build_structure(version, scenario)
     if version.paradigm == "fbp":
         return fbp_manifest(built.graph, version.key)
     return soa_manifest(built.registry, version.key)

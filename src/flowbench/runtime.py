@@ -13,9 +13,11 @@ One `step()` executes every node exactly once in a frozen topological
 order, so records produced upstream are visible downstream within the
 same tick. A node's outputs are checked against their schemas before any
 of them is appended, so a bad row leaves no rows of that node in the
-logs. After a `TransformError` the instance must be discarded all the
-same: earlier nodes of that tick have appended, and fold state may
-already have advanced.
+logs; the `TransformError` names the node, port and tick. An exception
+raised inside a transform is re-raised as `NodeError`, naming the node
+and tick, with the original as its cause. After either error the
+instance must be discarded: earlier nodes of that tick have appended,
+and fold state may already have advanced.
 """
 
 from __future__ import annotations
@@ -40,6 +42,16 @@ class StreamWriteError(Exception):
 
 class TransformError(Exception):
     """A node transform produced output that violates its port contract."""
+
+
+class NodeError(Exception):
+    """A node transform raised; `cause` is the original exception."""
+
+    def __init__(self, node: str, tick: int, cause: Exception):
+        self.node = node
+        self.tick = tick
+        self.cause = cause
+        super().__init__(f"node {node!r} at tick {tick}: {type(cause).__name__}: {cause}")
 
 
 class PortView:
@@ -142,10 +154,13 @@ class RuntimeInstance:
             for port in node.in_ports:
                 sid = self._in_wiring[(nid, port.name)]
                 inputs[port.name] = PortView(self._logs[sid], self._cursors[(nid, port.name)])
-            if node.init is None:
-                result = node.transform(inputs)
-            else:
-                result = node.transform(inputs, self._state[nid])
+            try:
+                if node.init is None:
+                    result = node.transform(inputs)
+                else:
+                    result = node.transform(inputs, self._state[nid])
+            except Exception as exc:
+                raise NodeError(nid, self.tick, exc) from exc
             result = result or {}
             unknown = set(result) - {p.name for p in node.out_ports}
             if unknown:

@@ -101,7 +101,7 @@ class ExecutionResult:
 
 def execute(scenario: Scenario, version) -> ExecutionResult:
     """Run the full tick loop and keep the live app around for inspection."""
-    from . import apps  # local import: app builds call back into this module
+    from . import apps  # local import: the apps import this module
 
     built = apps.build_app(version, scenario)
     world = apps.make_world(scenario)
@@ -201,11 +201,13 @@ def run_scenario(scenario: Scenario, version) -> RunReport:
 
 
 def training_rows(app: str, paradigm: str, scenario: Scenario) -> list[DatasetRow]:
-    """Collect the offline dataset a model-stage build trains on.
+    """Collect the offline dataset a model stage trains on.
 
     Runs the same app's data stage on a sibling scenario whose seed is
     derived from the serving seed, so training is deterministic but does
-    not replay the exact serving workload.
+    not replay the exact serving workload. Called by the apps' `train`
+    steps, which `apps.build_app` runs before building a model stage;
+    structure-only builds never call it.
     """
     from . import apps
     from .rng import derive_seed

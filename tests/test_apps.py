@@ -48,6 +48,20 @@ class TestRideAllocate:
         assert alloc["tod"] == 49 % 24
         assert alloc["n_available"] == 1
 
+    def test_soa_allocate_response_does_not_alias_stored_allocation(self):
+        scenario = apps.make_scenario("ride_allocation", 10, 1)
+        registry = ride_allocation.build_soa("data", scenario).registry
+        registry.call("sim", "drivers", "register", {"driver_id": 4, "x": 3.0, "y": 4.0})
+        response = registry.call(
+            "sim", "allocator", "allocate",
+            {"ride_id": 1, "rider_x": 0.0, "rider_y": 0.0, "request_tick": 0},
+        )
+        stored = dict(response)
+        response["driver_id"] = -1
+        response["matched"] = False
+        listed = registry.call("sim", "allocator", "list_allocations", {})["allocations"]
+        assert listed == [stored]
+
 
 class TestClaimRoute:
     def test_flagged_always_rejected(self):

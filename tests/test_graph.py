@@ -51,6 +51,17 @@ class TestSchema:
         with pytest.raises(Exception):
             s.coerce_row({"v": True})
 
+    def test_equal_schemas_compare_and_hash_equal(self):
+        # The cached field names and index are not fields: they must not
+        # enter equality or hashing.
+        a = Schema("m", (("v", "int"), ("w", "text")))
+        b = Schema("m", (("v", "int"), ("w", "text")))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a.field_names == ("v", "w")
+        assert a != Schema("m", (("w", "text"), ("v", "int")))
+
 
 class TestValidate:
     def test_minimal_valid_graph(self):

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowbench.graph import Category, GraphBuilder, GraphValidationError, Schema
-from flowbench.runtime import StreamWriteError, TransformError, start
+from flowbench.runtime import NodeError, StreamWriteError, TransformError, start
 from flowbench.rng import SplitMix64
-from util_graphs import POINT, chain_graph, random_dag
+from util_graphs import POINT, chain_graph, copy_transform, random_dag
 
 
 class TestStart:
@@ -63,6 +63,27 @@ class TestInject:
 
 
 class TestStep:
+    def test_raising_transform_names_node_and_tick(self):
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("s", Category.INTERNAL, POINT)
+        b.stream("o", Category.OUTPUT, POINT)
+        b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "s"})
+        b.node(
+            "B",
+            lambda inputs: {"out": [{"x": 1 // r["x"]} for r in inputs["in"].new]},
+            inputs={"in": "s"},
+            outputs={"out": "o"},
+        )
+        inst = start(b.build())
+        inst.step()
+        inst.inject("i", {"x": 0})
+        with pytest.raises(NodeError, match="node 'B' at tick 1: ZeroDivisionError") as err:
+            inst.step()
+        assert (err.value.node, err.value.tick) == ("B", 1)
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
+        assert err.value.cause is err.value.__cause__
+
     def test_same_tick_propagation_through_chain(self):
         inst = start(chain_graph())
         inst.inject("i", {"x": 7})
