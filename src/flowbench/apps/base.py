@@ -3,8 +3,10 @@
 Every application ships six builds (two paradigms, three stages). A build
 bundles the artifact itself (graph or service registry) with the routing
 tables the simulation needs: which event kinds it can deliver and which
-outputs are observable. Business logic lives in per-app shared functions
-so the two paradigms differ only in architecture.
+outputs are observable. A data or ml build also names its dataset: a
+`CollectionSpec` (fbp), or the service whose `export_dataset` API returns
+the rows (soa). Business logic lives in per-app shared functions so the
+two paradigms differ only in architecture.
 
 The model stage of an app that trains offline takes its fitted model as a
 build argument. Built without one (for structure only: manifests, diffs,
@@ -93,5 +95,5 @@ class FbpBuild:
 class SoaBuild:
     registry: object
     routes: dict[str, ApiRoute]
-    export_dataset: Callable | None = None
+    dataset_service: str | None = None  # service with an `export_dataset` API
     extras: dict = field(default_factory=dict)

@@ -134,24 +134,14 @@ def train(paradigm: str, scenario: Scenario) -> tuple[TreeModel, list]:
 # ----------------------------------------------------------------------
 
 
-def _first_screen(rule):
+def _screen(rule):
+    """A screening node: apply `rule` to claims no earlier rule decided."""
+
     def transform(inputs):
         out = []
         for rec in inputs["claims"].new:
             doc = rec.as_dict()
-            doc["decision"] = rule(doc)
-            out.append(doc)
-        return {"screened": out}
-
-    return transform
-
-
-def _next_screen(rule):
-    def transform(inputs):
-        out = []
-        for rec in inputs["claims"].new:
-            doc = rec.as_dict()
-            if not doc["decision"]:
+            if not doc.get("decision"):
                 doc["decision"] = rule(doc)
             out.append(doc)
         return {"screened": out}
@@ -200,19 +190,19 @@ def build_fbp(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
         b.stream("screened_amount", Category.INTERNAL, SCREENED)
         b.node(
             "screen_flagged",
-            _first_screen(rule_flagged),
+            _screen(rule_flagged),
             inputs={"claims": "claims"},
             outputs={"screened": "screened_flag"},
         )
         b.node(
             "screen_amount",
-            _next_screen(rule_amount),
+            _screen(rule_amount),
             inputs={"claims": "screened_flag"},
             outputs={"screened": "screened_amount"},
         )
         b.node(
             "screen_kind",
-            _next_screen(rule_kind),
+            _screen(rule_kind),
             inputs={"claims": "screened_amount"},
             outputs={"screened": "screened_kind"},
         )
@@ -288,7 +278,7 @@ def _payout_service(stage: str) -> ServiceSpec:
     ]
     if stage in ("data", "ml"):
         def list_decisions(req, ctx):
-            return {"decisions": list(ctx.routine("get_payouts").values())}
+            return {"decisions": [dict(d) for d in ctx.routine("get_payouts").values()]}
 
         apis.append(ApiSpec("list_decisions", list_decisions, (), ("decisions",)))
         routines.append(RoutineSpec("get_payouts", lambda ctx: ctx.store_table("payouts")))
@@ -373,18 +363,10 @@ def build_soa(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
     if model is not None:
         registry.context_for("rules").routine("put_model", model.to_doc())
 
-    export = None
-    if stage in ("data", "ml"):
-        def export(reg):
-            from ..collection import DatasetRow
-
-            docs = reg.call("sim", "intake", "export_dataset", {})["rows"]
-            return [DatasetRow.from_doc(d) for d in docs]
-
     return SoaBuild(
         registry,
         routes={"claim": ApiRoute("intake", "submit_claim", obs_kind="decision")},
-        export_dataset=export,
+        dataset_service="intake" if stage in ("data", "ml") else None,
     )
 
 

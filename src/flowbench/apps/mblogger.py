@@ -350,6 +350,8 @@ class BloggerWorld(World):
         p = scenario.params
         self.rng = SplitMix64(derive_seed(scenario.seed, "world", "mblogger"))
         self.n_users = int(p["n_users"])
+        if self.n_users < 1:
+            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         self.follow_rate = float(p["follow_rate"])
         self.post_rate = float(p["post_rate"])
         self.request_rate = float(p["request_rate"])

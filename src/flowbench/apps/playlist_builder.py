@@ -296,6 +296,8 @@ class PlaylistWorld(World):
         p = scenario.params
         self.rng = SplitMix64(derive_seed(scenario.seed, "world", "playlist_builder"))
         self.genres = tuple(p["genres"])
+        if not self.genres:
+            raise ValueError("genres must name at least one genre")
         self.movie_rate = float(p["movie_rate"])
         self.request_rate = float(p["request_rate"])
         self.next_movie = 0

@@ -374,7 +374,7 @@ def _allocator_service(stage: str, trained: bool) -> ServiceSpec:
     routines = []
     if store_allocations:
         def list_allocations(req, ctx):
-            return {"allocations": list(ctx.routine("get_allocations").values())}
+            return {"allocations": [dict(a) for a in ctx.routine("get_allocations").values()]}
 
         apis.append(ApiSpec("list_allocations", list_allocations, (), ("allocations",)))
         routines.extend(
@@ -493,15 +493,7 @@ def build_soa(stage: str, scenario: Scenario, model: LinearModel | None = None) 
     if stage == "ml":
         routes["estimate_poll"] = ApiRoute("allocator", "estimate_wait", obs_kind="wait_estimate")
 
-    export = None
-    if stage in ("data", "ml"):
-        def export(reg):
-            from ..collection import DatasetRow
-
-            docs = reg.call("sim", "rides", "export_dataset", {})["rows"]
-            return [DatasetRow.from_doc(d) for d in docs]
-
-    return SoaBuild(registry, routes, export)
+    return SoaBuild(registry, routes, dataset_service="rides" if stage in ("data", "ml") else None)
 
 
 # ----------------------------------------------------------------------

@@ -27,12 +27,10 @@ from dataclasses import dataclass
 from .graph import (
     Category,
     FlowGraph,
-    GraphValidationError,
     Record,
     SchemaMismatchError,
     UnknownElementError,
     topological_order,
-    validate,
 )
 
 
@@ -87,11 +85,8 @@ class RuntimeInstance:
     """One run of one graph. Confined to a single thread of control."""
 
     def __init__(self, graph: FlowGraph):
-        violations = validate(graph)
-        if violations:
-            raise GraphValidationError(violations)
         self.graph = graph
-        self._order = topological_order(graph)
+        self._order = topological_order(graph)  # validates; raises GraphValidationError
         self._streams = graph.stream_map()
         self._nodes = graph.node_map()
         self._logs: dict[str, list[Record]] = {s.id: [] for s in graph.streams}

@@ -3,8 +3,12 @@
 A scenario fixes everything about the outside world: the app, the tick
 count, the seed, and generator parameters. Each tick the world emits
 events (exogenous arrivals plus reactions to what the app produced
-earlier), the harness delivers them (injection for dataflow builds,
-API calls for service builds) and then observes the app's outputs.
+earlier), the harness delivers them and then observes the app's outputs.
+
+One tick loop drives both paradigms through a small driver: `tick(tick,
+events)` delivers a tick's events and returns its observation batch, and
+`finish()` returns the dataset rows and the report counts. The loop sorts
+each batch, files it and shows it to the world.
 
 The world is deliberately stage-blind: it always reports everything that
 "happens" (pickups, polls, ...), and events whose kind has no route in
@@ -15,6 +19,7 @@ and monotonicity checks rely on.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .canon import canonical_json, sha256_hex
@@ -97,6 +102,85 @@ class ExecutionResult:
     registry: object | None  # ServiceRegistry for service builds
     observations: dict[str, list[dict]]
     dataset_rows: list[DatasetRow] | None
+    counts: dict  # the report counts: stream lengths or per-API calls
+
+
+class _FbpDriver:
+    """Delivers by injection into input streams, steps the runtime once per
+    tick and observes the records each output stream gained."""
+
+    registry = None
+
+    def __init__(self, built):
+        self.built = built
+        self.instance = start(built.graph)
+        self._fields = {s.id: s.schema.field_names for s in built.graph.streams}
+        self._read_pos = {sid: 0 for sid in built.obs_kinds}
+
+    def tick(self, tick: int, events: list[Event]) -> list[dict]:
+        routes, instance = self.built.routes, self.instance
+        for ev in events:
+            route = routes.get(ev.kind)
+            if route is not None:
+                values = {f: ev.payload[f] for f in self._fields[route.stream_id]}
+                instance.inject(route.stream_id, values)
+        instance.step()
+        batch = []
+        for sid, kind in sorted(self.built.obs_kinds.items()):
+            for rec in instance.read(sid, self._read_pos[sid]):
+                batch.append({"data": rec.as_dict(), "kind": kind, "tick": tick})
+            self._read_pos[sid] = instance.length(sid)
+        return batch
+
+    def finish(self) -> tuple[list[DatasetRow] | None, dict]:
+        instance, spec = self.instance, self.built.collection
+        rows = None
+        if spec is not None:
+            rows = collect(instance, spec)
+            publish_rows(instance, spec, rows)
+        return rows, {f"stream/{sid}": instance.length(sid) for sid in instance.stream_ids()}
+
+
+class _SoaDriver:
+    """Delivers each event as one API call and observes the responses of
+    routes that name an observation kind."""
+
+    instance = None
+
+    def __init__(self, built):
+        self.built = built
+        self.registry = built.registry
+        self._fields = {
+            (spec.id, api.name): api.request_fields
+            for spec in self.registry.service_specs()
+            for api in spec.apis
+        }
+
+    def tick(self, tick: int, events: list[Event]) -> list[dict]:
+        routes, registry = self.built.routes, self.registry
+        registry.set_tick(tick)
+        batch = []
+        for ev in events:
+            route = routes.get(ev.kind)
+            if route is None:
+                continue
+            request = {f: ev.payload[f] for f in self._fields[(route.service, route.api)]}
+            response = registry.call("sim", route.service, route.api, request)
+            if route.obs_kind is None:
+                continue
+            if route.observe_when is not None and not response.get(route.observe_when):
+                continue
+            batch.append({"data": response, "kind": route.obs_kind, "tick": tick})
+        return batch
+
+    def finish(self) -> tuple[list[DatasetRow] | None, dict]:
+        rows = None
+        service = self.built.dataset_service
+        if service is not None:
+            docs = self.registry.call("sim", service, "export_dataset", {})["rows"]
+            rows = [DatasetRow.from_doc(d) for d in docs]
+        counts = Counter(f"api/{entry.callee}.{entry.api}" for entry in self.registry.trace)
+        return rows, dict(sorted(counts.items()))
 
 
 def execute(scenario: Scenario, version) -> ExecutionResult:
@@ -105,66 +189,16 @@ def execute(scenario: Scenario, version) -> ExecutionResult:
 
     built = apps.build_app(version, scenario)
     world = apps.make_world(scenario)
+    driver = _FbpDriver(built) if version.paradigm == "fbp" else _SoaDriver(built)
     observations: dict[str, list[dict]] = {}
-
-    if version.paradigm == "fbp":
-        instance = start(built.graph)
-        stream_fields = {
-            s.id: s.schema.field_names for s in built.graph.streams
-        }
-        read_pos = {sid: 0 for sid in built.obs_kinds}
-        for tick in range(scenario.ticks):
-            batch: list[dict] = []
-            for ev in world.generate_events(tick):
-                route = built.routes.get(ev.kind)
-                if route is None:
-                    continue
-                values = {f: ev.payload[f] for f in stream_fields[route.stream_id]}
-                instance.inject(route.stream_id, values)
-            instance.step()
-            for sid in sorted(built.obs_kinds):
-                kind = built.obs_kinds[sid]
-                for rec in instance.read(sid, read_pos[sid]):
-                    batch.append({"data": rec.as_dict(), "kind": kind, "tick": tick})
-                read_pos[sid] = instance.length(sid)
-            batch.sort(key=canonical_json)
-            for doc in batch:
-                observations.setdefault(doc["kind"], []).append(doc)
-            world.observe(tick, batch)
-        rows = None
-        if built.collection is not None:
-            rows = collect(instance, built.collection)
-            publish_rows(instance, built.collection, rows)
-        return ExecutionResult(scenario, built, instance, None, observations, rows)
-
-    registry = built.registry
-    api_fields = {
-        (spec.id, api.name): api.request_fields
-        for spec in registry.service_specs()
-        for api in spec.apis
-    }
     for tick in range(scenario.ticks):
-        registry.set_tick(tick)
-        batch = []
-        for ev in world.generate_events(tick):
-            route = built.routes.get(ev.kind)
-            if route is None:
-                continue
-            request = {f: ev.payload[f] for f in api_fields[(route.service, route.api)]}
-            response = registry.call("sim", route.service, route.api, request)
-            if route.obs_kind is None:
-                continue
-            if route.observe_when is not None and not response.get(route.observe_when):
-                continue
-            batch.append({"data": response, "kind": route.obs_kind, "tick": tick})
+        batch = driver.tick(tick, world.generate_events(tick))
         batch.sort(key=canonical_json)
         for doc in batch:
             observations.setdefault(doc["kind"], []).append(doc)
         world.observe(tick, batch)
-    rows = None
-    if built.export_dataset is not None:
-        rows = built.export_dataset(registry)
-    return ExecutionResult(scenario, built, None, registry, observations, rows)
+    rows, counts = driver.finish()
+    return ExecutionResult(scenario, built, driver.instance, driver.registry, observations, rows, counts)
 
 
 def observation_digests(observations: dict[str, list[dict]]) -> dict[str, str]:
@@ -177,24 +211,13 @@ def observation_digests(observations: dict[str, list[dict]]) -> dict[str, str]:
 def run_scenario(scenario: Scenario, version) -> RunReport:
     """Execute and summarize: per-stream/per-api counts plus output digests."""
     result = execute(scenario, version)
-    if version.paradigm == "fbp":
-        counts = {
-            f"stream/{sid}": result.instance.length(sid)
-            for sid in result.instance.stream_ids()
-        }
-    else:
-        counts = {}
-        for entry in result.registry.trace:
-            key = f"api/{entry.callee}.{entry.api}"
-            counts[key] = counts.get(key, 0) + 1
-        counts = dict(sorted(counts.items()))
     return RunReport(
         app=scenario.app,
         paradigm=version.paradigm,
         stage=version.stage,
         ticks=scenario.ticks,
         seed=scenario.seed,
-        counts=counts,
+        counts=result.counts,
         digests=observation_digests(result.observations),
         dataset_rows=None if result.dataset_rows is None else len(result.dataset_rows),
     )

@@ -62,6 +62,20 @@ class TestRideAllocate:
         listed = registry.call("sim", "allocator", "list_allocations", {})["allocations"]
         assert listed == [stored]
 
+    def test_soa_list_allocations_hands_out_copies(self):
+        scenario = apps.make_scenario("ride_allocation", 10, 1)
+        registry = ride_allocation.build_soa("data", scenario).registry
+        registry.call("sim", "drivers", "register", {"driver_id": 4, "x": 3.0, "y": 4.0})
+        registry.call(
+            "sim", "allocator", "allocate",
+            {"ride_id": 1, "rider_x": 0.0, "rider_y": 0.0, "request_tick": 0},
+        )
+        first = registry.call("sim", "allocator", "list_allocations", {})["allocations"]
+        stored = [dict(a) for a in first]
+        first[0]["driver_id"] = 77
+        again = registry.call("sim", "allocator", "list_allocations", {})["allocations"]
+        assert again == stored
+
 
 class TestClaimRoute:
     def test_flagged_always_rejected(self):
@@ -102,6 +116,19 @@ class TestClaimRoute:
                 or insurance_claims.rule_kind(claim)
             )
             assert chained == insurance_claims.claim_route(claim)
+
+    def test_soa_list_decisions_hands_out_copies(self):
+        scenario = apps.make_scenario("insurance_claims", 10, 1)
+        registry = insurance_claims.build_soa("data", scenario).registry
+        registry.call(
+            "sim", "intake", "submit_claim",
+            {"claim_id": 1, "kind": "auto", "amount": 500.0, "prior_claims": 0, "flagged": False},
+        )
+        first = registry.call("sim", "payout", "list_decisions", {})["decisions"]
+        assert first == [{"claim_id": 1, "decision": "fast_track"}]
+        first[0]["decision"] = "reject"
+        again = registry.call("sim", "payout", "list_decisions", {})["decisions"]
+        assert again == [{"claim_id": 1, "decision": "fast_track"}]
 
 
 class TestTimeline:

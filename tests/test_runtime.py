@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowbench.graph import Category, GraphBuilder, GraphValidationError, Schema
+from flowbench.graph import Category, GraphBuilder, GraphValidationError, Schema, validate
 from flowbench.runtime import NodeError, StreamWriteError, TransformError, start
 from flowbench.rng import SplitMix64
 from util_graphs import POINT, chain_graph, copy_transform, random_dag
@@ -18,9 +18,11 @@ class TestStart:
     def test_invalid_graph_rejected_with_first_violation(self):
         b = GraphBuilder()
         b.stream("s", Category.INTERNAL, POINT)
+        graph = b.build()
         with pytest.raises(GraphValidationError) as err:
-            start(b.build())
+            start(graph)
         assert "internal" in str(err.value)
+        assert err.value.violations == validate(graph)
 
     def test_instances_are_isolated(self):
         graph = chain_graph()
