@@ -2,7 +2,8 @@
 
 Sorted keys, no whitespace, ASCII-only. Two equal documents always yield
 the same bytes, which is what makes report digests and fingerprints
-comparable across runs.
+comparable across runs. NaN and ±Infinity are refused with `ValueError`:
+they are not JSON, and a digest must not quietly cover them.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _ENCODER.encode(obj)
 
 
 def sha256_hex(text: str) -> str:

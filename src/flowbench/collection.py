@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .canon import canonical_json
 from .graph import Category, FlowGraph, UnknownElementError, upstream_closure
 from .runtime import RuntimeInstance
 
@@ -166,10 +167,10 @@ def publish_rows(instance: RuntimeInstance, spec: CollectionSpec, rows: list[Dat
 
 
 def write_dataset(rows: list[DatasetRow], path) -> int:
-    """One canonical JSON object per row: sorted keys, LF endings, UTF-8."""
+    """One canonical JSON object per row (see `canon`), LF endings, UTF-8."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
-            fh.write(json.dumps(row.to_doc(), sort_keys=True, separators=(",", ":")))
+            fh.write(canonical_json(row.to_doc()))
             fh.write("\n")
     return len(rows)
 

@@ -6,11 +6,16 @@ Calls are synchronous and go through a registry that records a call trace
 (caller, callee, api, tick) but deliberately keeps no copy of any request
 or response document: whatever a handler does not explicitly persist is
 gone when the call returns.
+
+`register` indexes every API by `(service, api)`, so a call finds its
+handler with one dict lookup.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 
@@ -92,9 +97,15 @@ class ServiceContext:
     def store_put(self, table: str, key: str, document: dict) -> None:
         self._tables.setdefault(table, {})[key] = document
 
-    def store_table(self, table: str) -> dict:
-        """Read view of one table, in insertion order."""
-        return dict(self._tables.get(table, {}))
+    def store_table(self, table: str) -> Mapping[str, dict]:
+        """Live read-only view of one table, in insertion order.
+
+        Nothing is copied: the view shows later `store_put`s, and the stored
+        documents are the ones the store holds. Do not write to a table
+        while iterating its view. Reading a missing table gives an empty
+        mapping and does not create the table.
+        """
+        return MappingProxyType(self._tables.get(table, {}))
 
     def routine(self, name: str, *args):
         spec = self._routines.get(name)
@@ -119,6 +130,7 @@ class ServiceRegistry:
     tick: int = 0
     trace: list[CallEntry] = field(default_factory=list)
     _services: dict[str, ServiceSpec] = field(default_factory=dict)
+    _apis: dict[tuple[str, str], ApiSpec] = field(default_factory=dict)
     _contexts: dict[str, ServiceContext] = field(default_factory=dict)
     _in_flight: set[tuple[str, str]] = field(default_factory=set)
 
@@ -126,6 +138,8 @@ class ServiceRegistry:
         if spec.id in self._services:
             raise DuplicateServiceError(f"service {spec.id!r} already registered")
         self._services[spec.id] = spec
+        for api in spec.apis:
+            self._apis[(spec.id, api.name)] = api
         ctx = ServiceContext(spec.id, self)
         ctx._routines = {r.name: r for r in spec.routines}
         self._contexts[spec.id] = ctx
@@ -134,8 +148,7 @@ class ServiceRegistry:
         self.tick = tick
 
     def has_api(self, service: str, api: str) -> bool:
-        spec = self._services.get(service)
-        return spec is not None and any(a.name == api for a in spec.apis)
+        return (service, api) in self._apis
 
     def service_specs(self) -> list[ServiceSpec]:
         return [self._services[sid] for sid in sorted(self._services)]
@@ -148,13 +161,12 @@ class ServiceRegistry:
         return self._contexts[service]
 
     def call(self, caller: str, callee: str, api: str, request: dict) -> dict:
-        spec = self._services.get(callee)
-        if spec is None:
-            raise UnknownServiceError(f"unknown service {callee!r}")
-        api_spec = next((a for a in spec.apis if a.name == api), None)
-        if api_spec is None:
-            raise UnknownServiceError(f"service {callee!r} has no api {api!r}")
         key = (callee, api)
+        api_spec = self._apis.get(key)
+        if api_spec is None:
+            if callee not in self._services:
+                raise UnknownServiceError(f"unknown service {callee!r}")
+            raise UnknownServiceError(f"service {callee!r} has no api {api!r}")
         if key in self._in_flight:
             raise ReentrantCallError(f"re-entrant call to {callee}.{api}")
         self.trace.append(CallEntry(caller, callee, api, self.tick))

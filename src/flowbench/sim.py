@@ -10,6 +10,11 @@ events)` delivers a tick's events and returns its observation batch, and
 `finish()` returns the dataset rows and the report counts. The loop sorts
 each batch, files it and shows it to the world.
 
+Each observation is encoded as canonical JSON exactly once: that text is
+the batch's sort key and is folded into a running per-kind SHA-256 as the
+run goes, so the report digests need neither a second encoding nor a
+joined copy of every text.
+
 The world is deliberately stage-blind: it always reports everything that
 "happens" (pickups, polls, ...), and events whose kind has no route in
 the running version are simply not deliverable to it. That keeps event
@@ -19,10 +24,12 @@ and monotonicity checks rely on.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .canon import canonical_json, sha256_hex
+from .canon import canonical_json
 from .collection import DatasetRow, collect, publish_rows
 from .runtime import start
 
@@ -103,6 +110,7 @@ class ExecutionResult:
     observations: dict[str, list[dict]]
     dataset_rows: list[DatasetRow] | None
     counts: dict  # the report counts: stream lengths or per-API calls
+    digests: dict[str, str]  # per observation kind, see `observation_digests`
 
 
 class _FbpDriver:
@@ -184,28 +192,44 @@ class _SoaDriver:
 
 
 def execute(scenario: Scenario, version) -> ExecutionResult:
-    """Run the full tick loop and keep the live app around for inspection."""
+    """Run the full tick loop and keep the live app around for inspection.
+
+    Per tick, each observation is encoded once; the batch is sorted by that
+    text (ties keep their order) and each text is folded into its kind's
+    running hash, so `digests` is ready when the loop ends.
+    """
     from . import apps  # local import: the apps import this module
 
     built = apps.build_app(version, scenario)
     world = apps.make_world(scenario)
     driver = _FbpDriver(built) if version.paradigm == "fbp" else _SoaDriver(built)
     observations: dict[str, list[dict]] = {}
+    hashes: dict[str, hashlib._Hash] = {}
     for tick in range(scenario.ticks):
         batch = driver.tick(tick, world.generate_events(tick))
-        batch.sort(key=canonical_json)
-        for doc in batch:
-            observations.setdefault(doc["kind"], []).append(doc)
-        world.observe(tick, batch)
+        encoded = sorted(((canonical_json(doc), doc) for doc in batch), key=itemgetter(0))
+        for text, doc in encoded:
+            kind = doc["kind"]
+            running = hashes.get(kind)
+            if running is None:
+                hashes[kind] = hashlib.sha256(text.encode())
+                observations[kind] = [doc]
+            else:
+                running.update(b"\n" + text.encode())
+                observations[kind].append(doc)
+        world.observe(tick, [doc for _, doc in encoded])
     rows, counts = driver.finish()
-    return ExecutionResult(scenario, built, driver.instance, driver.registry, observations, rows, counts)
+    return ExecutionResult(
+        scenario, built, driver.instance, driver.registry, observations, rows, counts,
+        digests=observation_digests(hashes),
+    )
 
 
-def observation_digests(observations: dict[str, list[dict]]) -> dict[str, str]:
-    return {
-        kind: sha256_hex("\n".join(canonical_json(d) for d in docs))
-        for kind, docs in sorted(observations.items())
-    }
+def observation_digests(hashes: dict[str, hashlib._Hash]) -> dict[str, str]:
+    """Hex digest per kind, in kind order. Each running hash has seen the
+    kind's texts joined by newlines, so a digest equals
+    `sha256_hex("\n".join(canonical_json(d) for d in docs))`."""
+    return {kind: running.hexdigest() for kind, running in sorted(hashes.items())}
 
 
 def run_scenario(scenario: Scenario, version) -> RunReport:
@@ -218,7 +242,7 @@ def run_scenario(scenario: Scenario, version) -> RunReport:
         ticks=scenario.ticks,
         seed=scenario.seed,
         counts=result.counts,
-        digests=observation_digests(result.observations),
+        digests=result.digests,
         dataset_rows=None if result.dataset_rows is None else len(result.dataset_rows),
     )
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowbench.canon import canonical_json
 from flowbench.collection import (
     CollectionError,
     CollectionSpec,
@@ -171,6 +172,22 @@ class TestDatasetFiles:
         write_dataset(rows, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().startswith('{"features":{"a":1.0,"b":2.0}')
+
+    def test_bytes_are_canonical_json(self, tmp_path):
+        rows = [
+            DatasetRow(key=1, features={"b": 2.0, "é": 1}, label={"y": -0.5}),
+            DatasetRow(key=2, features={}, label={"y": 2**70}),
+        ]
+        path = tmp_path / "rows.jsonl"
+        write_dataset(rows, path)
+        expected = "".join(canonical_json(row.to_doc()) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_are_refused(self, tmp_path, bad):
+        rows = [DatasetRow(key=1, features={"x": bad}, label={"y": 0.0})]
+        with pytest.raises(ValueError):
+            write_dataset(rows, tmp_path / "bad.jsonl")
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from flowbench import apps
 from flowbench.services import (
     ApiSpec,
     CallEntry,
@@ -45,6 +46,42 @@ class TestRegister:
         reg = ServiceRegistry()
         with pytest.raises(UnknownServiceError, match="unknown service"):
             reg.call("sim", "ghost", "ping", {})
+
+
+    def test_unknown_service_and_api_messages(self):
+        reg = ServiceRegistry()
+        reg.register(_echo_service())
+        with pytest.raises(UnknownServiceError) as err:
+            reg.call("sim", "ghost", "ping", {})
+        assert str(err.value) == "unknown service 'ghost'"
+        with pytest.raises(UnknownServiceError) as err:
+            reg.call("sim", "echo", "pong", {})
+        assert str(err.value) == "service 'echo' has no api 'pong'"
+        assert not reg.has_api("ghost", "ping")
+        assert not reg.has_api("echo", "pong")
+        assert reg.trace == []
+
+    @pytest.mark.parametrize("app", apps.APP_NAMES)
+    def test_has_api_agrees_with_call_on_the_soa_ml_builds(self, app):
+        # Every (service, api) pairing of the build's names, plus an unknown
+        # service: `has_api` is true exactly when `call` finds a handler.
+        built = apps.build_app(apps.app_version(app, "soa", "ml"), apps.make_scenario(app, 20, 3))
+        reg = built.registry
+        specs = reg.service_specs()
+        services = [spec.id for spec in specs] + ["ghost"]
+        api_names = sorted({api.name for spec in specs for api in spec.apis})
+        registered = {(spec.id, api.name) for spec in specs for api in spec.apis}
+        for service in services:
+            for api in api_names:
+                try:
+                    reg.call("sim", service, api, {})
+                    found = True
+                except UnknownServiceError:
+                    found = False
+                except Exception:
+                    found = True  # the handler ran and refused the empty request
+                assert reg.has_api(service, api) is found
+                assert found is ((service, api) in registered)
 
 
 class TestCall:
@@ -143,6 +180,33 @@ class TestStores:
         ctx.store_put("t2", "k", {"v": 2})
         assert ctx.store_get("t1", "k") == {"v": 1}
         assert ctx.store_get("t2", "k") == {"v": 2}
+
+    def test_table_view_is_read_only(self):
+        ctx = self._ctx()
+        ctx.store_put("t", "k", {"v": 1})
+        view = ctx.store_table("t")
+        with pytest.raises(TypeError):
+            view["k"] = {"v": 2}
+        with pytest.raises(TypeError):
+            ctx.store_table("missing")["k"] = {"v": 2}
+        assert ctx.store_get("t", "k") == {"v": 1}
+
+    def test_table_view_shows_later_puts_in_insertion_order(self):
+        ctx = self._ctx()
+        ctx.store_put("t", "b", {"v": 1})
+        view = ctx.store_table("t")
+        ctx.store_put("t", "a", {"v": 2})
+        assert list(view) == ["b", "a"]
+        assert view["a"] == {"v": 2}
+        assert len(view) == 2
+
+    def test_reading_a_missing_table_creates_nothing(self):
+        ctx = self._ctx()
+        assert ctx.store_table("t") == {}
+        assert len(ctx.store_table("t")) == 0
+        assert "t" not in ctx._tables
+        ctx.store_put("t", "k", {"v": 1})
+        assert dict(ctx.store_table("t")) == {"k": {"v": 1}}
 
     def test_routines_are_the_store_accessors(self):
         spec = ServiceSpec(

@@ -4,7 +4,7 @@ import pytest
 
 from flowbench import apps
 from flowbench.apps import ride_allocation
-from flowbench.canon import canonical_json
+from flowbench.canon import canonical_json, sha256_hex
 from flowbench.sim import Scenario, execute, run_scenario
 
 
@@ -108,6 +108,31 @@ class TestRunScenario:
     def test_rejects_negative_ticks(self):
         with pytest.raises(ValueError):
             Scenario("mblogger", -1, 0)
+
+
+class TestRunningDigests:
+    @pytest.mark.parametrize("seed", (4, 9))
+    @pytest.mark.parametrize("stage", ("min", "ml"))
+    @pytest.mark.parametrize("paradigm", ("fbp", "soa"))
+    @pytest.mark.parametrize("app", apps.APP_NAMES)
+    def test_digests_equal_a_recompute_from_the_observations(self, app, paradigm, stage, seed):
+        scenario = apps.make_scenario(app, 12, seed)
+        version = apps.app_version(app, paradigm, stage)
+        result = execute(scenario, version)
+        recomputed = {
+            kind: sha256_hex("\n".join(canonical_json(d) for d in docs))
+            for kind, docs in sorted(result.observations.items())
+        }
+        assert result.digests == recomputed
+        assert list(result.digests) == sorted(result.digests)
+        assert run_scenario(scenario, version).digests == recomputed
+
+    def test_each_tick_files_its_batch_in_canonical_order(self):
+        scenario = apps.make_scenario("mblogger", 30, 5)
+        result = execute(scenario, apps.app_version("mblogger", "soa", "ml"))
+        for docs in result.observations.values():
+            keys = [(d["tick"], canonical_json(d)) for d in docs]
+            assert keys == sorted(keys)
 
 
 class TestConservation:
