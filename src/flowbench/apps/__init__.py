@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .. import sim
 from ..sim import Scenario
 from . import insurance_claims, mblogger, playlist_builder, ride_allocation
 from .base import APP_STAGES, PARADIGMS, ApiRoute, AppVersion, FbpBuild, SoaBuild, StreamRoute, UntrainedModelError
@@ -35,7 +36,11 @@ def default_params(app: str) -> dict:
 
 def make_scenario(app: str, ticks: int, seed: int, overrides: dict | None = None) -> Scenario:
     params = default_params(app)
-    params.update(overrides or {})
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(params))
+    if unknown:
+        raise ValueError(f"unknown {app} scenario params {unknown}")
+    params.update(overrides)
     return Scenario(app=app, ticks=ticks, seed=seed, params=params)
 
 
@@ -47,14 +52,15 @@ def _builder(version: AppVersion):
 def build_app(version: AppVersion, scenario: Scenario):
     """A runnable build of one version under `scenario`.
 
-    The ml stage of an app that trains offline (one with a `train` step)
+    The ml stage of an app that trains offline (one with a `fit_model`)
     trains here, before building: a data-stage simulation plus a fit.
     Its build then carries `extras["model"]` and `extras["training_rows"]`.
     """
-    train = getattr(_MODULES[version.app], "train", None)
-    if version.stage != "ml" or train is None:
+    fit_model = getattr(_MODULES[version.app], "fit_model", None)
+    if version.stage != "ml" or fit_model is None:
         return _builder(version)(version.stage, scenario)
-    model, rows = train(version.paradigm, scenario)
+    rows = sim.training_rows(version.app, version.paradigm, scenario)
+    model = fit_model(rows)
     built = _builder(version)(version.stage, scenario, model)
     built.extras.update(model=model, training_rows=rows)
     return built

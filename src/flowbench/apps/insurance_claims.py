@@ -6,12 +6,11 @@ are fast-tracked; everything else takes the standard path.
 
 Data stage declares the dataset pairing claim attributes with the final
 decision. Model stage swaps the whole screening chain for one decision
-tree trained on that dataset (`train`); the output interface is untouched.
+tree fitted on that dataset (`fit_model`); the output interface is untouched.
 """
 
 from __future__ import annotations
 
-from .. import sim
 from ..collection import CollectionSpec, StreamSelect
 from ..graph import Category, GraphBuilder, Schema
 from ..mlkit import TreeModel, fit_tree, predict_tree
@@ -115,18 +114,10 @@ COLLECTION = CollectionSpec(
 )
 
 
-def fit_claim_model(rows) -> TreeModel:
+def fit_model(rows) -> TreeModel:
+    """Classify the decision from the one-hot claim features."""
     data = [(claim_features(r.features), r.label["decision"]) for r in rows]
     return fit_tree(data, max_depth=TREE_DEPTH)
-
-
-def train(paradigm: str, scenario: Scenario) -> tuple[TreeModel, list]:
-    """The model stage's offline training: the data stage's dataset, fitted.
-
-    Returns the tree and the rows it was fitted on.
-    """
-    rows = sim.training_rows("insurance_claims", paradigm, scenario)
-    return fit_claim_model(rows), rows
 
 
 # ----------------------------------------------------------------------

@@ -64,27 +64,16 @@ def gross_threshold(grosses) -> float:
 # ----------------------------------------------------------------------
 
 
-def _builder_plain(master_seed: int):
-    def transform(inputs):
-        movies = [(r["title"], r["genre"], r["gross"]) for r in inputs["movies"].history]
-        out = []
-        for req in inputs["requests"].new:
-            rng = request_rng(master_seed, req["request_id"])
-            titles = sample_playlist(req["genre"], movies, req["k"], rng)
-            out.append(
-                {"request_id": req["request_id"], "genre": req["genre"], "titles": "|".join(titles)}
-            )
-        return {"playlists": out}
+def _builder(master_seed: int):
+    """Sample each request's playlist; when a `quantiles` in-port is wired,
+    only from titles grossing at least the genre's latest threshold."""
 
-    return transform
-
-
-def _builder_filtered(master_seed: int):
     def transform(inputs):
         movies = [(r["title"], r["genre"], r["gross"]) for r in inputs["movies"].history]
         thresholds = {}
-        for rec in inputs["quantiles"].history:
-            thresholds[rec["genre"]] = rec["q75"]
+        if "quantiles" in inputs:
+            for rec in inputs["quantiles"].history:
+                thresholds[rec["genre"]] = rec["q75"]
         out = []
         for req in inputs["requests"].new:
             rng = request_rng(master_seed, req["request_id"])
@@ -139,21 +128,16 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
         )
         obs_kinds["genre_stats"] = "genre_stats"
 
+    inputs = {"movies": "movies", "requests": "playlist_requests"}
     if stage == "ml":
-        b.node(
-            "builder",
-            _builder_filtered(scenario.seed),
-            inputs={"movies": "movies", "requests": "playlist_requests", "quantiles": "genre_quantiles"},
-            outputs={"playlists": "playlists"},
-            logic_version="v2",
-        )
-    else:
-        b.node(
-            "builder",
-            _builder_plain(scenario.seed),
-            inputs={"movies": "movies", "requests": "playlist_requests"},
-            outputs={"playlists": "playlists"},
-        )
+        inputs["quantiles"] = "genre_quantiles"
+    b.node(
+        "builder",
+        _builder(scenario.seed),
+        inputs=inputs,
+        outputs={"playlists": "playlists"},
+        logic_version="v2" if stage == "ml" else "v1",
+    )
 
     routes = {
         "movie": StreamRoute("movies"),

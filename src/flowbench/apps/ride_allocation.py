@@ -8,7 +8,7 @@ busy until the ride completes, and tracks realized pickup waits.
 Data stage: the realized waits become labels, the allocation context
 (distance, free-driver count, time of day) the features; the pairing is
 declared as a dataset output stream and assembled by the collection
-tooling. Model stage: a regression over that dataset (`train`) estimates
+tooling. Model stage: a regression over that dataset (`fit_model`) estimates
 the pickup wait for every new allocation.
 """
 
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .. import sim
 from ..collection import CollectionSpec, StreamSelect
 from ..graph import Category, GraphBuilder, Schema
 from ..mlkit import LinearModel, predict_linear, fit_linear
@@ -129,7 +128,7 @@ COLLECTION = CollectionSpec(
 )
 
 
-def fit_wait_model(rows) -> LinearModel:
+def fit_model(rows) -> LinearModel:
     """Regress wait_time on the allocation features (sorted field order)."""
     data = [
         (
@@ -139,15 +138,6 @@ def fit_wait_model(rows) -> LinearModel:
         for r in rows
     ]
     return fit_linear(data)
-
-
-def train(paradigm: str, scenario: Scenario) -> tuple[LinearModel, list]:
-    """The model stage's offline training: the data stage's dataset, fitted.
-
-    Returns the regression and the rows it was fitted on.
-    """
-    rows = sim.training_rows("ride_allocation", paradigm, scenario)
-    return fit_wait_model(rows), rows
 
 
 # ----------------------------------------------------------------------

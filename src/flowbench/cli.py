@@ -111,13 +111,10 @@ def _cmd_graph(args) -> int:
 
 def _cmd_collect(args) -> int:
     scenario = _scenario(args)
-    result = execute(scenario, apps.app_version(args.app, "fbp", "data"))
-    if result.dataset_rows is None:
-        print(
-            f"error: {args.app} collects data online only and writes no offline dataset",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+    version = apps.app_version(args.app, "fbp", "data")
+    if apps.build_structure(version, scenario).collection is None:
+        raise UsageError(f"{args.app} collects data online only and writes no offline dataset")
+    result = execute(scenario, version)
     count = write_dataset(result.dataset_rows, args.out)
     print(f"wrote {count} rows to {args.out}")
     return 0

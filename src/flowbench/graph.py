@@ -340,28 +340,21 @@ def validate(graph: FlowGraph) -> list[Violation]:
 
     # Every port wired to exactly one stream, with matching schema.
     for node in graph.nodes:
-        for port in node.in_ports:
-            wired = [e for e in graph.in_edges if e.node == node.id and e.port == port.name]
-            subject = f"{node.id}.{port.name}"
-            if not wired:
-                out.append(Violation("unwired-port", subject, "in-port is not wired to any stream"))
-            elif len(wired) > 1:
-                out.append(Violation("multi-wired-port", subject, "in-port wired to more than one stream"))
-            elif wired[0].stream in streams and streams[wired[0].stream].schema != port.schema:
-                out.append(
-                    Violation("schema-mismatch", subject, f"port schema differs from stream {wired[0].stream!r}")
-                )
-        for port in node.out_ports:
-            wired = [e for e in graph.out_edges if e.node == node.id and e.port == port.name]
-            subject = f"{node.id}.{port.name}"
-            if not wired:
-                out.append(Violation("unwired-port", subject, "out-port is not wired to any stream"))
-            elif len(wired) > 1:
-                out.append(Violation("multi-wired-port", subject, "out-port wired to more than one stream"))
-            elif wired[0].stream in streams and streams[wired[0].stream].schema != port.schema:
-                out.append(
-                    Violation("schema-mismatch", subject, f"port schema differs from stream {wired[0].stream!r}")
-                )
+        for ports, edges, direction in (
+            (node.in_ports, graph.in_edges, "in"),
+            (node.out_ports, graph.out_edges, "out"),
+        ):
+            for port in ports:
+                wired = [e for e in edges if e.node == node.id and e.port == port.name]
+                subject = f"{node.id}.{port.name}"
+                if not wired:
+                    out.append(Violation("unwired-port", subject, f"{direction}-port is not wired to any stream"))
+                elif len(wired) > 1:
+                    out.append(Violation("multi-wired-port", subject, f"{direction}-port wired to more than one stream"))
+                elif wired[0].stream in streams and streams[wired[0].stream].schema != port.schema:
+                    out.append(
+                        Violation("schema-mismatch", subject, f"port schema differs from stream {wired[0].stream!r}")
+                    )
 
     # Stream category rules.
     for s in graph.streams:
@@ -468,32 +461,33 @@ def topological_order(graph: FlowGraph) -> list[str]:
     return order
 
 
+def _links(graph: FlowGraph) -> list[tuple[str, str]]:
+    """Every edge as (src, dst): stream feeds node, node feeds stream."""
+    return [(e.stream, e.node) for e in graph.in_edges] + [(e.node, e.stream) for e in graph.out_edges]
+
+
 def _neighbors(graph: FlowGraph, forward: bool) -> dict[str, set[str]]:
     known = {s.id for s in graph.streams} | {n.id for n in graph.nodes}
     nbrs: dict[str, set[str]] = {k: set() for k in known}
-    for e in graph.in_edges:  # stream feeds node
-        if e.stream in known and e.node in known:
+    for src, dst in _links(graph):
+        if src in known and dst in known:
             if forward:
-                nbrs[e.stream].add(e.node)
+                nbrs[src].add(dst)
             else:
-                nbrs[e.node].add(e.stream)
-    for e in graph.out_edges:  # node feeds stream
-        if e.stream in known and e.node in known:
-            if forward:
-                nbrs[e.node].add(e.stream)
-            else:
-                nbrs[e.stream].add(e.node)
+                nbrs[dst].add(src)
     return nbrs
 
 
 def _closure(graph: FlowGraph, start: str, forward: bool) -> set[str]:
     nbrs = _neighbors(graph, forward)
+    if start not in nbrs:
+        raise UnknownElementError(start)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for x in frontier:
-            for y in nbrs.get(x, ()):
+            for y in nbrs[x]:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -503,17 +497,11 @@ def _closure(graph: FlowGraph, start: str, forward: bool) -> set[str]:
 
 def upstream_closure(graph: FlowGraph, target: str) -> set[str]:
     """All streams and nodes from which `target` is reachable, plus itself."""
-    known = {s.id for s in graph.streams} | {n.id for n in graph.nodes}
-    if target not in known:
-        raise UnknownElementError(target)
     return _closure(graph, target, forward=False)
 
 
 def downstream_closure(graph: FlowGraph, source: str) -> set[str]:
     """All streams and nodes reachable from `source`, plus itself."""
-    known = {s.id for s in graph.streams} | {n.id for n in graph.nodes}
-    if source not in known:
-        raise UnknownElementError(source)
     return _closure(graph, source, forward=True)
 
 
@@ -540,10 +528,6 @@ def export_dot(graph: FlowGraph) -> str:
     for n in graph.nodes:
         elements.append((n.id, f'  "{n.id}" [shape=ellipse];'))
     lines.extend(stmt for _, stmt in sorted(elements))
-    edges = sorted(
-        [(e.stream, e.node) for e in graph.in_edges]
-        + [(e.node, e.stream) for e in graph.out_edges]
-    )
-    lines.extend(f'  "{src}" -> "{dst}";' for src, dst in edges)
+    lines.extend(f'  "{src}" -> "{dst}";' for src, dst in sorted(_links(graph)))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,8 +7,9 @@ Feature dimensionality is tiny everywhere (d <= 6), so pure-Python linear
 algebra is exact and fast enough; no numerical library is worth the
 dependency here.
 
-All models are immutable once fitted and serialize to plain documents
-(`to_doc`) for offline-to-online handoff.
+All models are immutable once fitted. The linear and tree models, the
+ones trained offline, serialize to plain documents (`to_doc`) for the
+offline-to-online handoff; a bigram is fitted online and never stored.
 """
 
 from __future__ import annotations
@@ -237,35 +238,17 @@ def predict_tree(model: TreeModel, features):
 @dataclass(frozen=True)
 class BigramModel:
     counts: dict
-    vocabulary: frozenset
-
-    def to_doc(self) -> dict:
-        return {
-            "counts": {t: dict(sorted(nxt.items())) for t, nxt in sorted(self.counts.items())},
-            "kind": "bigram",
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "BigramModel":
-        counts = {t: dict(nxt) for t, nxt in doc["counts"].items()}
-        vocab = {START, END}
-        for t, nxt in counts.items():
-            vocab.add(t)
-            vocab.update(nxt)
-        return cls(counts, frozenset(vocab))
 
 
 def fit_bigram(documents: list[list[str]]) -> BigramModel:
     """Count adjacent pairs, with sentinel transitions at both ends."""
     counts: dict = {}
-    vocab = {START, END}
     for doc in documents:
         chain = [START, *doc, END]
-        vocab.update(doc)
         for cur, nxt in zip(chain, chain[1:]):
             slot = counts.setdefault(cur, {})
             slot[nxt] = slot.get(nxt, 0) + 1
-    return BigramModel(counts, frozenset(vocab))
+    return BigramModel(counts)
 
 
 def generate(model: BigramModel, rng, max_len: int) -> list[str]:

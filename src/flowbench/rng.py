@@ -66,11 +66,6 @@ class SplitMix64:
             raise ValueError("randrange() requires n >= 1")
         return self.next_u64() % n
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice() on empty sequence")
-        return seq[self.randrange(len(seq))]
-
     def sample(self, seq, k: int) -> list:
         """k distinct elements, in selection order (partial Fisher-Yates)."""
         pool = list(seq)

@@ -144,9 +144,6 @@ class ServiceRegistry:
         ctx._routines = {r.name: r for r in spec.routines}
         self._contexts[spec.id] = ctx
 
-    def set_tick(self, tick: int) -> None:
-        self.tick = tick
-
     def has_api(self, service: str, api: str) -> bool:
         return (service, api) in self._apis
 

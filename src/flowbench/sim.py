@@ -103,10 +103,8 @@ class RunReport:
 
 @dataclass
 class ExecutionResult:
-    scenario: Scenario
     built: object
     instance: object | None  # RuntimeInstance for dataflow builds
-    registry: object | None  # ServiceRegistry for service builds
     observations: dict[str, list[dict]]
     dataset_rows: list[DatasetRow] | None
     counts: dict  # the report counts: stream lengths or per-API calls
@@ -116,8 +114,6 @@ class ExecutionResult:
 class _FbpDriver:
     """Delivers by injection into input streams, steps the runtime once per
     tick and observes the records each output stream gained."""
-
-    registry = None
 
     def __init__(self, built):
         self.built = built
@@ -166,7 +162,7 @@ class _SoaDriver:
 
     def tick(self, tick: int, events: list[Event]) -> list[dict]:
         routes, registry = self.built.routes, self.registry
-        registry.set_tick(tick)
+        registry.tick = tick
         batch = []
         for ev in events:
             route = routes.get(ev.kind)
@@ -220,8 +216,7 @@ def execute(scenario: Scenario, version) -> ExecutionResult:
         world.observe(tick, [doc for _, doc in encoded])
     rows, counts = driver.finish()
     return ExecutionResult(
-        scenario, built, driver.instance, driver.registry, observations, rows, counts,
-        digests=observation_digests(hashes),
+        built, driver.instance, observations, rows, counts, observation_digests(hashes)
     )
 
 
@@ -252,8 +247,8 @@ def training_rows(app: str, paradigm: str, scenario: Scenario) -> list[DatasetRo
 
     Runs the same app's data stage on a sibling scenario whose seed is
     derived from the serving seed, so training is deterministic but does
-    not replay the exact serving workload. Called by the apps' `train`
-    steps, which `apps.build_app` runs before building a model stage;
+    not replay the exact serving workload. `apps.build_app` calls it, and
+    fits the app's `fit_model` to the rows, before building a model stage;
     structure-only builds never call it.
     """
     from . import apps

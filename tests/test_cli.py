@@ -1,5 +1,7 @@
 """Command-line interface: grammar, outputs, exit codes."""
 
+import pytest
+
 from flowbench.cli import main
 
 
@@ -89,10 +91,19 @@ class TestCollect:
             main(["collect", "ride_allocation", "--ticks", "40", "--seed", "2", "--out", str(path)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_online_only_app_is_usage_error(self, tmp_path, capsys):
-        assert main(["collect", "mblogger", "--ticks", "5", "--seed", "1",
-                     "--out", str(tmp_path / "x.jsonl")]) == 1
-        assert "online" in capsys.readouterr().err
+    @pytest.mark.parametrize("app", ["mblogger", "playlist_builder"])
+    def test_online_only_app_is_usage_error(self, app, tmp_path, capsys, monkeypatch):
+        # Refused before any simulation: a run here would fail the test.
+        import flowbench.cli as cli_mod
+
+        def refuse(scenario, version):
+            raise AssertionError("collect simulated an app it must refuse")
+
+        monkeypatch.setattr(cli_mod, "execute", refuse)
+        assert main(["collect", app, "--ticks", "600", "--out", str(tmp_path / "x.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {app} collects data online only and writes no offline dataset\n"
+        )
 
 
 class TestDiff:

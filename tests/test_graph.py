@@ -83,6 +83,45 @@ class TestValidate:
         assert len(unwired) == 1
         assert unwired[0].subject == "A.in"
 
+    @pytest.mark.parametrize(
+        "in_edges, out_edges, mismatched, expected",
+        [
+            ((), (("A", "out", "o"),), None,
+             ("unwired-port", "A.in", "in-port is not wired to any stream")),
+            ((("i", "A", "in"),), (), None,
+             ("unwired-port", "A.out", "out-port is not wired to any stream")),
+            ((("i", "A", "in"), ("j", "A", "in")), (("A", "out", "o"),), None,
+             ("multi-wired-port", "A.in", "in-port wired to more than one stream")),
+            ((("i", "A", "in"),), (("A", "out", "o"), ("A", "out", "p")), None,
+             ("multi-wired-port", "A.out", "out-port wired to more than one stream")),
+            ((("i", "A", "in"),), (("A", "out", "o"),), "i",
+             ("schema-mismatch", "A.in", "port schema differs from stream 'i'")),
+            ((("i", "A", "in"),), (("A", "out", "o"),), "o",
+             ("schema-mismatch", "A.out", "port schema differs from stream 'o'")),
+        ],
+        ids=["unwired-in", "unwired-out", "multi-in", "multi-out", "mismatch-in", "mismatch-out"],
+    )
+    def test_port_wiring_violations(self, in_edges, out_edges, mismatched, expected):
+        other = Schema("other", (("y", "text"),))
+        node = NodeSpec("A", (PortDecl("in", POINT),), (PortDecl("out", POINT),), _noop)
+        graph = FlowGraph(
+            streams=tuple(
+                StreamDecl(sid, category, other if sid == mismatched else POINT)
+                for sid, category in (
+                    ("i", Category.INPUT),
+                    ("j", Category.INPUT),
+                    ("o", Category.OUTPUT),
+                    ("p", Category.OUTPUT),
+                )
+            ),
+            nodes=(node,),
+            in_edges=tuple(InEdge(*e) for e in in_edges),
+            out_edges=tuple(OutEdge(*e) for e in out_edges),
+        )
+        wiring = {"unwired-port", "multi-wired-port", "schema-mismatch"}
+        report = [(v.code, v.subject, v.message) for v in validate(graph) if v.code in wiring]
+        assert report == [expected]
+
     def test_two_node_cycle_reported(self):
         # A -> s -> B and B -> t -> A: both nodes sit on the loop. The
         # oracle here is plain edge inspection: with edges {(A,B), (B,A)}

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from flowbench.mlkit import (
     END,
     START,
-    BigramModel,
     LinearModel,
     QuantileSketch,
     TreeModel,
@@ -258,8 +257,3 @@ class TestModelSerialization:
         clone = TreeModel.from_doc(model.to_doc())
         for x, _ in rows:
             assert predict_tree(clone, x) == predict_tree(model, x)
-
-    def test_bigram_round_trip(self):
-        model = fit_bigram([["a", "b"], ["a", "c"]])
-        clone = BigramModel.from_doc(model.to_doc())
-        assert clone.counts == model.counts

@@ -79,6 +79,11 @@ class TestScenario:
         with pytest.raises(ValueError, match="ticks"):
             Scenario("mblogger", -1, 0)
 
+    def test_unknown_param_key_refused(self):
+        # A misspelt override must not silently run with the default.
+        with pytest.raises(ValueError, match=r"\['n_driver'\]"):
+            apps.make_scenario("ride_allocation", 20, 1, {"n_driver": 5})
+
 
 class TestRunScenario:
     def test_zero_ticks_is_empty_report(self):
