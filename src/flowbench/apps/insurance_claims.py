@@ -11,7 +11,7 @@ tree fitted on that dataset (`fit_model`); the output interface is untouched.
 
 from __future__ import annotations
 
-from ..collection import CollectionSpec, StreamSelect
+from ..collection import CollectionSpec, StreamSelect, join
 from ..graph import Category, GraphBuilder, Schema
 from ..mlkit import TreeModel, fit_tree, predict_tree
 from ..rng import SplitMix64, derive_seed
@@ -225,8 +225,7 @@ def build_fbp(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
 def _rules_service(stage: str, trained: bool) -> ServiceSpec:
     if stage == "ml":
         def predict(req, ctx):
-            model = TreeModel.from_doc(ctx.routine("get_model"))
-            return {"decision": predict_tree(model, claim_features(req))}
+            return {"decision": predict_tree(ctx.routine("get_model"), claim_features(req))}
 
         return ServiceSpec(
             "rules",
@@ -239,7 +238,7 @@ def _rules_service(stage: str, trained: bool) -> ServiceSpec:
                 ),
             ),
             routines=(
-                RoutineSpec("put_model", lambda ctx, doc: ctx.store_put("models", "claims", doc)),
+                RoutineSpec("put_model", lambda ctx, model: ctx.store_put("models", "claims", model)),
                 RoutineSpec("get_model", lambda ctx: ctx.store_get("models", "claims")),
             ),
         )
@@ -320,24 +319,9 @@ def _intake_service(stage: str) -> ServiceSpec:
     ]
     if stage in ("data", "ml"):
         def export_dataset(req, ctx):
-            claims = ctx.routine("get_claims")
-            decisions = {
-                str(d["claim_id"]): d["decision"]
-                for d in ctx.call("payout", "list_decisions", {})["decisions"]
-            }
-            rows = []
-            for key, claim in claims.items():
-                decision = decisions.get(key)
-                if decision is None:
-                    continue
-                rows.append(
-                    {
-                        "features": {f: claim[f] for f in FEATURE_FIELDS},
-                        "key": claim["claim_id"],
-                        "label": {"decision": decision},
-                    }
-                )
-            return {"rows": rows}
+            decisions = ctx.call("payout", "list_decisions", {})["decisions"]
+            rows = join(COLLECTION, decisions, [ctx.routine("get_claims").values()])
+            return {"rows": [row.to_doc() for row in rows]}
 
         apis.append(ApiSpec("export_dataset", export_dataset, (), ("rows",)))
         routines.append(RoutineSpec("get_claims", lambda ctx: ctx.store_table("claims")))
@@ -352,7 +336,7 @@ def build_soa(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
     registry.register(_payout_service(stage))
     registry.register(_intake_service(stage))
     if model is not None:
-        registry.context_for("rules").routine("put_model", model.to_doc())
+        registry.context_for("rules").routine("put_model", model)
 
     return SoaBuild(
         registry,

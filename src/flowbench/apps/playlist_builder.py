@@ -195,9 +195,11 @@ def _catalog_service(stage: str) -> ServiceSpec:
     if track_stats:
         def genre_stats(req, ctx):
             stats = ctx.routine("get_genre_stats", req["genre"])
-            if stats is None:
-                return {"genre": req["genre"], "n_movies": 0, "q75": 0.0}
-            return stats
+            return {
+                "genre": req["genre"],
+                "n_movies": 0 if stats is None else stats["n_movies"],
+                "q75": 0.0 if stats is None else stats["q75"],
+            }
 
         apis.append(ApiSpec("genre_stats", genre_stats, ("genre",), ("genre", "n_movies", "q75")))
         routines.extend(
@@ -207,17 +209,7 @@ def _catalog_service(stage: str) -> ServiceSpec:
             )
         )
     if stage == "ml":
-        def genre_quantile(req, ctx):
-            stats = ctx.routine("get_genre_stats", req["genre"])
-            return {
-                "genre": req["genre"],
-                "n_movies": 0 if stats is None else stats["n_movies"],
-                "q75": 0.0 if stats is None else stats["q75"],
-            }
-
-        apis.append(
-            ApiSpec("genre_quantile", genre_quantile, ("genre",), ("genre", "n_movies", "q75"))
-        )
+        apis.append(ApiSpec("genre_quantile", genre_stats, ("genre",), ("genre", "n_movies", "q75")))
     return ServiceSpec("catalog", apis=tuple(apis), routines=tuple(routines))
 
 

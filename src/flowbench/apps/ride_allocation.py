@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from ..collection import CollectionSpec, StreamSelect
+from ..collection import CollectionSpec, StreamSelect, join
 from ..graph import Category, GraphBuilder, Schema
 from ..mlkit import LinearModel, predict_linear, fit_linear
 from ..rng import SplitMix64, derive_seed
@@ -130,14 +130,7 @@ COLLECTION = CollectionSpec(
 
 def fit_model(rows) -> LinearModel:
     """Regress wait_time on the allocation features (sorted field order)."""
-    data = [
-        (
-            tuple(float(r.features[f]) for f in FEATURE_FIELDS),
-            float(r.label["wait_time"]),
-        )
-        for r in rows
-    ]
-    return fit_linear(data)
+    return fit_linear([(feature_vector(r.features), float(r.label["wait_time"])) for r in rows])
 
 
 # ----------------------------------------------------------------------
@@ -301,17 +294,14 @@ def _drivers_service() -> ServiceSpec:
         ctx.routine("put_driver", {"driver_id": req["driver_id"], "x": req["x"], "y": req["y"], "available": True})
         return {"driver_id": req["driver_id"]}
 
-    def set_busy(req, ctx):
-        doc = dict(ctx.routine("get_drivers")[str(req["driver_id"])])
-        doc["available"] = False
-        ctx.routine("put_driver", doc)
-        return {"driver_id": req["driver_id"]}
+    def set_availability(available: bool):
+        def handler(req, ctx):
+            doc = dict(ctx.routine("get_drivers")[str(req["driver_id"])])
+            doc["available"] = available
+            ctx.routine("put_driver", doc)
+            return {"driver_id": req["driver_id"]}
 
-    def set_available(req, ctx):
-        doc = dict(ctx.routine("get_drivers")[str(req["driver_id"])])
-        doc["available"] = True
-        ctx.routine("put_driver", doc)
-        return {"driver_id": req["driver_id"]}
+        return handler
 
     def list_available(req, ctx):
         drivers = ctx.routine("get_drivers")
@@ -326,8 +316,8 @@ def _drivers_service() -> ServiceSpec:
         "drivers",
         apis=(
             ApiSpec("register", register, ("driver_id", "x", "y"), ("driver_id",)),
-            ApiSpec("set_busy", set_busy, ("driver_id",), ("driver_id",)),
-            ApiSpec("set_available", set_available, ("driver_id",), ("driver_id",)),
+            ApiSpec("set_busy", set_availability(False), ("driver_id",), ("driver_id",)),
+            ApiSpec("set_available", set_availability(True), ("driver_id",), ("driver_id",)),
             ApiSpec("list_available", list_available, (), ("drivers",)),
         ),
         routines=(
@@ -376,17 +366,16 @@ def _allocator_service(stage: str, trained: bool) -> ServiceSpec:
     if stage == "ml":
         def estimate_wait(req, ctx):
             alloc = ctx.routine("get_allocations").get(str(req["ride_id"]))
-            model = LinearModel.from_doc(ctx.routine("get_model"))
             return {
                 "ride_id": req["ride_id"],
-                "estimated_wait": predict_linear(model, feature_vector(alloc)),
+                "estimated_wait": predict_linear(ctx.routine("get_model"), feature_vector(alloc)),
             }
 
         handler = estimate_wait if trained else untrained("ride_allocation", "soa")
         apis.append(ApiSpec("estimate_wait", handler, ("ride_id",), ("ride_id", "estimated_wait")))
         routines.extend(
             (
-                RoutineSpec("put_model", lambda ctx, doc: ctx.store_put("models", "wait", doc)),
+                RoutineSpec("put_model", lambda ctx, model: ctx.store_put("models", "wait", model)),
                 RoutineSpec("get_model", lambda ctx: ctx.store_get("models", "wait")),
             )
         )
@@ -440,24 +429,9 @@ def _rides_service(stage: str) -> ServiceSpec:
     ]
     if stage in ("data", "ml"):
         def export_dataset(req, ctx):
-            pickups = ctx.routine("get_pickups")
-            allocations = {
-                str(a["ride_id"]): a
-                for a in ctx.call("allocator", "list_allocations", {})["allocations"]
-            }
-            rows = []
-            for key, pickup in pickups.items():
-                alloc = allocations.get(key)
-                if alloc is None:
-                    continue
-                rows.append(
-                    {
-                        "features": {f: alloc[f] for f in FEATURE_FIELDS},
-                        "key": pickup["ride_id"],
-                        "label": {"wait_time": pickup["wait_time"]},
-                    }
-                )
-            return {"rows": rows}
+            allocations = ctx.call("allocator", "list_allocations", {})["allocations"]
+            rows = join(COLLECTION, ctx.routine("get_pickups").values(), [allocations])
+            return {"rows": [row.to_doc() for row in rows]}
 
         apis.append(ApiSpec("export_dataset", export_dataset, (), ("rows",)))
         routines.append(RoutineSpec("get_pickups", lambda ctx: ctx.store_table("pickups")))
@@ -472,7 +446,7 @@ def build_soa(stage: str, scenario: Scenario, model: LinearModel | None = None) 
     registry.register(_allocator_service(stage, model is not None))
     registry.register(_rides_service(stage))
     if model is not None:
-        registry.context_for("allocator").routine("put_model", model.to_doc())
+        registry.context_for("allocator").routine("put_model", model)
 
     routes = {
         "driver_event": ApiRoute("drivers", "register"),

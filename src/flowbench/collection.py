@@ -3,10 +3,12 @@
 Turning a running program into training data takes three steps here:
 find candidate sources by walking the graph upstream from the label
 stream, join label and feature records on a correlation key, and persist
-the rows as canonical JSON-Lines. Joins are strict inner joins: a key
-missing any requested feature drops the row, and a key occurring twice in
-one stream is an error (the applications guarantee unique keys by
-construction).
+the rows as canonical JSON-Lines. Both paradigms join through `join`:
+the dataflow build over its stream logs (`collect`), the service build
+over the documents its `export_dataset` API gathers. Joins are strict
+inner joins: a key missing any requested feature drops the row, and a key
+occurring twice in one stream is an error (the applications guarantee
+unique keys by construction).
 """
 
 from __future__ import annotations
@@ -97,23 +99,47 @@ def _check_select(instance: RuntimeInstance, sel: StreamSelect) -> None:
             )
 
 
-def _index_by_key(instance: RuntimeInstance, sel: StreamSelect) -> dict:
+def _index(sel: StreamSelect, docs) -> dict:
     index: dict = {}
-    for rec in instance.read(sel.stream_id, 0):
-        key = rec[sel.key_field]
+    for doc in docs:
+        key = doc[sel.key_field]
         if key in index:
-            raise CollectionError(
-                f"duplicate key {key!r} in stream {sel.stream_id!r}"
-            )
-        index[key] = rec
+            raise CollectionError(f"duplicate key {key!r} in stream {sel.stream_id!r}")
+        index[key] = doc
     return index
 
 
-def collect(instance: RuntimeInstance, spec: CollectionSpec) -> list[DatasetRow]:
-    """Inner-join the label stream with every feature stream on the key.
+def join(spec: CollectionSpec, labels, features) -> list[DatasetRow]:
+    """Inner-join label docs with one iterable of feature docs per entry of
+    `spec.features`, on the key.
 
-    Rows come back in label-record order. Key types must agree across the
-    selected streams.
+    A doc is anything indexed by field name: a stream `Record` or a stored
+    document. Rows come back in label order; a key occurring twice on
+    either side is an error.
+    """
+    indexes = [
+        (sel.fields, _index(sel, docs)) for sel, docs in zip(spec.features, features, strict=True)
+    ]
+    label_fields = spec.label.fields
+    rows: list[DatasetRow] = []
+    for key, doc in _index(spec.label, labels).items():
+        row_features: dict = {}
+        for fields, index in indexes:
+            match = index.get(key)
+            if match is None:
+                break
+            for f in fields:
+                row_features[f] = match[f]
+        else:
+            rows.append(DatasetRow(key, row_features, {f: doc[f] for f in label_fields}))
+    return rows
+
+
+def collect(instance: RuntimeInstance, spec: CollectionSpec) -> list[DatasetRow]:
+    """`join` the label stream with every feature stream of a running program.
+
+    The selected streams and fields must exist, and key types must agree
+    across the selected streams.
     """
     _check_select(instance, spec.label)
     streams = instance.graph.stream_map()
@@ -124,32 +150,11 @@ def collect(instance: RuntimeInstance, spec: CollectionSpec) -> list[DatasetRow]
             raise CollectionError(
                 f"key field {sel.key_field!r} of {sel.stream_id!r} is not of type {key_type!r}"
             )
-
-    feature_indexes = [(sel, _index_by_key(instance, sel)) for sel in spec.features]
-    _index_by_key(instance, spec.label)  # duplicate-label-key check
-
-    rows: list[DatasetRow] = []
-    for rec in instance.read(spec.label.stream_id, 0):
-        key = rec[spec.label.key_field]
-        features: dict = {}
-        complete = True
-        for sel, index in feature_indexes:
-            match = index.get(key)
-            if match is None:
-                complete = False
-                break
-            for f in sel.fields:
-                features[f] = match[f]
-        if not complete:
-            continue
-        rows.append(
-            DatasetRow(
-                key=key,
-                features=features,
-                label={f: rec[f] for f in spec.label.fields},
-            )
-        )
-    return rows
+    return join(
+        spec,
+        instance.read(spec.label.stream_id),
+        [instance.read(sel.stream_id) for sel in spec.features],
+    )
 
 
 def publish_rows(instance: RuntimeInstance, spec: CollectionSpec, rows: list[DatasetRow]) -> int:

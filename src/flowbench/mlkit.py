@@ -7,9 +7,8 @@ Feature dimensionality is tiny everywhere (d <= 6), so pure-Python linear
 algebra is exact and fast enough; no numerical library is worth the
 dependency here.
 
-All models are immutable once fitted. The linear and tree models, the
-ones trained offline, serialize to plain documents (`to_doc`) for the
-offline-to-online handoff; a bigram is fitted online and never stored.
+All models are immutable once fitted, so a fitted model is handed to
+its serving node or stored in its serving service as is.
 """
 
 from __future__ import annotations
@@ -30,17 +29,6 @@ END = "</s>"
 class LinearModel:
     coefficients: tuple[float, ...]
     intercept: float
-
-    def to_doc(self) -> dict:
-        return {
-            "coefficients": list(self.coefficients),
-            "intercept": self.intercept,
-            "kind": "linear",
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "LinearModel":
-        return cls(tuple(float(c) for c in doc["coefficients"]), float(doc["intercept"]))
 
 
 def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
@@ -131,28 +119,6 @@ class TreeSplit:
 class TreeModel:
     root: TreeLeaf | TreeSplit
     max_depth: int
-
-    def to_doc(self) -> dict:
-        def node_doc(node):
-            if isinstance(node, TreeLeaf):
-                return {"label": node.label}
-            return {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "left": node_doc(node.left),
-                "right": node_doc(node.right),
-            }
-
-        return {"kind": "tree", "max_depth": self.max_depth, "root": node_doc(self.root)}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "TreeModel":
-        def parse(nd):
-            if "label" in nd:
-                return TreeLeaf(nd["label"])
-            return TreeSplit(nd["feature"], nd["threshold"], parse(nd["left"]), parse(nd["right"]))
-
-        return cls(parse(doc["root"]), doc["max_depth"])
 
     def depth(self) -> int:
         def walk(node):

@@ -8,6 +8,8 @@ both vary between interpreter invocations.
 
 from __future__ import annotations
 
+import math
+
 MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -77,11 +79,15 @@ class SplitMix64:
         return out
 
     def poisson(self, lam: float) -> int:
-        """Knuth's product-of-uniforms inverse-transform sampler."""
-        if lam <= 0.0:
-            return 0
-        import math
+        """Knuth's product-of-uniforms inverse-transform sampler.
 
+        `lam` must lie in [0, 700]: above that `exp(-lam)` underflows toward
+        zero and the draws would silently cap near 745.
+        """
+        if not 0.0 <= lam <= 700.0:  # also refuses NaN
+            raise ValueError(f"poisson() needs 0 <= lam <= 700, got {lam!r}")
+        if lam == 0.0:
+            return 0
         limit = math.exp(-lam)
         k = 0
         p = 1.0

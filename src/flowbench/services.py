@@ -94,7 +94,9 @@ class ServiceContext:
     def store_get(self, table: str, key: str):
         return self._tables.get(table, {}).get(key)
 
-    def store_put(self, table: str, key: str, document: dict) -> None:
+    def store_put(self, table: str, key: str, document: object) -> None:
+        """Store one value: a document, or an immutable value such as a
+        fitted model. The store keeps the object itself, not a copy."""
         self._tables.setdefault(table, {})[key] = document
 
     def store_table(self, table: str) -> Mapping[str, dict]:

@@ -210,6 +210,32 @@ class TestPlaylist:
         assert playlist_builder.sample_playlist("comedy", self.MOVIES, 2, rng) == []
 
 
+class TestSoaStatsCopies:
+    """The soa stats APIs answer with fresh documents: a caller mutating a
+    response must not reach the catalog's stored stats."""
+
+    @pytest.mark.parametrize("api", ("genre_stats", "genre_quantile"))
+    def test_mutating_a_response_leaves_the_next_answer_unchanged(self, api):
+        scenario = apps.make_scenario("playlist_builder", 5, 1)
+        registry = apps.build_app(apps.app_version("playlist_builder", "soa", "ml"), scenario).registry
+        for title, gross in (("m1", 10.0), ("m2", 20.0)):
+            registry.call("sim", "catalog", "add_movie", {"title": title, "genre": "action", "gross": gross})
+        first = registry.call("sim", "catalog", api, {"genre": "action"})
+        expected = dict(first)
+        first["q75"] = -1.0
+        first["n_movies"] = 0
+        for other in ("genre_stats", "genre_quantile"):
+            assert registry.call("sim", "catalog", other, {"genre": "action"}) == expected
+
+
+class TestSoaServedModel:
+    @pytest.mark.parametrize("app,service", (("ride_allocation", "allocator"), ("insurance_claims", "rules")))
+    def test_store_serves_the_fitted_model_itself(self, app, service):
+        scenario = apps.make_scenario(app, 40, 3)
+        built = apps.build_app(apps.app_version(app, "soa", "ml"), scenario)
+        assert built.registry.context_for(service).routine("get_model") is built.extras["model"]
+
+
 class TestBotText:
     def test_single_bigram_corpus_regenerates_itself(self):
         for seed in range(10):

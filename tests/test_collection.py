@@ -13,6 +13,7 @@ from flowbench.collection import (
     StreamSelect,
     collect,
     discover_sources,
+    join,
     read_dataset,
     write_dataset,
 )
@@ -126,6 +127,47 @@ class TestCollect:
                 ),
                 dataset_name="d",
             )
+
+
+def _two_feature_spec():
+    return CollectionSpec(
+        label=StreamSelect("labels", ("y",), "k"),
+        features=(StreamSelect("f1", ("a",), "k"), StreamSelect("f2", ("b", "c"), "k")),
+        dataset_name="d",
+    )
+
+
+def _docs(keys, *fields):
+    return [{"k": key, **{f: float(i) + len(f) for f in fields}} for i, key in enumerate(keys)]
+
+
+KEYS = st.lists(st.integers(0, 12), unique=True, max_size=10)
+
+
+class TestJoin:
+    @given(labels=KEYS, f1=KEYS, f2=KEYS)
+    @settings(max_examples=60, deadline=None)
+    def test_plain_dicts_match_nested_loop_oracle(self, labels, f1, f2):
+        label_docs, f1_docs, f2_docs = _docs(labels, "y"), _docs(f1, "a"), _docs(f2, "b", "c")
+        oracle = [
+            DatasetRow(l["k"], {"a": x["a"], "b": z["b"], "c": z["c"]}, {"y": l["y"]})
+            for l in label_docs
+            for x in f1_docs
+            if x["k"] == l["k"]
+            for z in f2_docs
+            if z["k"] == l["k"]
+        ]
+        assert join(_two_feature_spec(), label_docs, [f1_docs, f2_docs]) == oracle
+
+    def test_duplicate_label_key_names_the_label_stream(self):
+        labels = _docs([1, 2, 1], "y")
+        with pytest.raises(CollectionError, match="duplicate key 1 in stream 'labels'"):
+            join(_two_feature_spec(), labels, [_docs([1, 2], "a"), _docs([1, 2], "b", "c")])
+
+    def test_duplicate_feature_key_names_the_feature_stream(self):
+        f2 = _docs([2, 2], "b", "c")
+        with pytest.raises(CollectionError, match="duplicate key 2 in stream 'f2'"):
+            join(_two_feature_spec(), _docs([1, 2], "y"), [_docs([1, 2], "a"), f2])
 
 
 row_strategy = st.builds(

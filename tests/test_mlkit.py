@@ -11,7 +11,6 @@ from flowbench.mlkit import (
     START,
     LinearModel,
     QuantileSketch,
-    TreeModel,
     fit_bigram,
     fit_linear,
     fit_tree,
@@ -244,16 +243,3 @@ class TestQuantile:
         qs = sorted(qs)
         results = [quantile(sk, q) for q in qs]
         assert results == sorted(results)
-
-
-class TestModelSerialization:
-    def test_linear_round_trip(self):
-        model = LinearModel((1.5, -2.0), 0.25)
-        assert LinearModel.from_doc(model.to_doc()) == model
-
-    def test_tree_round_trip(self):
-        rows = [((1.0,), "A"), ((2.0,), "A"), ((8.0,), "B")]
-        model = fit_tree(rows, max_depth=3)
-        clone = TreeModel.from_doc(model.to_doc())
-        for x, _ in rows:
-            assert predict_tree(clone, x) == predict_tree(model, x)
