@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..collection import CollectionSpec, StreamSelect, join
 from ..graph import Category, GraphBuilder, Schema
 from ..mlkit import TreeModel, fit_tree, predict_tree
-from ..rng import SplitMix64, derive_seed
+from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
 from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute, untrained
@@ -383,7 +383,7 @@ class ClaimsWorld(World):
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         self.rng = SplitMix64(derive_seed(scenario.seed, "world", "insurance_claims"))
-        self.claim_rate = float(scenario.params["claim_rate"])
+        self.claim_rate = checked_rate("claim_rate", float(scenario.params["claim_rate"]))
         self.next_claim_id = 0
 
     def generate_events(self, tick: int) -> list[Event]:

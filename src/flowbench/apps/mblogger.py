@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..graph import Category, GraphBuilder, Schema
 from ..mlkit import fit_bigram, generate
-from ..rng import SplitMix64, derive_seed
+from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
 from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute
@@ -352,9 +352,9 @@ class BloggerWorld(World):
         self.n_users = int(p["n_users"])
         if self.n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
-        self.follow_rate = float(p["follow_rate"])
-        self.post_rate = float(p["post_rate"])
-        self.request_rate = float(p["request_rate"])
+        self.follow_rate = checked_rate("follow_rate", float(p["follow_rate"]))
+        self.post_rate = checked_rate("post_rate", float(p["post_rate"]))
+        self.request_rate = checked_rate("request_rate", float(p["request_rate"]))
         self.bot_user = str(p["bot_user"])
         self.edges: set[tuple[str, str]] = set()
         self.next_post_id = 0

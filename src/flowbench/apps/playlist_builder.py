@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..graph import Category, GraphBuilder, Schema
 from ..mlkit import QuantileSketch, quantile
-from ..rng import SplitMix64, derive_seed
+from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
 from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute
@@ -274,8 +274,8 @@ class PlaylistWorld(World):
         self.genres = tuple(p["genres"])
         if not self.genres:
             raise ValueError("genres must name at least one genre")
-        self.movie_rate = float(p["movie_rate"])
-        self.request_rate = float(p["request_rate"])
+        self.movie_rate = checked_rate("movie_rate", float(p["movie_rate"]))
+        self.request_rate = checked_rate("request_rate", float(p["request_rate"]))
         self.next_movie = 0
         self.next_request = 0
         self.catalog: list[tuple[str, str, float]] = []

@@ -21,7 +21,7 @@ from operator import itemgetter
 from ..collection import CollectionSpec, StreamSelect, join
 from ..graph import Category, GraphBuilder, Schema
 from ..mlkit import LinearModel, predict_linear, fit_linear
-from ..rng import SplitMix64, derive_seed
+from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
 from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute, untrained
@@ -478,7 +478,7 @@ class RideWorld(World):
         p = scenario.params
         self.rng = SplitMix64(derive_seed(scenario.seed, "world", "ride_allocation"))
         self.n_drivers = int(p["n_drivers"])
-        self.request_rate = float(p["request_rate"])
+        self.request_rate = checked_rate("request_rate", float(p["request_rate"]))
         self.noise = float(p["noise"])
         self.world_size = float(p["world_size"])
         self.driver_pos: dict[int, tuple[float, float]] = {}

@@ -10,16 +10,27 @@ the program as a picture.
 
 Construction never fails on a malformed graph; `validate` reports every
 broken invariant as data so callers can decide what to do.
+
+Every record is checked on its way into a log. `Schema.coerce_row` first
+tries one loop over a (name, exact Python type) plan built with the
+schema: a dict holding exactly the declared fields, each value of exactly
+its field's type, is returned as a tuple in field order. Anything else,
+an int for a float, a subclass, a missing or extra key, takes the full
+checks with their messages. A `Record` is a tuple underneath (schema,
+values, tick, seq), so building one sets no attributes, and it stays
+immutable.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Mapping
 
 FIELD_TYPES = ("int", "float", "text", "bool")
+_EXACT_TYPES = {"int": int, "float": float, "text": str, "bool": bool}
 
 
 class Category(str, Enum):
@@ -68,6 +79,10 @@ class Schema:
         # plain attributes, so equality and hash still depend on the fields only.
         object.__setattr__(self, "field_names", tuple(fname for fname, _ in self.fields))
         object.__setattr__(self, "_index", {fname: i for i, fname in enumerate(self.field_names)})
+        # (name, exact Python type) per field, for `coerce_row`'s one-loop pass.
+        object.__setattr__(
+            self, "_exact", tuple((fname, _EXACT_TYPES[ftype]) for fname, ftype in self.fields)
+        )
 
     def field_type(self, name: str) -> str:
         for fname, ftype in self.fields:
@@ -79,8 +94,20 @@ class Schema:
         """Check a field->value mapping against the schema, return ordered values.
 
         ints are accepted for float fields (and widened); bool is never
-        treated as an int.
+        treated as an int. A dict holding exactly the declared fields, each
+        value of exactly its field's Python type, passes in one loop; any
+        other input takes the full checks below, which raise on it or widen it.
         """
+        plan = self._exact
+        if type(values) is dict and len(values) == len(plan):
+            row = []
+            for fname, ftype in plan:
+                v = values.get(fname)
+                if type(v) is not ftype:
+                    break
+                row.append(v)
+            else:
+                return tuple(row)
         extra = set(values).difference(self._index)
         if extra:
             raise SchemaMismatchError(
@@ -116,19 +143,16 @@ class Schema:
         return tuple(row)
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(namedtuple("Record", ("schema", "values", "tick", "seq"))):
     """One immutable entry of a stream log.
 
     `tick` is the simulation time at append, `seq` the position within the
     owning stream. Field access goes through the schema so transform code
-    can say `record["ride_id"]`.
+    can say `record["ride_id"]`. A tuple underneath: no per-instance dict,
+    and assigning any attribute raises `AttributeError`.
     """
 
-    schema: Schema
-    values: tuple
-    tick: int
-    seq: int
+    __slots__ = ()
 
     def __getitem__(self, name: str):
         return self.values[self.schema._index[name]]

@@ -14,6 +14,17 @@ MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
 
+# Largest rate `SplitMix64.poisson` draws from: above it `exp(-lam)`
+# underflows toward zero and the draws would silently cap near 745.
+MAX_POISSON_RATE = 700.0
+
+
+def checked_rate(name: str, lam: float) -> float:
+    """`lam` itself if `poisson` can draw from it, else `ValueError` naming `name`."""
+    if not 0.0 <= lam <= MAX_POISSON_RATE:  # also refuses NaN
+        raise ValueError(f"{name} must lie in [0, {MAX_POISSON_RATE:g}], got {lam!r}")
+    return lam
+
 
 def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
@@ -81,12 +92,9 @@ class SplitMix64:
     def poisson(self, lam: float) -> int:
         """Knuth's product-of-uniforms inverse-transform sampler.
 
-        `lam` must lie in [0, 700]: above that `exp(-lam)` underflows toward
-        zero and the draws would silently cap near 745.
+        `lam` must lie in [0, MAX_POISSON_RATE] (see `checked_rate`).
         """
-        if not 0.0 <= lam <= 700.0:  # also refuses NaN
-            raise ValueError(f"poisson() needs 0 <= lam <= 700, got {lam!r}")
-        if lam == 0.0:
+        if checked_rate("lam", lam) == 0.0:
             return 0
         limit = math.exp(-lam)
         k = 0

@@ -15,9 +15,19 @@ same tick. A node's outputs are checked against their schemas before any
 of them is appended, so a bad row leaves no rows of that node in the
 logs; the `TransformError` names the node, port and tick. An exception
 raised inside a transform is re-raised as `NodeError`, naming the node
-and tick, with the original as its cause. After either error the
-instance must be discarded: earlier nodes of that tick have appended,
-and fold state may already have advanced.
+and tick, with the original as its cause.
+
+A failed tick is atomic for the logs: before either error propagates,
+every record that nodes appended during that tick is removed again, so
+the logs are exactly as they were when `step()` was entered. Fold state
+may already have advanced and is not rolled back, so the instance is then
+marked failed: any later `step`, `inject` or `append_collected` raises
+`FailedInstanceError` naming the original node and tick. Reads still work.
+
+`start` builds a plan once, one entry per node in topological order with
+its fold state, its in-ports' logs and cursor keys and its out-ports'
+declarations and logs; `step` only walks that plan. Each port's checked
+rows are appended with one `extend`.
 """
 
 from __future__ import annotations
@@ -81,28 +91,44 @@ class TickSummary:
     produced: dict[str, int]
 
 
+class FailedInstanceError(Exception):
+    """A step of this instance failed earlier; the message repeats that
+    failure, naming its node and tick. Start a new instance."""
+
+
 class RuntimeInstance:
     """One run of one graph. Confined to a single thread of control."""
 
     def __init__(self, graph: FlowGraph):
         self.graph = graph
-        self._order = topological_order(graph)  # validates; raises GraphValidationError
+        order = topological_order(graph)  # validates; raises GraphValidationError
         self._streams = graph.stream_map()
-        self._nodes = graph.node_map()
         self._logs: dict[str, list[Record]] = {s.id: [] for s in graph.streams}
-        self._in_wiring = {
-            (e.node, e.port): e.stream for e in graph.in_edges
-        }
-        self._out_wiring = {
-            (e.node, e.port): e.stream for e in graph.out_edges
-        }
-        self._cursors: dict[tuple[str, str], int] = {
-            key: 0 for key in self._in_wiring
-        }
         self._producer_count = {
             s.id: len(graph.producers_of(s.id)) for s in graph.streams
         }
-        self._state = {n.id: n.init() for n in graph.nodes if n.init is not None}
+        in_wiring = {(e.node, e.port): e.stream for e in graph.in_edges}
+        out_wiring = {(e.node, e.port): e.stream for e in graph.out_edges}
+        self._cursors: dict[tuple[str, str], int] = {key: 0 for key in in_wiring}
+        # One entry per node in topological order: (node, fold state or None,
+        # ((port, log, cursor key), ...), ((port, stream decl, log), ...),
+        # out-port names). `step` walks it and looks nothing else up.
+        nodes = graph.node_map()
+        self._plan = []
+        for nid in order:
+            node = nodes[nid]
+            ins = tuple(
+                (p.name, self._logs[in_wiring[(nid, p.name)]], (nid, p.name))
+                for p in node.in_ports
+            )
+            outs = []
+            for p in node.out_ports:
+                decl = self._streams[out_wiring[(nid, p.name)]]
+                outs.append((p.name, decl, self._logs[decl.id]))
+            state = None if node.init is None else node.init()
+            names = frozenset(p.name for p in node.out_ports)
+            self._plan.append((node, state, ins, tuple(outs), names))
+        self._failure: str | None = None
         self.tick = 0
         self.invocations: dict[str, int] = {n.id: 0 for n in graph.nodes}
 
@@ -112,6 +138,8 @@ class RuntimeInstance:
 
     def inject(self, stream_id: str, values) -> Record:
         """Append outside-world data to an input stream at the current tick."""
+        if self._failure is not None:
+            raise FailedInstanceError(self._failure)
         decl = self._decl(stream_id)
         if decl.category is not Category.INPUT:
             raise StreamWriteError(f"{stream_id!r} is not an input stream")
@@ -123,6 +151,8 @@ class RuntimeInstance:
         Used by the dataset-collection tooling to materialize derived rows
         into a declared output stream. Refused for anything a node writes.
         """
+        if self._failure is not None:
+            raise FailedInstanceError(self._failure)
         decl = self._decl(stream_id)
         if decl.category is not Category.OUTPUT:
             raise StreamWriteError(f"{stream_id!r} is not an output stream")
@@ -141,49 +171,70 @@ class RuntimeInstance:
     # ------------------------------------------------------------------
 
     def step(self) -> TickSummary:
-        """Run every node once in topological order, then advance the tick."""
+        """Run every node once in topological order, then advance the tick.
+
+        If a node fails, every record a node appended during this tick is
+        removed again, the instance is marked failed, and the `NodeError`
+        or `TransformError` propagates.
+        """
+        if self._failure is not None:
+            raise FailedInstanceError(self._failure)
+        tick = self.tick
+        cursors = self._cursors
         produced: dict[str, int] = {}
-        for nid in self._order:
-            node = self._nodes[nid]
-            inputs = {}
-            for port in node.in_ports:
-                sid = self._in_wiring[(nid, port.name)]
-                inputs[port.name] = PortView(self._logs[sid], self._cursors[(nid, port.name)])
-            try:
-                if node.init is None:
-                    result = node.transform(inputs)
-                else:
-                    result = node.transform(inputs, self._state[nid])
-            except Exception as exc:
-                raise NodeError(nid, self.tick, exc) from exc
-            result = result or {}
-            unknown = set(result) - {p.name for p in node.out_ports}
-            if unknown:
-                raise TransformError(
-                    f"node {nid!r} at tick {self.tick} emitted to undeclared ports {sorted(unknown)}"
-                )
-            staged = []
-            for port in node.out_ports:
-                decl = self._streams[self._out_wiring[(nid, port.name)]]
+        try:
+            for node, state, ins, outs, out_names in self._plan:
+                inputs = {name: PortView(log, cursors[key]) for name, log, key in ins}
                 try:
-                    rows = [decl.schema.coerce_row(row) for row in result.get(port.name, ())]
-                except SchemaMismatchError as exc:
-                    raise TransformError(
-                        f"node {nid!r} port {port.name!r} at tick {self.tick}: {exc}"
-                    ) from exc
-                staged.append((decl, rows))
-            for decl, rows in staged:
-                for row in rows:
-                    self._append(decl, row)
-                if rows:
-                    produced[decl.id] = produced.get(decl.id, 0) + len(rows)
-            for port in node.in_ports:
-                sid = self._in_wiring[(nid, port.name)]
-                self._cursors[(nid, port.name)] = len(self._logs[sid])
-            self.invocations[nid] += 1
-        summary = TickSummary(self.tick, produced)
-        self.tick += 1
-        return summary
+                    if node.init is None:
+                        result = node.transform(inputs)
+                    else:
+                        result = node.transform(inputs, state)
+                except Exception as exc:
+                    raise NodeError(node.id, tick, exc) from exc
+                if result:
+                    if not out_names.issuperset(result):
+                        raise TransformError(
+                            f"node {node.id!r} at tick {tick} emitted to undeclared ports "
+                            f"{sorted(set(result) - out_names)}"
+                        )
+                    staged = []
+                    for name, decl, log in outs:
+                        coerce = decl.schema.coerce_row
+                        try:
+                            rows = [coerce(row) for row in result.get(name, ())]
+                        except SchemaMismatchError as exc:
+                            raise TransformError(
+                                f"node {node.id!r} port {name!r} at tick {tick}: {exc}"
+                            ) from exc
+                        if rows:
+                            staged.append((decl, log, rows))
+                    for decl, log, rows in staged:
+                        schema = decl.schema
+                        log.extend([
+                            Record(schema, row, tick, seq) for seq, row in enumerate(rows, len(log))
+                        ])
+                        produced[decl.id] = produced.get(decl.id, 0) + len(rows)
+                for name, log, key in ins:
+                    cursors[key] = len(log)
+                self.invocations[node.id] += 1
+        except (NodeError, TransformError) as exc:
+            self._fail(tick, exc)
+            raise
+        self.tick = tick + 1
+        return TickSummary(tick, produced)
+
+    def _fail(self, tick: int, exc: Exception) -> None:
+        """Drop what nodes appended during `tick` and refuse further writes.
+
+        Only nodes write to produced streams, and only inside `step`, so the
+        tick's records there are exactly the trailing ones stamped `tick`.
+        """
+        for _, _, _, outs, _ in self._plan:
+            for _, _, log in outs:
+                while log and log[-1].tick == tick:
+                    log.pop()
+        self._failure = f"instance failed, start a new one: {exc}"
 
     # ------------------------------------------------------------------
     # Reads

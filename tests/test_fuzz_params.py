@@ -7,6 +7,8 @@ equiv` checks. Params a world cannot generate from are refused at
 construction with a `ValueError` naming the parameter.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +69,19 @@ def test_paradigms_agree_at_min_on_random_params(app):
     [
         ("mblogger", {"n_users": 0}, "n_users"),
         ("playlist_builder", {"genres": ()}, "genres"),
+    ]
+    + [
+        (app, {param: rate}, param)
+        for app, param in (
+            ("insurance_claims", "claim_rate"),
+            ("ride_allocation", "request_rate"),
+            ("mblogger", "follow_rate"),
+            ("mblogger", "post_rate"),
+            ("mblogger", "request_rate"),
+            ("playlist_builder", "movie_rate"),
+            ("playlist_builder", "request_rate"),
+        )
+        for rate in (-1.0, math.nan, math.inf, -math.inf, 700.5)
     ],
 )
 def test_world_refuses_params_it_cannot_draw_from(app, params, name):

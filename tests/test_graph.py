@@ -1,4 +1,6 @@
-"""Graph model: validation, ordering, traversal, DOT export."""
+"""Graph model: schemas and records, validation, ordering, traversal, DOT export."""
+
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from flowbench.graph import (
     NodeSpec,
     OutEdge,
     PortDecl,
+    Record,
     Schema,
+    SchemaMismatchError,
     StreamDecl,
     UnknownElementError,
     downstream_closure,
@@ -61,6 +65,151 @@ class TestSchema:
         assert len({a, b}) == 1
         assert a.field_names == ("v", "w")
         assert a != Schema("m", (("w", "text"), ("v", "int")))
+
+
+def reference_coerce_row(schema: Schema, values) -> tuple:
+    """Oracle: `Schema.coerce_row` as it was before its one-loop pass."""
+    extra = set(values).difference(schema.field_names)
+    if extra:
+        raise SchemaMismatchError(f"schema {schema.name!r}: unexpected fields {sorted(extra)}")
+    row = []
+    for fname, ftype in schema.fields:
+        if fname not in values:
+            raise SchemaMismatchError(f"schema {schema.name!r}: missing field {fname!r}")
+        v = values[fname]
+        if ftype == "int":
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise SchemaMismatchError(
+                    f"schema {schema.name!r}: field {fname!r} wants int, got {v!r}"
+                )
+        elif ftype == "float":
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SchemaMismatchError(
+                    f"schema {schema.name!r}: field {fname!r} wants float, got {v!r}"
+                )
+            v = float(v)
+        elif ftype == "text":
+            if not isinstance(v, str):
+                raise SchemaMismatchError(
+                    f"schema {schema.name!r}: field {fname!r} wants text, got {v!r}"
+                )
+        else:
+            if not isinstance(v, bool):
+                raise SchemaMismatchError(
+                    f"schema {schema.name!r}: field {fname!r} wants bool, got {v!r}"
+                )
+        row.append(v)
+    return tuple(row)
+
+
+class SubInt(int):
+    pass
+
+
+class SubFloat(float):
+    pass
+
+
+class SubStr(str):
+    pass
+
+
+class SubDict(dict):
+    pass
+
+
+FIELD_NAMES = ("a", "b", "c", "d", "e")
+VALUES = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.booleans(),
+    st.integers(-5, 5).map(SubInt),
+    st.floats(-5, 5).map(SubFloat),
+    st.text(max_size=3).map(SubStr),
+    st.none(),
+)
+EXACT = {"int": st.integers(-(2**70), 2**70), "float": st.floats(allow_nan=False),
+         "text": st.text(max_size=3), "bool": st.booleans()}
+
+
+@st.composite
+def schema_and_values(draw):
+    """A schema, then a mapping that is often exactly right and otherwise off
+    by a missing or extra key or a value of a near-miss type."""
+    names = draw(st.lists(st.sampled_from(FIELD_NAMES), min_size=1, max_size=4, unique=True))
+    fields = tuple((n, draw(st.sampled_from(("int", "float", "text", "bool")))) for n in names)
+    schema = Schema("s", fields)
+    values = {}
+    for fname, ftype in fields:
+        if draw(st.integers(0, 9)) == 0:
+            continue  # missing
+        values[fname] = draw(EXACT[ftype] if draw(st.booleans()) else VALUES)
+    for extra in draw(st.lists(st.sampled_from(("x", "y") + FIELD_NAMES), max_size=2)):
+        values.setdefault(extra, draw(VALUES))
+    wrap = draw(st.sampled_from((dict, dict, SubDict, MappingProxyType)))
+    return schema, wrap(values)
+
+
+def _outcome(fn, *args):
+    try:
+        row = fn(*args)
+    except SchemaMismatchError as exc:
+        return ("error", str(exc))
+    return ("row", [(type(v), repr(v)) for v in row])
+
+
+class TestCoerceRowOracle:
+    @given(schema_and_values())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_reference_checker(self, case):
+        schema, values = case
+        assert _outcome(schema.coerce_row, values) == _outcome(reference_coerce_row, schema, values)
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ({"n": 1, "f": 2.0, "t": "x"}, "missing field 'b'"),
+            ({"n": 1, "f": 2.0, "t": "x", "b": True, "z": 0}, "unexpected fields ['z']"),
+            ({"n": 1, "f": 2.0, "t": "x", "z": True}, "unexpected fields ['z']"),
+            ({"n": True, "f": 2.0, "t": "x", "b": True}, "field 'n' wants int, got True"),
+            ({"n": 1, "f": False, "t": "x", "b": True}, "field 'f' wants float, got False"),
+            ({"n": 1, "f": 2.0, "t": 3, "b": True}, "field 't' wants text, got 3"),
+            ({"n": 1, "f": 2.0, "t": "x", "b": 1}, "field 'b' wants bool, got 1"),
+        ],
+    )
+    def test_each_check_still_runs(self, values, message):
+        schema = Schema("s", (("n", "int"), ("f", "float"), ("t", "text"), ("b", "bool")))
+        with pytest.raises(SchemaMismatchError) as err:
+            schema.coerce_row(values)
+        assert str(err.value) == f"schema 's': {message}"
+
+
+class TestRecord:
+    SCHEMA = Schema("r", (("f", "int"), ("g", "text")))
+
+    def test_fields_and_lookup_by_name(self):
+        rec = Record(self.SCHEMA, (4, "x"), 7, 2)
+        assert (rec.schema, rec.values, rec.tick, rec.seq) == (self.SCHEMA, (4, "x"), 7, 2)
+        assert (rec["f"], rec["g"]) == (4, "x")
+        assert rec.as_dict() == {"f": 4, "g": "x"}
+        with pytest.raises(KeyError):
+            rec["h"]
+
+    @pytest.mark.parametrize("attr", ["schema", "values", "tick", "seq", "other"])
+    def test_is_immutable(self, attr):
+        rec = Record(self.SCHEMA, (4, "x"), 7, 2)
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(rec, attr)
+        assert (rec.tick, rec.seq, rec.values) == (7, 2, (4, "x"))
+
+    def test_equal_records_compare_and_hash_equal(self):
+        a = Record(self.SCHEMA, (4, "x"), 7, 2)
+        assert a == Record(self.SCHEMA, (4, "x"), 7, 2)
+        assert hash(a) == hash(Record(self.SCHEMA, (4, "x"), 7, 2))
+        assert a != Record(self.SCHEMA, (4, "x"), 7, 3)
 
 
 class TestValidate:

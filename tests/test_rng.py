@@ -28,5 +28,5 @@ class TestPoisson:
     @pytest.mark.parametrize("rate", [1000.0, math.nan])
     def test_world_with_such_a_rate_fails_the_run(self, rate):
         scenario = apps.make_scenario("insurance_claims", 5, 1, {"claim_rate": rate})
-        with pytest.raises(ValueError, match="lam"):
+        with pytest.raises(ValueError, match="claim_rate"):
             execute(scenario, apps.app_version("insurance_claims", "fbp", "min"))

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowbench.graph import Category, GraphBuilder, GraphValidationError, Schema, validate
-from flowbench.runtime import NodeError, StreamWriteError, TransformError, start
+from flowbench.runtime import (
+    FailedInstanceError,
+    NodeError,
+    StreamWriteError,
+    TransformError,
+    start,
+)
 from flowbench.rng import SplitMix64
 from util_graphs import POINT, chain_graph, copy_transform, random_dag
 
@@ -155,6 +161,106 @@ class TestStep:
         assert inst.length("bad") == 0
 
 
+    def test_undeclared_port_message(self):
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("o", Category.OUTPUT, POINT)
+        b.node(
+            "A",
+            lambda inputs: {"zz": [], "out": [], "nope": [{"x": 1}]},
+            inputs={"in": "i"},
+            outputs={"out": "o"},
+        )
+        inst = start(b.build())
+        with pytest.raises(TransformError) as err:
+            inst.step()
+        assert str(err.value) == "node 'A' at tick 0 emitted to undeclared ports ['nope', 'zz']"
+
+
+def _failing_graph(second):
+    """i -> A -> s -> B -> o, plus i -> C -> c: A and C copy, B is `second`.
+
+    Topological order is A, B, C, so when B fails A has appended and C has
+    not run."""
+    b = GraphBuilder()
+    b.stream("i", Category.INPUT, POINT)
+    b.stream("s", Category.INTERNAL, POINT)
+    b.stream("o", Category.OUTPUT, POINT)
+    b.stream("c", Category.OUTPUT, POINT)
+    b.stream("d", Category.OUTPUT, POINT)
+    b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "s"})
+    b.node("B", second, inputs={"in": "s"}, outputs={"out": "o"})
+    b.node("C", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "c"})
+    return b.build()
+
+
+def _divide(inputs):
+    return {"out": [{"x": 1 // r["x"]} for r in inputs["in"].new]}
+
+
+def _bad_schema(inputs):
+    return {"out": [{"x": r["x"]} if r["x"] else {"y": 0} for r in inputs["in"].new]}
+
+
+def _bad_port(inputs):
+    if any(r["x"] == 0 for r in inputs["in"].new):
+        return {"nope": [{"x": 0}]}
+    return {}
+
+
+def _snapshot(inst):
+    return {sid: inst.read(sid) for sid in inst.stream_ids()}
+
+
+class TestFailedTick:
+    @pytest.mark.parametrize(
+        "second,error",
+        [(_divide, NodeError), (_bad_schema, TransformError), (_bad_port, TransformError)],
+    )
+    def test_logs_end_as_they_were_at_step_entry(self, second, error):
+        inst = start(_failing_graph(second))
+        inst.inject("i", {"x": 3})
+        inst.step()
+        inst.inject("i", {"x": 0})
+        inst.inject("i", {"x": 5})
+        before = _snapshot(inst)
+        assert len(before["s"]) == 1 and len(before["i"]) == 3
+        with pytest.raises(error, match="'B'.* at tick 1"):
+            inst.step()
+        assert _snapshot(inst) == before
+        assert inst.tick == 1
+
+    def test_failed_instance_refuses_steps_and_writes(self):
+        inst = start(_failing_graph(_divide))
+        inst.inject("i", {"x": 0})
+        with pytest.raises(NodeError):
+            inst.step()
+        before = _snapshot(inst)
+        calls = [
+            inst.step,
+            lambda: inst.inject("i", {"x": 1}),
+            lambda: inst.append_collected("d", {"x": 1}),
+        ]
+        for call in calls:
+            with pytest.raises(FailedInstanceError, match="node 'B' at tick 0: ZeroDivisionError"):
+                call()
+        assert _snapshot(inst) == before
+        assert inst.length("i") == 1 and inst.length("s") == 0
+
+    def test_first_node_failing_appends_nothing(self):
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("o", Category.OUTPUT, POINT)
+        b.node("A", _divide, inputs={"in": "i"}, outputs={"out": "o"})
+        inst = start(b.build())
+        inst.inject("i", {"x": 2})
+        inst.step()
+        inst.inject("i", {"x": 0})
+        with pytest.raises(NodeError):
+            inst.step()
+        assert [r.values for r in inst.read("o")] == [(0,)]
+
+
 class TestRead:
     def _three_records(self):
         inst = start(chain_graph())
@@ -235,6 +341,28 @@ class TestFold:
             oracle.step()
             got = [(r.tick, r.values) for r in fold.read("o")]
             assert got == [(r.tick, r.values) for r in oracle.read("o")]
+
+
+    @pytest.mark.parametrize("init", [lambda: None, lambda: 0, dict, list, set])
+    def test_falsy_state_is_passed_on_every_tick(self, init):
+        seen = []
+
+        def step(inputs, state):
+            seen.append(state)
+            return {"out": [{"k": r["k"], "total": r["v"]} for r in inputs["in"].new]}
+
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, KV)
+        b.stream("o", Category.OUTPUT, TOTAL)
+        b.fold("f", init, step, inputs={"in": "i"}, outputs={"out": "o"})
+        inst = start(b.build())
+        for t in range(3):
+            inst.inject("i", {"k": t, "v": t})
+            inst.step()
+        assert len(seen) == 3
+        assert not seen[0]
+        assert all(state is seen[0] for state in seen)
+        assert inst.length("o") == 3
 
 
 def _drive(graph, seed, ticks=5):
