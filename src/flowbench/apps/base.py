@@ -11,11 +11,13 @@ two paradigms differ only in architecture.
 The model stage of an app that trains offline takes its fitted model as a
 build argument. Built without one (for structure only: manifests, diffs,
 graph export), the model-serving node or API is `untrained` and refuses
-to run.
+to run. Worlds check their count and scale params at construction with
+`checked_count` and `checked_scale`; neither converts what it is given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,6 +42,20 @@ def untrained(app: str, paradigm: str) -> Callable:
         )
 
     return refuse
+
+
+def checked_count(name: str, value, minimum: int) -> int:
+    """World param `value` if it is an int (not a bool) >= `minimum`, else `ValueError` naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
+def checked_scale(name: str, value) -> float:
+    """World param `value` as a float if it is a finite int or float >= 0, else `ValueError` naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")  # NaN fails the range too
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ COLLECTION = CollectionSpec(
 
 def fit_model(rows) -> TreeModel:
     """Classify the decision from the one-hot claim features."""
-    data = [(claim_features(r.features), r.label["decision"]) for r in rows]
+    data = [(claim_features(r["features"]), r["label"]["decision"]) for r in rows]
     return fit_tree(data, max_depth=TREE_DEPTH)
 
 
@@ -320,8 +320,7 @@ def _intake_service(stage: str) -> ServiceSpec:
     if stage in ("data", "ml"):
         def export_dataset(req, ctx):
             decisions = ctx.call("payout", "list_decisions", {})["decisions"]
-            rows = join(COLLECTION, decisions, [ctx.routine("get_claims").values()])
-            return {"rows": [row.to_doc() for row in rows]}
+            return {"rows": join(COLLECTION, decisions, [ctx.routine("get_claims").values()])}
 
         apis.append(ApiSpec("export_dataset", export_dataset, (), ("rows",)))
         routines.append(RoutineSpec("get_claims", lambda ctx: ctx.store_table("claims")))

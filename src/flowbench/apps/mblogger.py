@@ -16,7 +16,7 @@ from ..mlkit import fit_bigram, generate
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute
+from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute, checked_count
 
 DEFAULT_PARAMS = {
     "n_users": 8,
@@ -52,16 +52,18 @@ def build_timeline(user_id, edges, posts, limit: int = TIMELINE_LIMIT) -> list[i
 
     `edges` are (follower, followee, tick) triples, `posts` are
     (post_id, author, tick) triples. Ordered by (tick, post_id)
-    descending, truncated to `limit`.
+    descending, truncated to `limit`. One pass over `edges` finds when the
+    user first followed each followee; a post counts from that tick on.
     """
-    selected = []
-    for post_id, author, post_tick in posts:
-        followed = any(
-            follower == user_id and followee == author and tick <= post_tick
-            for follower, followee, tick in edges
-        )
-        if followed:
-            selected.append((post_tick, post_id))
+    followed_at: dict = {}
+    for follower, followee, tick in edges:
+        if follower == user_id:
+            followed_at[followee] = min(tick, followed_at.get(followee, tick))
+    selected = [
+        (post_tick, post_id)
+        for post_id, author, post_tick in posts
+        if author in followed_at and followed_at[author] <= post_tick
+    ]
     selected.sort(reverse=True)
     return [post_id for _, post_id in selected[:limit]]
 
@@ -349,9 +351,7 @@ class BloggerWorld(World):
         super().__init__(scenario)
         p = scenario.params
         self.rng = SplitMix64(derive_seed(scenario.seed, "world", "mblogger"))
-        self.n_users = int(p["n_users"])
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
+        self.n_users = checked_count("n_users", p["n_users"], 1)
         self.follow_rate = checked_rate("follow_rate", float(p["follow_rate"]))
         self.post_rate = checked_rate("post_rate", float(p["post_rate"]))
         self.request_rate = checked_rate("request_rate", float(p["request_rate"]))

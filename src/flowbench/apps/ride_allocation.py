@@ -24,7 +24,7 @@ from ..mlkit import LinearModel, predict_linear, fit_linear
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute, untrained
+from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute, checked_count, checked_scale, untrained
 
 DEFAULT_PARAMS = {
     "n_drivers": 20,
@@ -130,7 +130,7 @@ COLLECTION = CollectionSpec(
 
 def fit_model(rows) -> LinearModel:
     """Regress wait_time on the allocation features (sorted field order)."""
-    return fit_linear([(feature_vector(r.features), float(r.label["wait_time"])) for r in rows])
+    return fit_linear([(feature_vector(r["features"]), float(r["label"]["wait_time"])) for r in rows])
 
 
 # ----------------------------------------------------------------------
@@ -430,8 +430,7 @@ def _rides_service(stage: str) -> ServiceSpec:
     if stage in ("data", "ml"):
         def export_dataset(req, ctx):
             allocations = ctx.call("allocator", "list_allocations", {})["allocations"]
-            rows = join(COLLECTION, ctx.routine("get_pickups").values(), [allocations])
-            return {"rows": [row.to_doc() for row in rows]}
+            return {"rows": join(COLLECTION, ctx.routine("get_pickups").values(), [allocations])}
 
         apis.append(ApiSpec("export_dataset", export_dataset, (), ("rows",)))
         routines.append(RoutineSpec("get_pickups", lambda ctx: ctx.store_table("pickups")))
@@ -477,10 +476,10 @@ class RideWorld(World):
         super().__init__(scenario)
         p = scenario.params
         self.rng = SplitMix64(derive_seed(scenario.seed, "world", "ride_allocation"))
-        self.n_drivers = int(p["n_drivers"])
+        self.n_drivers = checked_count("n_drivers", p["n_drivers"], 0)
         self.request_rate = checked_rate("request_rate", float(p["request_rate"]))
-        self.noise = float(p["noise"])
-        self.world_size = float(p["world_size"])
+        self.noise = checked_scale("noise", p["noise"])
+        self.world_size = checked_scale("world_size", p["world_size"])
         self.driver_pos: dict[int, tuple[float, float]] = {}
         self.rider_pos: dict[int, tuple[float, float, int]] = {}
         self.pending: dict[int, list[Event]] = {}

@@ -9,11 +9,15 @@ over the documents its `export_dataset` API gathers. Joins are strict
 inner joins: a key missing any requested feature drops the row, and a key
 occurring twice in one stream is an error (the applications guarantee
 unique keys by construction).
+
+A dataset row is one plain document, `{"features": {...}, "key": k,
+"label": {...}}`, from `join` to the model fit: the same dict is what an
+`export_dataset` response carries, what `publish_rows` flattens into the
+dataset stream and what `write_dataset` writes as one line.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .canon import canonical_json
@@ -23,12 +27,6 @@ from .runtime import RuntimeInstance
 
 class CollectionError(Exception):
     pass
-
-
-class DatasetFormatError(CollectionError):
-    def __init__(self, path, line_no: int, reason: str):
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -55,20 +53,6 @@ class CollectionSpec:
             raise CollectionError(
                 f"feature fields must be unique across the spec, repeated: {sorted(dupes)}"
             )
-
-
-@dataclass(frozen=True)
-class DatasetRow:
-    key: object
-    features: dict
-    label: dict
-
-    def to_doc(self) -> dict:
-        return {"features": self.features, "key": self.key, "label": self.label}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "DatasetRow":
-        return cls(key=doc["key"], features=dict(doc["features"]), label=dict(doc["label"]))
 
 
 def discover_sources(graph: FlowGraph, label_stream: str) -> list[str]:
@@ -109,7 +93,7 @@ def _index(sel: StreamSelect, docs) -> dict:
     return index
 
 
-def join(spec: CollectionSpec, labels, features) -> list[DatasetRow]:
+def join(spec: CollectionSpec, labels, features) -> list[dict]:
     """Inner-join label docs with one iterable of feature docs per entry of
     `spec.features`, on the key.
 
@@ -121,7 +105,7 @@ def join(spec: CollectionSpec, labels, features) -> list[DatasetRow]:
         (sel.fields, _index(sel, docs)) for sel, docs in zip(spec.features, features, strict=True)
     ]
     label_fields = spec.label.fields
-    rows: list[DatasetRow] = []
+    rows: list[dict] = []
     for key, doc in _index(spec.label, labels).items():
         row_features: dict = {}
         for fields, index in indexes:
@@ -131,11 +115,13 @@ def join(spec: CollectionSpec, labels, features) -> list[DatasetRow]:
             for f in fields:
                 row_features[f] = match[f]
         else:
-            rows.append(DatasetRow(key, row_features, {f: doc[f] for f in label_fields}))
+            rows.append(
+                {"features": row_features, "key": key, "label": {f: doc[f] for f in label_fields}}
+            )
     return rows
 
 
-def collect(instance: RuntimeInstance, spec: CollectionSpec) -> list[DatasetRow]:
+def collect(instance: RuntimeInstance, spec: CollectionSpec) -> list[dict]:
     """`join` the label stream with every feature stream of a running program.
 
     The selected streams and fields must exist, and key types must agree
@@ -157,7 +143,7 @@ def collect(instance: RuntimeInstance, spec: CollectionSpec) -> list[DatasetRow]
     )
 
 
-def publish_rows(instance: RuntimeInstance, spec: CollectionSpec, rows: list[DatasetRow]) -> int:
+def publish_rows(instance: RuntimeInstance, spec: CollectionSpec, rows: list[dict]) -> int:
     """Materialize collected rows into the declared dataset stream.
 
     The dataset stream is an output stream with no producing node; the
@@ -166,30 +152,15 @@ def publish_rows(instance: RuntimeInstance, spec: CollectionSpec, rows: list[Dat
     for row in rows:
         instance.append_collected(
             spec.dataset_name,
-            {spec.label.key_field: row.key, **row.features, **row.label},
+            {spec.label.key_field: row["key"], **row["features"], **row["label"]},
         )
     return len(rows)
 
 
-def write_dataset(rows: list[DatasetRow], path) -> int:
+def write_dataset(rows: list[dict], path) -> int:
     """One canonical JSON object per row (see `canon`), LF endings, UTF-8."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
-            fh.write(canonical_json(row.to_doc()))
+            fh.write(canonical_json(row))
             fh.write("\n")
     return len(rows)
-
-
-def read_dataset(path) -> list[DatasetRow]:
-    rows: list[DatasetRow] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                rows.append(DatasetRow.from_doc(doc))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DatasetFormatError(path, line_no, str(exc)) from exc
-    return rows

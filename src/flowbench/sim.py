@@ -8,7 +8,9 @@ earlier), the harness delivers them and then observes the app's outputs.
 One tick loop drives both paradigms through a small driver: `tick(tick,
 events)` delivers a tick's events and returns its observation batch, and
 `finish()` returns the dataset rows and the report counts. The loop sorts
-each batch, files it and shows it to the world.
+each batch, files it and shows it to the world. The rows are the row
+documents `collection.join` built, in both paradigms: the service twin's
+`export_dataset` response carries them as they are.
 
 Each observation is encoded as canonical JSON exactly once: that text is
 the batch's sort key and is folded into a running per-kind SHA-256 as the
@@ -26,11 +28,11 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
 from .canon import canonical_json
-from .collection import DatasetRow, collect, publish_rows
+from .collection import collect, publish_rows
 from .runtime import start
 
 
@@ -85,20 +87,8 @@ class RunReport:
     digests: dict
     dataset_rows: int | None
 
-    def to_doc(self) -> dict:
-        return {
-            "app": self.app,
-            "counts": self.counts,
-            "dataset_rows": self.dataset_rows,
-            "digests": self.digests,
-            "paradigm": self.paradigm,
-            "seed": self.seed,
-            "stage": self.stage,
-            "ticks": self.ticks,
-        }
-
     def to_json(self) -> str:
-        return canonical_json(self.to_doc())
+        return canonical_json(asdict(self))
 
 
 @dataclass
@@ -106,7 +96,7 @@ class ExecutionResult:
     built: object
     instance: object | None  # RuntimeInstance for dataflow builds
     observations: dict[str, list[dict]]
-    dataset_rows: list[DatasetRow] | None
+    dataset_rows: list[dict] | None  # `collection` row documents
     counts: dict  # the report counts: stream lengths or per-API calls
     digests: dict[str, str]  # per observation kind, see `observation_digests`
 
@@ -136,7 +126,7 @@ class _FbpDriver:
             self._read_pos[sid] = instance.length(sid)
         return batch
 
-    def finish(self) -> tuple[list[DatasetRow] | None, dict]:
+    def finish(self) -> tuple[list[dict] | None, dict]:
         instance, spec = self.instance, self.built.collection
         rows = None
         if spec is not None:
@@ -177,12 +167,11 @@ class _SoaDriver:
             batch.append({"data": response, "kind": route.obs_kind, "tick": tick})
         return batch
 
-    def finish(self) -> tuple[list[DatasetRow] | None, dict]:
+    def finish(self) -> tuple[list[dict] | None, dict]:
         rows = None
         service = self.built.dataset_service
         if service is not None:
-            docs = self.registry.call("sim", service, "export_dataset", {})["rows"]
-            rows = [DatasetRow.from_doc(d) for d in docs]
+            rows = self.registry.call("sim", service, "export_dataset", {})["rows"]
         counts = Counter(f"api/{entry.callee}.{entry.api}" for entry in self.registry.trace)
         return rows, dict(sorted(counts.items()))
 
@@ -242,7 +231,7 @@ def run_scenario(scenario: Scenario, version) -> RunReport:
     )
 
 
-def training_rows(app: str, paradigm: str, scenario: Scenario) -> list[DatasetRow]:
+def training_rows(app: str, paradigm: str, scenario: Scenario) -> list[dict]:
     """Collect the offline dataset a model stage trains on.
 
     Runs the same app's data stage on a sibling scenario whose seed is

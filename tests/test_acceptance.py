@@ -12,7 +12,7 @@ import pytest
 
 from flowbench import apps, metrics
 from flowbench.apps import insurance_claims, mblogger
-from flowbench.collection import DatasetRow, collect, write_dataset
+from flowbench.collection import collect, write_dataset
 from flowbench.graph import Category, topological_order, upstream_closure, downstream_closure, validate
 from flowbench.mlkit import predict_tree
 from flowbench.sim import execute, run_scenario
@@ -117,13 +117,8 @@ def _nested_loop_join(instance, spec):
             for field in sel.fields:
                 features[field] = matches[0][field]
         if complete:
-            rows.append(
-                DatasetRow(
-                    key=key,
-                    features=features,
-                    label={f: label_rec[f] for f in spec.label.fields},
-                )
-            )
+            label = {f: label_rec[f] for f in spec.label.fields}
+            rows.append({"features": features, "key": key, "label": label})
     return rows
 
 
@@ -226,9 +221,8 @@ def test_c08_classifier_reproduces_rule_chain():
     training = result.built.extras["training_rows"]
     assert len(training) >= 500
     for row in training:
-        claim = dict(row.features)
-        predicted = predict_tree(model, insurance_claims.claim_features(claim))
-        assert predicted == row.label["decision"]
+        predicted = predict_tree(model, insurance_claims.claim_features(row["features"]))
+        assert predicted == row["label"]["decision"]
 
     fresh = insurance_claims.sample_claims(seed=977, count=1000)
     agree = sum(

@@ -1,10 +1,15 @@
 """Per-app behavioral contracts, exercised on the shared logic and on the
 built graphs/services."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbench import apps
 from flowbench.apps import insurance_claims, mblogger, playlist_builder, ride_allocation
+from flowbench.canon import canonical_json
 from flowbench.graph import upstream_closure, validate
 from flowbench.rng import SplitMix64, derive_seed
 from flowbench.sim import execute
@@ -131,7 +136,49 @@ class TestClaimRoute:
         assert again == [{"claim_id": 1, "decision": "fast_track"}]
 
 
+def _nested_scan_timeline(user_id, edges, posts, limit):
+    """Reference: scan every edge for every post."""
+    selected = []
+    for post_id, author, post_tick in posts:
+        followed = any(
+            follower == user_id and followee == author and tick <= post_tick
+            for follower, followee, tick in edges
+        )
+        if followed:
+            selected.append((post_tick, post_id))
+    selected.sort(reverse=True)
+    return [post_id for _, post_id in selected[:limit]]
+
+
+USERS = st.sampled_from(["u0", "u1", "u2", "u3"])
+TICKS = st.integers(0, 6)
+
+
+@st.composite
+def timeline_inputs(draw):
+    edges = draw(st.lists(st.tuples(USERS, USERS, TICKS), max_size=12))
+    # Some pairs are followed again, at an earlier, equal or later tick.
+    edges += [(f, fe, draw(TICKS)) for f, fe, _ in edges if draw(st.booleans())]
+    # A post by each followee at the very tick of the follow, plus free posts.
+    slots = [(fe, t) for _, fe, t in edges] + draw(st.lists(st.tuples(USERS, TICKS), max_size=12))
+    ids = draw(st.permutations(range(len(slots))))
+    posts = [(pid, author, tick) for pid, (author, tick) in zip(ids, slots)]
+    return (
+        draw(USERS),
+        draw(st.permutations(edges)),
+        draw(st.permutations(posts)),
+        draw(st.integers(1, 8)),
+    )
+
+
 class TestTimeline:
+    @given(timeline_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_nested_scan_on_repeat_and_same_tick_follows(self, case):
+        user, edges, posts, limit = case
+        expected = _nested_scan_timeline(user, edges, posts, limit)
+        assert mblogger.build_timeline(user, edges, posts, limit) == expected
+
     def test_following_nobody_is_empty(self):
         posts = [(1, "alice", 0), (2, "bob", 1)]
         assert mblogger.build_timeline("carol", [], posts) == []
@@ -290,6 +337,16 @@ class TestCrossParadigmDatasets:
         assert fbp.dataset_rows == soa.dataset_rows
         assert len(fbp.dataset_rows) > 10
 
+    @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
+    @pytest.mark.parametrize("app", ("ride_allocation", "insurance_claims"))
+    def test_rows_are_plain_wire_documents(self, app, paradigm):
+        # Rows pass through the file and the service wire unchanged: plain
+        # dicts of JSON values with exactly the three row keys.
+        scenario = apps.make_scenario(app, 60, 4)
+        rows = execute(scenario, apps.app_version(app, paradigm, "data")).dataset_rows
+        assert rows == json.loads(canonical_json(rows))
+        assert {tuple(sorted(row)) for row in rows} == {("features", "key", "label")}
+
     @pytest.mark.parametrize("app", ("mblogger", "playlist_builder"))
     def test_online_apps_write_no_offline_dataset(self, app):
         scenario = apps.make_scenario(app, 20, 4)
@@ -320,5 +377,5 @@ class TestDatasetDeclarationStream:
         rows = result.instance.read("claims_dataset", 0)
         assert len(rows) == len(result.dataset_rows)
         first = rows[0].as_dict()
-        assert first["claim_id"] == result.dataset_rows[0].key
-        assert first["decision"] == result.dataset_rows[0].label["decision"]
+        assert first["claim_id"] == result.dataset_rows[0]["key"]
+        assert first["decision"] == result.dataset_rows[0]["label"]["decision"]

@@ -4,7 +4,8 @@ For each app, random world params (zero and large rates, zero to three
 drivers, tiny catalogues) must neither crash the fbp nor the soa build,
 and their observation digests must be equal, which is what `flowbench
 equiv` checks. Params a world cannot generate from are refused at
-construction with a `ValueError` naming the parameter.
+construction with a `ValueError` naming the parameter, and so are counts
+that are not ints and scales that are not finite: nothing is truncated.
 """
 
 import math
@@ -69,6 +70,13 @@ def test_paradigms_agree_at_min_on_random_params(app):
     [
         ("mblogger", {"n_users": 0}, "n_users"),
         ("playlist_builder", {"genres": ()}, "genres"),
+    ]
+    + [("ride_allocation", {"n_drivers": bad}, "n_drivers") for bad in (-3, 2.7, True)]
+    + [("mblogger", {"n_users": bad}, "n_users") for bad in (2.5, True)]
+    + [
+        ("ride_allocation", {param: bad}, param)
+        for param in ("noise", "world_size")
+        for bad in (-1.0, math.nan, math.inf, -math.inf, True, "1e3")
     ]
     + [
         (app, {param: rate}, param)

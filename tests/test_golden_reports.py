@@ -41,9 +41,7 @@ def report_digest(version, seed: int) -> str:
 
 def dataset_digest(version, seed: int) -> str:
     scenario = apps.make_scenario(version.app, TICKS, seed)
-    rows = execute(scenario, version).dataset_rows
-    docs = None if rows is None else [row.to_doc() for row in rows]
-    return sha256_hex(canonical_json(docs))
+    return sha256_hex(canonical_json(execute(scenario, version).dataset_rows))
 
 
 def record() -> dict:

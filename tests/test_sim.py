@@ -1,5 +1,7 @@
 """Simulation harness: event generation, the tick loop, reports."""
 
+import json
+
 import pytest
 
 from flowbench import apps
@@ -107,7 +109,10 @@ class TestRunScenario:
         scenario = apps.make_scenario("playlist_builder", 15, 2)
         report = run_scenario(scenario, apps.app_version("playlist_builder", "fbp", "data"))
         text = report.to_json()
-        assert text == canonical_json(report.to_doc())
+        assert text == canonical_json(json.loads(text))
+        assert sorted(json.loads(text)) == [
+            "app", "counts", "dataset_rows", "digests", "paradigm", "seed", "stage", "ticks"
+        ]
         assert '"app":"playlist_builder"' in text
 
     def test_rejects_negative_ticks(self):
