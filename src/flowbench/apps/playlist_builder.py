@@ -271,9 +271,10 @@ class PlaylistWorld(World):
         super().__init__(scenario)
         p = scenario.params
         self.rng = SplitMix64(derive_seed(scenario.seed, "world", "playlist_builder"))
-        self.genres = tuple(p["genres"])
-        if not self.genres:
-            raise ValueError("genres must name at least one genre")
+        genres = p["genres"]
+        if not isinstance(genres, (list, tuple)) or not genres or not all(isinstance(g, str) and g for g in genres):
+            raise ValueError(f"genres must be a non-empty list or tuple of non-empty str, got {genres!r}")
+        self.genres = tuple(genres)
         self.movie_rate = checked_rate("movie_rate", float(p["movie_rate"]))
         self.request_rate = checked_rate("request_rate", float(p["request_rate"]))
         self.next_movie = 0

@@ -86,17 +86,16 @@ def euclid(x1: float, y1: float, x2: float, y2: float) -> float:
 def allocate_ride(ride_id, rider_x, rider_y, request_tick, available) -> dict:
     """Pick the closest free driver; ties go to the lowest driver id.
 
-    `available` is an iterable of (driver_id, x, y). Returns the full
-    allocation context, with driver_id -1 when nobody is free.
+    `available` is an iterable of (driver_id, x, y), read once (distance as
+    in `euclid`). Returns the allocation context; driver_id -1: nobody free.
     """
-    available = list(available)
-    best = None
+    n_available = 0
     for driver_id, x, y in available:
-        d = euclid(rider_x, rider_y, x, y)
-        if best is None or (d, driver_id) < (best[0], best[1]):
-            best = (d, driver_id)
-    n_available = len(available)
-    if best is None:
+        d = math.sqrt((rider_x - x) ** 2 + (rider_y - y) ** 2)
+        n_available += 1
+        if n_available == 1 or d < best_d or (d == best_d and driver_id < best_id):
+            best_d, best_id = d, driver_id
+    if not n_available:
         return {
             "ride_id": ride_id,
             "driver_id": -1,
@@ -108,9 +107,9 @@ def allocate_ride(ride_id, rider_x, rider_y, request_tick, available) -> dict:
         }
     return {
         "ride_id": ride_id,
-        "driver_id": best[1],
+        "driver_id": best_id,
         "matched": True,
-        "distance": best[0],
+        "distance": best_d,
         "n_available": n_available,
         "request_tick": request_tick,
         "tod": request_tick % 24,
@@ -307,7 +306,7 @@ def _drivers_service() -> ServiceSpec:
         drivers = ctx.routine("get_drivers")
         free = [
             [doc["driver_id"], doc["x"], doc["y"]]
-            for _, doc in sorted(drivers.items(), key=lambda kv: kv[1]["driver_id"])
+            for doc in sorted(drivers.values(), key=itemgetter("driver_id"))
             if doc["available"]
         ]
         return {"drivers": free}
@@ -332,10 +331,7 @@ def _allocator_service(stage: str, trained: bool) -> ServiceSpec:
 
     def allocate(req, ctx):
         free = ctx.call("drivers", "list_available", {})["drivers"]
-        alloc = allocate_ride(
-            req["ride_id"], req["rider_x"], req["rider_y"], req["request_tick"],
-            [tuple(d) for d in free],
-        )
+        alloc = allocate_ride(req["ride_id"], req["rider_x"], req["rider_y"], req["request_tick"], free)
         if alloc["matched"]:
             ctx.call("drivers", "set_busy", {"driver_id": alloc["driver_id"]})
         if store_allocations:

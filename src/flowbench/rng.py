@@ -26,6 +26,14 @@ def checked_rate(name: str, lam: float) -> float:
     return lam
 
 
+def checked_seed(seed: int) -> int:
+    """`seed` itself if it is an int (not a bool) in [0, 2**64), else `ValueError`:
+    a seed is never masked, so two seed labels never name the same stream."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be a 64-bit unsigned int, got {seed!r}")
+    return seed
+
+
 def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
@@ -45,7 +53,7 @@ def derive_seed(seed: int, *parts: int | str) -> int:
     Used to give independent, reproducible streams to sub-systems
     (e.g. a training run vs. a serving run of the same scenario).
     """
-    x = seed & MASK64
+    x = checked_seed(seed)
     for part in parts:
         if isinstance(part, int):
             token = _mix64(part & MASK64)
@@ -56,20 +64,26 @@ def derive_seed(seed: int, *parts: int | str) -> int:
 
 
 class SplitMix64:
-    """Tiny splitmix-style generator with a 64-bit state."""
+    """Tiny splitmix-style generator with a 64-bit state. `next_u64` and
+    `random` write `_mix64` out, so a draw is one Python frame."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self.state = checked_seed(seed)
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & MASK64
-        return _mix64(self.state)
+        z = self.state = (self.state + _GAMMA) & MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+        return z ^ (z >> 31)
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) / (1 << 53)
+        z = self.state = (self.state + _GAMMA) & MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+        return ((z ^ (z >> 31)) >> 11) / (1 << 53)
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()

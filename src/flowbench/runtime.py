@@ -32,7 +32,7 @@ rows are appended with one `extend`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import (
     Category,
@@ -85,8 +85,7 @@ class PortView:
         return tuple(self.records[self.new_from:])
 
 
-@dataclass(frozen=True)
-class TickSummary:
+class TickSummary(NamedTuple):
     tick: int
     produced: dict[str, int]
 

@@ -3,12 +3,12 @@
 Services expose named APIs and keep their state in private per-service
 key-value stores, reachable only through the service's own data routines.
 Calls are synchronous and go through a registry that records a call trace
-(caller, callee, api, tick) but deliberately keeps no copy of any request
-or response document: whatever a handler does not explicitly persist is
-gone when the call returns.
+of `CallEntry` tuples (caller, callee, api, tick) but deliberately keeps no
+copy of any request or response document: whatever a handler does not
+explicitly persist is gone when the call returns.
 
-`register` indexes every API by `(service, api)`, so a call finds its
-handler with one dict lookup.
+`register` indexes every API by `(service, api)` to its handler and the
+service's context, so a call finds both with one dict lookup.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 class ServiceError(Exception):
@@ -119,8 +119,7 @@ class ServiceContext:
         return self._registry.call(self.service_id, callee, api, request)
 
 
-@dataclass(frozen=True)
-class CallEntry:
+class CallEntry(NamedTuple):
     caller: str
     callee: str
     api: str
@@ -132,7 +131,7 @@ class ServiceRegistry:
     tick: int = 0
     trace: list[CallEntry] = field(default_factory=list)
     _services: dict[str, ServiceSpec] = field(default_factory=dict)
-    _apis: dict[tuple[str, str], ApiSpec] = field(default_factory=dict)
+    _apis: dict[tuple[str, str], tuple[Callable, ServiceContext]] = field(default_factory=dict)
     _contexts: dict[str, ServiceContext] = field(default_factory=dict)
     _in_flight: set[tuple[str, str]] = field(default_factory=set)
 
@@ -140,11 +139,11 @@ class ServiceRegistry:
         if spec.id in self._services:
             raise DuplicateServiceError(f"service {spec.id!r} already registered")
         self._services[spec.id] = spec
-        for api in spec.apis:
-            self._apis[(spec.id, api.name)] = api
         ctx = ServiceContext(spec.id, self)
         ctx._routines = {r.name: r for r in spec.routines}
         self._contexts[spec.id] = ctx
+        for api in spec.apis:
+            self._apis[(spec.id, api.name)] = (api.handler, ctx)
 
     def has_api(self, service: str, api: str) -> bool:
         return (service, api) in self._apis
@@ -161,21 +160,23 @@ class ServiceRegistry:
 
     def call(self, caller: str, callee: str, api: str, request: dict) -> dict:
         key = (callee, api)
-        api_spec = self._apis.get(key)
-        if api_spec is None:
+        target = self._apis.get(key)
+        if target is None:
             if callee not in self._services:
                 raise UnknownServiceError(f"unknown service {callee!r}")
             raise UnknownServiceError(f"service {callee!r} has no api {api!r}")
-        if key in self._in_flight:
+        in_flight = self._in_flight
+        if key in in_flight:
             raise ReentrantCallError(f"re-entrant call to {callee}.{api}")
-        self.trace.append(CallEntry(caller, callee, api, self.tick))
-        self._in_flight.add(key)
+        # tuple.__new__ builds the entry without a Python-level __new__ frame.
+        self.trace.append(tuple.__new__(CallEntry, (caller, callee, api, self.tick)))
+        in_flight.add(key)
+        handler, ctx = target
         try:
-            response = api_spec.handler(request, self._contexts[callee])
+            return handler(request, ctx)
         except ServiceError:
             raise
         except Exception as exc:
             raise HandlerError(callee, api, exc) from exc
         finally:
-            self._in_flight.discard(key)
-        return response
+            in_flight.discard(key)

@@ -30,14 +30,15 @@ import hashlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .canon import canonical_json
 from .collection import collect, publish_rows
+from .rng import checked_seed, derive_seed
 from .runtime import start
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     tick: int
     kind: str
     payload: dict
@@ -59,8 +60,7 @@ class Scenario:
     def __post_init__(self):
         if self.ticks < 0:
             raise ValueError("ticks must be >= 0")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        checked_seed(self.seed)
 
 
 class World:
@@ -241,7 +241,6 @@ def training_rows(app: str, paradigm: str, scenario: Scenario) -> list[dict]:
     structure-only builds never call it.
     """
     from . import apps
-    from .rng import derive_seed
 
     train = Scenario(
         app=app,

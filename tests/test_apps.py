@@ -4,7 +4,7 @@ built graphs/services."""
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowbench import apps
@@ -13,6 +13,19 @@ from flowbench.canon import canonical_json
 from flowbench.graph import upstream_closure, validate
 from flowbench.rng import SplitMix64, derive_seed
 from flowbench.sim import execute
+
+
+RIDE_COORDS = st.one_of(st.sampled_from([0.0, 1.0, 3.0, -3.0, 4.0]), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def ride_fleets(draw):
+    """(driver_id, x, y) drivers in any id order, each a tuple or a list,
+    in a list or a tuple: the shapes the fbp fold and the soa wire pass."""
+    ids = draw(st.lists(st.integers(0, 40), max_size=8))
+    drivers = [(d, draw(RIDE_COORDS), draw(RIDE_COORDS)) for d in ids]
+    drivers = [list(d) if draw(st.booleans()) else d for d in drivers]
+    return tuple(drivers) if draw(st.booleans()) else drivers
 
 
 class TestRideAllocate:
@@ -46,6 +59,30 @@ class TestRideAllocate:
                 ((((rx - x) ** 2 + (ry - y) ** 2) ** 0.5), d) for d, x, y in drivers
             )
             assert alloc["driver_id"] == best[1]
+
+    @given(fleet=ride_fleets(), rx=RIDE_COORDS, ry=RIDE_COORDS, tick=st.integers(0, 100))
+    @example(fleet=[], rx=0.0, ry=0.0, tick=0)
+    @example(fleet=(), rx=1.0, ry=1.0, tick=30)
+    @example(fleet=[[7, 3.0, 0.0], (2, 0.0, 3.0), (5, -3.0, 0.0)], rx=0.0, ry=0.0, tick=1)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_nested_min_oracle(self, fleet, rx, ry, tick):
+        # Equal distances and duplicate positions come from the small
+        # coordinate grid; ids are unsorted and may repeat; drivers and the
+        # fleet are lists or tuples, as the fbp fold and the soa wire pass them.
+        alloc = ride_allocation.allocate_ride(11, rx, ry, tick, fleet)
+        best = min(
+            ((ride_allocation.euclid(rx, ry, x, y), driver_id) for driver_id, x, y in fleet),
+            default=(0.0, -1),
+        )
+        assert alloc == {
+            "ride_id": 11,
+            "driver_id": best[1],
+            "matched": bool(fleet),
+            "distance": best[0],
+            "n_available": len(fleet),
+            "request_tick": tick,
+            "tod": tick % 24,
+        }
 
     def test_features_capture_request_context(self):
         alloc = ride_allocation.allocate_ride(3, 0.0, 0.0, 49, [(0, 1.0, 0.0)])

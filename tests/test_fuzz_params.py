@@ -71,6 +71,10 @@ def test_paradigms_agree_at_min_on_random_params(app):
         ("mblogger", {"n_users": 0}, "n_users"),
         ("playlist_builder", {"genres": ()}, "genres"),
     ]
+    + [
+        ("playlist_builder", {"genres": bad}, "genres")
+        for bad in ("drama", "", ["drama", ""], ("drama", 3), [None], {"drama": 1}, {"drama"}, b"drama", 7)
+    ]
     + [("ride_allocation", {"n_drivers": bad}, "n_drivers") for bad in (-3, 2.7, True)]
     + [("mblogger", {"n_users": bad}, "n_users") for bad in (2.5, True)]
     + [

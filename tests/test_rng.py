@@ -1,12 +1,73 @@
-"""The deterministic generator: Poisson draws refuse rates they cannot sample."""
+"""The deterministic generator: its draws follow the splitmix64 chain of
+`_mix64`, seeds outside [0, 2**64) are refused, and Poisson draws refuse
+rates they cannot sample."""
 
 import math
 
 import pytest
 
 from flowbench import apps
-from flowbench.rng import SplitMix64
+from flowbench.apps import insurance_claims
+from flowbench.rng import _GAMMA, MASK64, SplitMix64, _mix64, derive_seed
 from flowbench.sim import execute
+
+EDGE_SEEDS = [0, 1, 2**64 - 1]
+
+
+def _reference_chain(seed):
+    """The splitmix64 outputs for `seed`, built from `_mix64` alone."""
+    state = seed
+    while True:
+        state = (state + _GAMMA) & MASK64
+        yield _mix64(state)
+
+
+def _unit(u64):
+    return (u64 >> 11) / 2**53
+
+
+class TestDrawsMatchReferenceChain:
+    def test_first_output_of_seed_zero_is_splitmix64s(self):
+        assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_next_u64_random_uniform_randrange(self, seed):
+        rng, ref = SplitMix64(seed), _reference_chain(seed)
+        for _ in range(64):
+            assert rng.next_u64() == next(ref)
+            assert rng.random() == _unit(next(ref))
+            assert rng.uniform(-2.0, 5.0) == -2.0 + 7.0 * _unit(next(ref))
+            assert rng.randrange(7) == next(ref) % 7
+            assert rng.randrange(2**64) == next(ref)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_poisson(self, seed):
+        rng, ref = SplitMix64(seed), _reference_chain(seed)
+        for lam in (0.5, 3.5, 40.0) * 20:
+            k, p = 0, _unit(next(ref))
+            while p > math.exp(-lam):
+                k += 1
+                p *= _unit(next(ref))
+            assert rng.poisson(lam) == k
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_edges_are_accepted(self, seed):
+        assert SplitMix64(seed).state == seed
+        assert 0 <= derive_seed(seed, "x", 3) <= MASK64
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, -(2**64), True, False, 1.0, "1", None])
+    def test_outside_or_not_an_int_is_refused(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SplitMix64(seed)
+        with pytest.raises(ValueError, match="seed"):
+            derive_seed(seed, "x")
+
+    def test_no_seed_aliases_another(self):
+        with pytest.raises(ValueError, match="seed"):
+            insurance_claims.sample_claims(2**64 + 1, 3)
+        assert insurance_claims.sample_claims(1, 3) == insurance_claims.sample_claims(1, 3)
 
 
 class TestPoisson:

@@ -7,7 +7,9 @@ import pytest
 from flowbench import apps
 from flowbench.apps import ride_allocation
 from flowbench.canon import canonical_json, sha256_hex
-from flowbench.sim import Scenario, execute, run_scenario
+from flowbench.runtime import TickSummary
+from flowbench.services import CallEntry
+from flowbench.sim import Event, Scenario, execute, run_scenario
 
 
 def _collect_events(scenario, observation_feed=None):
@@ -75,6 +77,11 @@ class TestScenario:
         with pytest.raises(ValueError, match="64-bit"):
             Scenario("mblogger", 1, -1)
 
+    @pytest.mark.parametrize("seed", [True, 1.0])
+    def test_rejects_seed_that_is_not_an_int(self, seed):
+        with pytest.raises(ValueError, match="64-bit"):
+            Scenario("mblogger", 1, seed)
+
     def test_tick_bound(self):
         # Zero ticks is a valid, empty run; only negative counts are refused.
         assert Scenario("mblogger", 0, 2**64 - 1).ticks == 0
@@ -85,6 +92,26 @@ class TestScenario:
         # A misspelt override must not silently run with the default.
         with pytest.raises(ValueError, match=r"\['n_driver'\]"):
             apps.make_scenario("ride_allocation", 20, 1, {"n_driver": 5})
+
+
+@pytest.mark.parametrize(
+    "cls,fields,other",
+    [
+        (Event, (3, "ride_request", {"ride_id": 1}), (3, "ride_request", {"ride_id": 2})),
+        (CallEntry, ("sim", "rides", "request_ride", 3), ("sim", "rides", "request_ride", 4)),
+        (TickSummary, (3, {"allocations": 2}), (3, {"allocations": 1})),
+    ],
+)
+def test_tuple_backed_objects_are_frozen_and_compare_by_fields(cls, fields, other):
+    obj = cls(*fields)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert tuple(getattr(obj, name) for name in cls._fields) == fields
+    assert obj == cls(*json.loads(json.dumps(fields)))
+    assert obj != cls(*other)
 
 
 class TestRunScenario:
