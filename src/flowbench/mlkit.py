@@ -7,6 +7,11 @@ Feature dimensionality is tiny everywhere (d <= 6), so pure-Python linear
 algebra is exact and fast enough; no numerical library is worth the
 dependency here.
 
+The tree is fitted on grouped rows (equal rows count once) by one sweep
+of class counts per node and feature, and gives the tree a row-by-row
+search gives, floats included; `fit_tree` states the rules that keep it
+so. Both fitters refuse a non-finite value, naming its row.
+
 All models are immutable once fitted, so a fitted model is handed to
 its serving node or stored in its serving service as is.
 """
@@ -14,7 +19,9 @@ its serving node or stored in its serving service as is.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add, sub
 
 START = "<s>"
 END = "</s>"
@@ -52,19 +59,28 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
     return [aug[i][n] / aug[i][i] for i in range(n)]
 
 
+def _check_finite(row: int, features, fitter: str) -> None:
+    if not all(map(math.isfinite, features)):
+        raise ValueError(f"{fitter}() row {row} has a non-finite feature: {tuple(features)!r}")
+
+
 def fit_linear(rows: list[tuple[tuple[float, ...], float]]) -> LinearModel:
     """Least squares via the normal equations.
 
     A rank-deficient design matrix falls back to a ridge penalty of 1e-8
     on the diagonal, which keeps the solve well-posed without visibly
-    biasing the tiny problems this package fits.
+    biasing the tiny problems this package fits. Every feature value and
+    label must be finite.
     """
     if not rows:
         raise ValueError("fit_linear() needs at least one row")
     d = len(rows[0][0])
-    for features, _ in rows:
+    for i, (features, label) in enumerate(rows):
         if len(features) != d:
             raise ValueError("inconsistent feature dimensions")
+        _check_finite(i, features, "fit_linear")
+        if not math.isfinite(label):
+            raise ValueError(f"fit_linear() row {i} has a non-finite label: {label!r}")
     n = d + 1  # intercept column first
 
     xtx = [[0.0] * n for _ in range(n)]
@@ -129,64 +145,128 @@ class TreeModel:
         return walk(self.root)
 
 
-def _gini(labels: list) -> float:
-    total = len(labels)
-    counts: dict = {}
-    for y in labels:
-        counts[y] = counts.get(y, 0) + 1
-    return 1.0 - sum((c / total) ** 2 for c in counts.values())
+def _impurity(counts: list[int], firsts: list[int], n: int) -> float:
+    """Gini impurity of one side from per-class counts, summing the classes
+    in the order of their first row on that side (empty side: 1.0)."""
+    present = sorted((first, c) for first, c in zip(firsts, counts) if c)
+    return 1.0 - sum((c / n) ** 2 for _, c in present)
 
 
-def _majority(labels: list):
+def _leaf(node: list) -> TreeLeaf:
+    """The node's majority label; the smallest label wins a tie."""
     counts: dict = {}
-    for y in labels:
-        counts[y] = counts.get(y, 0) + 1
+    for _, label, _, count, _ in node:
+        counts[label] = counts.get(label, 0) + count
     best_count = max(counts.values())
-    return min(y for y, c in counts.items() if c == best_count)
+    return TreeLeaf(min(y for y, c in counts.items() if c == best_count))
 
 
 def fit_tree(rows: list[tuple[tuple[float, ...], object]], max_depth: int) -> TreeModel:
     """Greedy top-down Gini splitting.
 
-    Candidate thresholds are midpoints between consecutive distinct values
-    of each feature; ties between equally good splits go to the lowest
-    feature index, then the lowest threshold. Leaves take the majority
-    class (lexicographic on ties). Growth stops at purity, at max_depth,
-    or when no split improves impurity.
+    Candidate thresholds are midpoints `(a + b) / 2.0` between consecutive
+    distinct values of each feature, and a row goes left when its value is
+    below the threshold. Ties between equally good splits (gains within
+    1e-15) go to the lowest feature index, then the lowest threshold.
+    Leaves take the majority class (lexicographic on ties). Growth stops at
+    purity, at max_depth, or when no split improves impurity.
+
+    Equal rows are fitted once. The rows are grouped into distinct
+    (features, label) pairs, each with its count and the index of its
+    first row, in first-row order; keys merge by Python equality (-0.0
+    and 0.0, or 1 and 1.0, are one value) and the first row's value stands
+    for them. At each node, each feature's groups are summed by value, the
+    values are sorted, and one sweep from left to right keeps running class
+    counts; the right side is the node's totals minus the left. The tree is
+    the one that splitting the rows one by one gives, floats and signs of
+    zero included, because:
+    - Gini adds up its classes in the order of their first row within the
+      subset, and an empty side weighs 0 (its impurity is 1.0);
+    - each threshold's left side is found by bisecting on the threshold,
+      since the midpoint of two adjacent floats rounds to one of them.
+
+    `max_depth` must be a non-negative int, and every feature value finite.
     """
+    if isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 0:
+        raise ValueError(f"max_depth must be a non-negative int, got {max_depth!r}")
     if not rows:
         raise ValueError("fit_tree() needs at least one row")
     d = len(rows[0][0])
-    for features, _ in rows:
+    groups: dict = {}  # (features, label) -> [count, first row index]
+    for i, (features, label) in enumerate(rows):
         if len(features) != d:
             raise ValueError("inconsistent feature dimensions")
+        key = (tuple(features), label)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [1, i]
+        else:
+            group[0] += 1
+    # A group's first row is the first row of its key, so the first
+    # non-finite group names the first non-finite row.
+    classes: dict = {}  # label -> class number, in order of first row
+    root = []  # (features, label, class, count, first row), in first-row order
+    for (features, label), (count, first) in groups.items():
+        _check_finite(first, features, "fit_tree")
+        root.append((features, label, classes.setdefault(label, len(classes)), count, first))
+    k = len(classes)
+    unseen = [len(rows)] * k  # a first row index past every row
 
-    def build(indices: list[int], depth: int):
-        labels = [rows[i][1] for i in indices]
-        if depth >= max_depth or len(set(labels)) == 1:
-            return TreeLeaf(_majority(labels))
-        parent = _gini(labels)
-        total = len(indices)
-        best = None  # (gain, feature, threshold, left, right)
+    def build(node: list, depth: int):
+        totals = [0] * k
+        order: dict = {}  # classes present, in order of first row
+        for _, _, c, count, _ in node:
+            totals[c] += count
+            order[c] = None
+        if depth >= max_depth or len(order) == 1:
+            return _leaf(node)
+        total = sum(totals)
+        parent = 1.0 - sum((totals[c] / total) ** 2 for c in order)
+        best = None  # (gain, feature, threshold)
         for f in range(d):
-            values = sorted({rows[i][0][f] for i in indices})
+            by_value: dict = {}  # value -> per-class counts, then first rows
+            for features, _, c, count, first in node:
+                stats = by_value.get(features[f])
+                if stats is None:
+                    stats = by_value[features[f]] = [0] * k + unseen
+                if not stats[c]:  # groups come in first-row order
+                    stats[k + c] = first
+                stats[c] += count
+            values = sorted(by_value)
+            m = len(values)
+            # right_firsts[j]: each class's first row among values[j:].
+            right_firsts = [unseen] * (m + 1)
+            for j in range(m - 1, -1, -1):
+                right_firsts[j] = list(map(min, right_firsts[j + 1], by_value[values[j]][k:]))
+            left_counts = [0] * k
+            left_firsts = unseen
+            cut = 0  # values[:cut] lie left of the threshold
             for a, b in zip(values, values[1:]):
                 thr = (a + b) / 2.0
-                left = [i for i in indices if rows[i][0][f] < thr]
-                right = [i for i in indices if rows[i][0][f] >= thr]
+                stop = bisect_left(values, thr, cut)
+                for v in values[cut:stop]:
+                    stats = by_value[v]
+                    left_counts = list(map(add, left_counts, stats[:k]))
+                    left_firsts = list(map(min, left_firsts, stats[k:]))
+                cut = stop
+                n_left = sum(left_counts)
+                n_right = total - n_left
+                right_counts = list(map(sub, totals, left_counts))
                 weighted = (
-                    len(left) / total * _gini([rows[i][1] for i in left])
-                    + len(right) / total * _gini([rows[i][1] for i in right])
+                    n_left / total * _impurity(left_counts, left_firsts, n_left)
+                    + n_right / total * _impurity(right_counts, right_firsts[cut], n_right)
                 )
                 gain = parent - weighted
                 if best is None or gain > best[0] + 1e-15:
-                    best = (gain, f, thr, left, right)
+                    best = (gain, f, thr)
         if best is None or best[0] <= 1e-15:
-            return TreeLeaf(_majority(labels))
-        _, f, thr, left, right = best
+            return _leaf(node)
+        _, f, thr = best
+        left = [g for g in node if g[0][f] < thr]
+        right = [g for g in node if g[0][f] >= thr]
         return TreeSplit(f, thr, build(left, depth + 1), build(right, depth + 1))
 
-    return TreeModel(build(list(range(len(rows))), 0), max_depth)
+    return TreeModel(build(root, 0), max_depth)
 
 
 def predict_tree(model: TreeModel, features):

@@ -1,16 +1,23 @@
 """Learners: regression, tree, bigram, quantiles."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowbench import apps, sim
+from flowbench.apps import insurance_claims
+from flowbench.canon import sha256_hex
 from flowbench.mlkit import (
     END,
     START,
     LinearModel,
     QuantileSketch,
+    TreeLeaf,
+    TreeModel,
+    TreeSplit,
     fit_bigram,
     fit_linear,
     fit_tree,
@@ -58,6 +65,18 @@ class TestFitLinear:
     def test_inconsistent_dims_rejected(self):
         with pytest.raises(ValueError):
             fit_linear([((1.0,), 1.0), ((1.0, 2.0), 1.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected_naming_the_row(self, bad):
+        rows = [((0.0, 1.0), 1.0), ((1.0, 2.0), 3.0), ((2.0, bad), 5.0)]
+        with pytest.raises(ValueError, match=r"fit_linear\(\) row 2 has a non-finite feature"):
+            fit_linear(rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_label_rejected_naming_the_row(self, bad):
+        rows = [((0.0,), 1.0), ((1.0,), bad), ((2.0,), 5.0)]
+        with pytest.raises(ValueError, match=r"fit_linear\(\) row 1 has a non-finite label"):
+            fit_linear(rows)
 
     @given(st.integers(min_value=0, max_value=999))
     @settings(max_examples=25, deadline=None)
@@ -109,6 +128,156 @@ class TestPredictLinear:
         assert predict_linear(model, x) == pytest.approx(manual, rel=1e-12)
 
 
+# The split search as it was before `fit_tree` fitted grouped rows, kept
+# word for word as the reference the grouped fit must reproduce exactly.
+
+
+def _gini(labels: list) -> float:
+    total = len(labels)
+    counts: dict = {}
+    for y in labels:
+        counts[y] = counts.get(y, 0) + 1
+    return 1.0 - sum((c / total) ** 2 for c in counts.values())
+
+
+def _majority(labels: list):
+    counts: dict = {}
+    for y in labels:
+        counts[y] = counts.get(y, 0) + 1
+    best_count = max(counts.values())
+    return min(y for y, c in counts.items() if c == best_count)
+
+
+def reference_fit_tree(rows: list[tuple[tuple[float, ...], object]], max_depth: int) -> TreeModel:
+    """Greedy top-down Gini splitting.
+
+    Candidate thresholds are midpoints between consecutive distinct values
+    of each feature; ties between equally good splits go to the lowest
+    feature index, then the lowest threshold. Leaves take the majority
+    class (lexicographic on ties). Growth stops at purity, at max_depth,
+    or when no split improves impurity.
+    """
+    if not rows:
+        raise ValueError("fit_tree() needs at least one row")
+    d = len(rows[0][0])
+    for features, _ in rows:
+        if len(features) != d:
+            raise ValueError("inconsistent feature dimensions")
+
+    def build(indices: list[int], depth: int):
+        labels = [rows[i][1] for i in indices]
+        if depth >= max_depth or len(set(labels)) == 1:
+            return TreeLeaf(_majority(labels))
+        parent = _gini(labels)
+        total = len(indices)
+        best = None  # (gain, feature, threshold, left, right)
+        for f in range(d):
+            values = sorted({rows[i][0][f] for i in indices})
+            for a, b in zip(values, values[1:]):
+                thr = (a + b) / 2.0
+                left = [i for i in indices if rows[i][0][f] < thr]
+                right = [i for i in indices if rows[i][0][f] >= thr]
+                weighted = (
+                    len(left) / total * _gini([rows[i][1] for i in left])
+                    + len(right) / total * _gini([rows[i][1] for i in right])
+                )
+                gain = parent - weighted
+                if best is None or gain > best[0] + 1e-15:
+                    best = (gain, f, thr, left, right)
+        if best is None or best[0] <= 1e-15:
+            return TreeLeaf(_majority(labels))
+        _, f, thr, left, right = best
+        return TreeSplit(f, thr, build(left, depth + 1), build(right, depth + 1))
+
+    return TreeModel(build(list(range(len(rows))), 0), max_depth)
+
+
+def assert_same_tree(rows, max_depth):
+    # repr, not ==: equal floats of opposite sign would compare equal.
+    assert repr(fit_tree(rows, max_depth)) == repr(reference_fit_tree(rows, max_depth))
+
+
+ONE_UP = math.nextafter(1.0, 2.0)
+ONE_DOWN = math.nextafter(1.0, 0.0)
+# Small pools: duplicates, both zeros, 1.0 and its neighbours, ints beside
+# equal floats.
+VALUE_POOLS = (
+    (0.0, -0.0, 1.0, 2.0),
+    (1.0, ONE_UP, ONE_DOWN, 0.5),
+    (0, 1, 2, 1.0, 2.0, -0.0),
+    (-1.0, -0.0, 0.0, 1, 3.5),
+)
+LABEL_POOLS = (("a", "b", "c", "d"), (1, 0.0, 2, 1.0, -0.0, 3))
+
+
+@st.composite
+def tree_problems(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    columns = []
+    for _ in range(d):
+        pool = draw(st.sampled_from(VALUE_POOLS + (None,)))
+        if pool is None:
+            columns.append(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
+        else:
+            columns.append(st.sampled_from(pool))
+    labels = st.sampled_from(draw(st.sampled_from(LABEL_POOLS))[: draw(st.integers(1, 6))])
+    rows = draw(st.lists(st.tuples(st.tuples(*columns), labels), min_size=1, max_size=40))
+    return rows, draw(st.integers(min_value=0, max_value=6))
+
+
+class TestFitTreeMatchesReference:
+    @given(tree_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_same_tree_as_the_row_by_row_search(self, problem):
+        rows, max_depth = problem
+        assert_same_tree(rows, max_depth)
+
+    def test_midpoint_of_adjacent_floats_rounds_to_the_left_value(self):
+        # (1.0 + ONE_UP) / 2.0 == 1.0, so no row lies left of the only
+        # threshold: no split, where splitting by position would separate
+        # the classes.
+        rows = [((1.0,), "a"), ((ONE_UP,), "b")]
+        assert_same_tree(rows, 2)
+        assert fit_tree(rows, 2).root == TreeLeaf("a")
+
+    def test_classes_add_up_in_first_row_order_of_each_side(self):
+        # A gain of about 1.04e-15 that, up to Python 3.11, only the
+        # reference's order of adding classes puts above the 1e-15 stop
+        # rule: the left side (x = 0)
+        # first meets a, c, b, while the node and the right side meet a, b, c.
+        # Adding the classes of every side in one fixed order (by label, by
+        # count up or by count down) gives a leaf here.
+        groups = [
+            ((1.0,), "a", 278),
+            ((0.0,), "a", 131),
+            ((1.0,), "b", 278),
+            ((1.0,), "c", 7975),
+            ((0.0,), "c", 3758),
+            ((0.0,), "b", 131),
+        ]
+        rows = [(x, y) for x, y, count in groups for _ in range(count)]
+        assert_same_tree(rows, 1)
+        # From Python 3.12, sum() compensates its rounding, and this gain
+        # falls below the stop rule.
+        if sys.version_info < (3, 12):
+            expected = TreeSplit(0, 0.5, TreeLeaf("c"), TreeLeaf("c"))
+        else:
+            expected = TreeLeaf("c")
+        assert fit_tree(rows, 1).root == expected
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_real_claims_training_rows(self, seed):
+        scenario = apps.make_scenario("insurance_claims", 1500, seed)
+        rows = sim.training_rows("insurance_claims", "fbp", scenario)
+        data = [(insurance_claims.claim_features(r["features"]), r["label"]["decision"]) for r in rows]
+        model = fit_tree(data, insurance_claims.TREE_DEPTH)
+        assert repr(model) == repr(reference_fit_tree(data, insurance_claims.TREE_DEPTH))
+        # Both seeds learn the same rule chain, so they pin the same tree.
+        assert sha256_hex(repr(model)) == (
+            "d80cfd4ed00562f4505cb1839ca37797b5126a56b709668eb663dbefab4217da"
+        )
+
+
 class TestFitTree:
     def test_pure_input_gives_depth_zero_leaf(self):
         model = fit_tree([((1.0,), "A"), ((2.0,), "A")], max_depth=3)
@@ -137,6 +306,17 @@ class TestFitTree:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             fit_tree([], max_depth=2)
+
+    @pytest.mark.parametrize("max_depth", [-1, 2.5, True, "3", None])
+    def test_max_depth_that_is_not_a_non_negative_int_rejected(self, max_depth):
+        with pytest.raises(ValueError, match="max_depth must be a non-negative int"):
+            fit_tree([((0.0,), "A"), ((1.0,), "B")], max_depth=max_depth)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected_naming_the_row(self, bad):
+        rows = [((0.0, 1.0), "A"), ((1.0, 1.0), "B"), ((2.0, bad), "A"), ((3.0, bad), "B")]
+        with pytest.raises(ValueError, match=r"fit_tree\(\) row 2 has a non-finite feature"):
+            fit_tree(rows, max_depth=2)
 
     def test_respects_max_depth(self):
         rng = SplitMix64(7)

@@ -1,8 +1,12 @@
 """Service baseline: registry, calls, tracing, data hiding."""
 
+import dataclasses
+import json
+
 import pytest
 
 from flowbench import apps
+from flowbench.canon import canonical_json
 from flowbench.services import (
     ApiSpec,
     CallEntry,
@@ -14,6 +18,7 @@ from flowbench.services import (
     ServiceSpec,
     UnknownServiceError,
 )
+from flowbench.sim import run_scenario
 
 
 def _echo_service():
@@ -243,3 +248,75 @@ class TestEphemerality:
             assert not hasattr(entry, "response")
             assert 987654321 not in tuple(entry._asdict().values())
         assert reg.context_for("echo").store_table("anything") == {}
+
+
+def _containers(obj, into: set) -> set:
+    """Add to `into` the id of every dict and list reachable from `obj`
+    through dicts, lists, tuples and dataclass fields."""
+    if isinstance(obj, (dict, list)):
+        if id(obj) in into:
+            return into
+        into.add(id(obj))
+    if isinstance(obj, dict):
+        for value in obj.values():
+            _containers(value, into)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            _containers(value, into)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            _containers(getattr(obj, f.name), into)
+    return into
+
+
+def _check_boundary(monkeypatch) -> list:
+    """Check every `registry.call` response as it returns: it equals its
+    canonical-JSON round trip and shares no dict or list with any store
+    table of the registry. Returns the list of (service, api) checked."""
+    checked = []
+    original = ServiceRegistry.call
+
+    def call(self, caller, callee, api, request):
+        response = original(self, caller, callee, api, request)
+        assert json.loads(canonical_json(response)) == response, (callee, api)
+        stored: set = set()
+        for ctx in self._contexts.values():
+            _containers(ctx._tables, stored)
+        shared = _containers(response, set()) & stored
+        assert not shared, f"{callee}.{api} hands out {len(shared)} live store object(s)"
+        checked.append((callee, api))
+        return response
+
+    monkeypatch.setattr(ServiceRegistry, "call", call)
+    return checked
+
+
+class TestServiceBoundary:
+    @pytest.mark.parametrize("stage", apps.APP_STAGES)
+    @pytest.mark.parametrize("app", apps.APP_NAMES)
+    def test_responses_are_detached_json(self, monkeypatch, app, stage):
+        checked = _check_boundary(monkeypatch)
+        run_scenario(apps.make_scenario(app, 40, 5), apps.app_version(app, "soa", stage))
+        assert checked
+
+    def test_a_live_store_document_is_caught(self, monkeypatch):
+        def put(request, ctx):
+            ctx.store_put("docs", request["k"], {"k": request["k"]})
+            return {}
+
+        def list_docs(request, ctx):
+            return {"docs": list(ctx.store_table("docs").values())}
+
+        spec = ServiceSpec(
+            "leaky",
+            apis=(
+                ApiSpec("put", put, request_fields=("k",), response_fields=()),
+                ApiSpec("list", list_docs, request_fields=(), response_fields=("docs",)),
+            ),
+        )
+        reg = ServiceRegistry()
+        reg.register(spec)
+        _check_boundary(monkeypatch)
+        reg.call("sim", "leaky", "put", {"k": "a"})
+        with pytest.raises(AssertionError, match="leaky.list hands out 1 live store object"):
+            reg.call("sim", "leaky", "list", {})
