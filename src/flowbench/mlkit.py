@@ -7,10 +7,10 @@ Feature dimensionality is tiny everywhere (d <= 6), so pure-Python linear
 algebra is exact and fast enough; no numerical library is worth the
 dependency here.
 
-The tree is fitted on grouped rows (equal rows count once) by one sweep
-of class counts per node and feature, and gives the tree a row-by-row
-search gives, floats included; `fit_tree` states the rules that keep it
-so. Both fitters refuse a non-finite value, naming its row.
+The tree is fitted on grouped rows (equal rows count once) and is the
+tree a row-by-row search gives, floats included; `fit_tree` states the
+rules that keep it so. Both fitters refuse a non-finite value, naming
+its row.
 
 All models are immutable once fitted, so a fitted model is handed to
 its serving node or stored in its serving service as is.
@@ -19,9 +19,7 @@ its serving node or stored in its serving service as is.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add, sub
 
 START = "<s>"
 END = "</s>"
@@ -145,18 +143,29 @@ class TreeModel:
         return walk(self.root)
 
 
-def _impurity(counts: list[int], firsts: list[int], n: int) -> float:
-    """Gini impurity of one side from per-class counts, summing the classes
-    in the order of their first row on that side (empty side: 1.0)."""
-    present = sorted((first, c) for first, c in zip(firsts, counts) if c)
-    return 1.0 - sum((c / n) ** 2 for _, c in present)
+def _class_counts(node: list) -> dict:
+    """Rows per label, the labels in the order of their first row.
 
-
-def _leaf(node: list) -> TreeLeaf:
-    """The node's majority label; the smallest label wins a tie."""
+    Groups come in first-row order, and a group's first row is the first
+    row of its label among the rows of the groups that hold it, so the
+    counts add up as they would row by row.
+    """
     counts: dict = {}
-    for _, label, _, count, _ in node:
+    for _, label, count in node:
         counts[label] = counts.get(label, 0) + count
+    return counts
+
+
+def _weighted_gini(side: list, total: int) -> float:
+    """A side's share of the node's rows times its Gini impurity; an empty
+    side scores 1.0 and weighs 0."""
+    counts = _class_counts(side)
+    n = sum(counts.values())
+    return n / total * (1.0 - sum((c / n) ** 2 for c in counts.values()))
+
+
+def _leaf(counts: dict) -> TreeLeaf:
+    """The majority label; the smallest label wins a tie."""
     best_count = max(counts.values())
     return TreeLeaf(min(y for y, c in counts.items() if c == best_count))
 
@@ -172,18 +181,14 @@ def fit_tree(rows: list[tuple[tuple[float, ...], object]], max_depth: int) -> Tr
     purity, at max_depth, or when no split improves impurity.
 
     Equal rows are fitted once. The rows are grouped into distinct
-    (features, label) pairs, each with its count and the index of its
-    first row, in first-row order; keys merge by Python equality (-0.0
-    and 0.0, or 1 and 1.0, are one value) and the first row's value stands
-    for them. At each node, each feature's groups are summed by value, the
-    values are sorted, and one sweep from left to right keeps running class
-    counts; the right side is the node's totals minus the left. The tree is
-    the one that splitting the rows one by one gives, floats and signs of
-    zero included, because:
-    - Gini adds up its classes in the order of their first row within the
-      subset, and an empty side weighs 0 (its impurity is 1.0);
-    - each threshold's left side is found by bisecting on the threshold,
-      since the midpoint of two adjacent floats rounds to one of them.
+    (features, label) pairs, each with its count, in first-row order; keys
+    merge by Python equality (-0.0 and 0.0, or 1 and 1.0, are one value)
+    and the first row's value stands for them. The split search partitions
+    the groups at each threshold as it would the rows, and sums each side's
+    class counts in group order, which is the order of each class's first
+    row on that side. So the tree is the one that splitting the rows one by
+    one gives, floats and signs of zero included, for a cost that grows
+    with the distinct rows rather than with all of them.
 
     `max_depth` must be a non-negative int, and every feature value finite.
     """
@@ -204,66 +209,30 @@ def fit_tree(rows: list[tuple[tuple[float, ...], object]], max_depth: int) -> Tr
             group[0] += 1
     # A group's first row is the first row of its key, so the first
     # non-finite group names the first non-finite row.
-    classes: dict = {}  # label -> class number, in order of first row
-    root = []  # (features, label, class, count, first row), in first-row order
+    root = []  # (features, label, count), in first-row order
     for (features, label), (count, first) in groups.items():
         _check_finite(first, features, "fit_tree")
-        root.append((features, label, classes.setdefault(label, len(classes)), count, first))
-    k = len(classes)
-    unseen = [len(rows)] * k  # a first row index past every row
+        root.append((features, label, count))
 
     def build(node: list, depth: int):
-        totals = [0] * k
-        order: dict = {}  # classes present, in order of first row
-        for _, _, c, count, _ in node:
-            totals[c] += count
-            order[c] = None
-        if depth >= max_depth or len(order) == 1:
-            return _leaf(node)
-        total = sum(totals)
-        parent = 1.0 - sum((totals[c] / total) ** 2 for c in order)
-        best = None  # (gain, feature, threshold)
+        counts = _class_counts(node)
+        if depth >= max_depth or len(counts) == 1:
+            return _leaf(counts)
+        total = sum(counts.values())
+        parent = 1.0 - sum((c / total) ** 2 for c in counts.values())
+        best = None  # (gain, feature, threshold, left, right)
         for f in range(d):
-            by_value: dict = {}  # value -> per-class counts, then first rows
-            for features, _, c, count, first in node:
-                stats = by_value.get(features[f])
-                if stats is None:
-                    stats = by_value[features[f]] = [0] * k + unseen
-                if not stats[c]:  # groups come in first-row order
-                    stats[k + c] = first
-                stats[c] += count
-            values = sorted(by_value)
-            m = len(values)
-            # right_firsts[j]: each class's first row among values[j:].
-            right_firsts = [unseen] * (m + 1)
-            for j in range(m - 1, -1, -1):
-                right_firsts[j] = list(map(min, right_firsts[j + 1], by_value[values[j]][k:]))
-            left_counts = [0] * k
-            left_firsts = unseen
-            cut = 0  # values[:cut] lie left of the threshold
+            values = sorted({g[0][f] for g in node})
             for a, b in zip(values, values[1:]):
                 thr = (a + b) / 2.0
-                stop = bisect_left(values, thr, cut)
-                for v in values[cut:stop]:
-                    stats = by_value[v]
-                    left_counts = list(map(add, left_counts, stats[:k]))
-                    left_firsts = list(map(min, left_firsts, stats[k:]))
-                cut = stop
-                n_left = sum(left_counts)
-                n_right = total - n_left
-                right_counts = list(map(sub, totals, left_counts))
-                weighted = (
-                    n_left / total * _impurity(left_counts, left_firsts, n_left)
-                    + n_right / total * _impurity(right_counts, right_firsts[cut], n_right)
-                )
-                gain = parent - weighted
+                left = [g for g in node if g[0][f] < thr]
+                right = [g for g in node if g[0][f] >= thr]
+                gain = parent - (_weighted_gini(left, total) + _weighted_gini(right, total))
                 if best is None or gain > best[0] + 1e-15:
-                    best = (gain, f, thr)
+                    best = (gain, f, thr, left, right)
         if best is None or best[0] <= 1e-15:
-            return _leaf(node)
-        _, f, thr = best
-        left = [g for g in node if g[0][f] < thr]
-        right = [g for g in node if g[0][f] >= thr]
+            return _leaf(counts)
+        _, f, thr, left, right = best
         return TreeSplit(f, thr, build(left, depth + 1), build(right, depth + 1))
 
     return TreeModel(build(root, 0), max_depth)
