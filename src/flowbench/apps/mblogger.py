@@ -5,14 +5,17 @@ the requester followed at the time of posting, newest first. The data
 stage materializes per-user interest corpora online (every new post fans
 out to its author's current followers) and publishes them as a data
 product; no offline file is written. The model stage adds a bot that
-refits a bigram chain over the tracked user's corpus whenever it grows
-and emits one generated post.
+adds each new text of the tracked user's corpus to running bigram counts
+and, whenever the corpus grows, emits one generated post. Both paradigms
+share `recent_posts` and `bot_text`; the fbp nodes are folds.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 from ..graph import Category, GraphBuilder, Schema
-from ..mlkit import fit_bigram, generate
+from ..mlkit import BigramModel, add_bigrams, fit_bigram, generate  # noqa: F401 (fit_bigram: bench/tracer.py)
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
@@ -47,43 +50,50 @@ BOT_POST = Schema("bot_post", (("user_id", "text"), ("text", "text")))
 # ----------------------------------------------------------------------
 
 
-def build_timeline(user_id, edges, posts, limit: int = TIMELINE_LIMIT) -> list[int]:
-    """Posts by authors the user followed at the post's tick, newest first.
-
-    `edges` are (follower, followee, tick) triples, `posts` are
-    (post_id, author, tick) triples. Ordered by (tick, post_id)
-    descending, truncated to `limit`. One pass over `edges` finds when the
-    user first followed each followee; a post counts from that tick on.
-    """
-    followed_at: dict = {}
-    for follower, followee, tick in edges:
-        if follower == user_id:
-            followed_at[followee] = min(tick, followed_at.get(followee, tick))
-    selected = [
-        (post_tick, post_id)
-        for post_id, author, post_tick in posts
-        if author in followed_at and followed_at[author] <= post_tick
-    ]
+def recent_posts(followed_at: dict, by_author: dict, limit: int) -> list[int]:
+    """Posts by each followee from its first follow tick (`followed_at`),
+    newest first by (tick, post_id), at most `limit`. Each author's
+    ascending (tick, post_id) list in `by_author` is cut at its follow tick
+    by bisection and read back at most `limit` posts from its newest end."""
+    selected = []
+    for author, since in followed_at.items():
+        posts = by_author.get(author, ())
+        selected += posts[max(bisect_left(posts, (since,)), len(posts) - limit):]
     selected.sort(reverse=True)
     return [post_id for _, post_id in selected[:limit]]
 
 
-def interested_users(author, edges, tick) -> list[str]:
-    """Current followers of an author, sorted for deterministic fan-out."""
-    return sorted(
-        {follower for follower, followee, t in edges if followee == author and t <= tick}
-    )
+def build_timeline(user_id, edges, posts, limit: int = TIMELINE_LIMIT) -> list[int]:
+    """`recent_posts` for `user_id` from (follower, followee, tick) edges
+    and (post_id, author, tick) posts, both in any order."""
+    followed_at: dict = {}
+    for follower, followee, tick in edges:
+        if follower == user_id:
+            followed_at[followee] = min(tick, followed_at.get(followee, tick))
+    by_author: dict = {author: [] for author in followed_at}
+    for post_id, author, tick in posts:
+        if author in by_author:
+            by_author[author].append((tick, post_id))
+    for entries in by_author.values():
+        entries.sort()
+    return recent_posts(followed_at, by_author, limit)
 
 
-def bot_text(corpus_texts: list[str], master_seed: int) -> str:
-    """Fit a bigram chain over the corpus and emit one generated post.
+def bot_text(state: dict, new_texts: list[str], master_seed: int) -> str:
+    """Add a corpus's new texts to its bot state, the bigram counts and the
+    corpus size (`{"counts": {}, "seen": 0}` at first), and emit one post;
+    "" when no text is new.
 
     The generator is seeded from (master seed, corpus size) so both
     paradigms produce the same text for the same corpus state.
     """
-    model = fit_bigram([text.split() for text in corpus_texts])
-    rng = SplitMix64(derive_seed(master_seed, "bot", len(corpus_texts)))
-    return " ".join(generate(model, rng, BOT_MAX_TOKENS))
+    if not new_texts:
+        return ""
+    for text in new_texts:
+        add_bigrams(state["counts"], text.split())
+    state["seen"] += len(new_texts)
+    rng = SplitMix64(derive_seed(master_seed, "bot", state["seen"]))
+    return " ".join(generate(BigramModel(state["counts"]), rng, BOT_MAX_TOKENS))
 
 
 # ----------------------------------------------------------------------
@@ -91,21 +101,27 @@ def bot_text(corpus_texts: list[str], master_seed: int) -> str:
 # ----------------------------------------------------------------------
 
 
-def _timeline_node(inputs):
-    edges = [(r["follower"], r["followee"], r.tick) for r in inputs["follows"].history]
-    posts = [(r["post_id"], r["author"], r.tick) for r in inputs["posts"].history]
+def _timeline_node(inputs, state):
+    """Fold: follower -> followee -> first follow tick, author -> posts."""
+    followed_at, by_author = state
+    for r in inputs["follows"].new:
+        followed_at.setdefault(r["follower"], {}).setdefault(r["followee"], r.tick)
+    for r in inputs["posts"].new:
+        insort(by_author.setdefault(r["author"], []), (r.tick, r["post_id"]))
     out = []
     for req in inputs["requests"].new:
-        ids = build_timeline(req["user_id"], edges, posts)
+        ids = recent_posts(followed_at.get(req["user_id"], {}), by_author, TIMELINE_LIMIT)
         out.append({"user_id": req["user_id"], "post_ids": ",".join(str(i) for i in ids)})
     return {"timelines": out}
 
 
-def _corpus_builder(inputs):
-    edges = [(r["follower"], r["followee"], r.tick) for r in inputs["follows"].history]
+def _corpus_builder(inputs, followers):
+    """Fold: followee -> followers; a post fans out to them in id order."""
+    for r in inputs["follows"].new:
+        followers.setdefault(r["followee"], set()).add(r["follower"])
     out = []
     for post in inputs["posts"].new:
-        for user in interested_users(post["author"], edges, post.tick):
+        for user in sorted(followers.get(post["author"], ())):
             out.append({"user_id": user, "text": post["text"]})
     return {"corpus": out}
 
@@ -115,15 +131,10 @@ def _corpus_publisher(inputs):
 
 
 def _bot_node(target: str, master_seed: int):
-    def transform(inputs):
-        grew = any(r["user_id"] == target for r in inputs["corpus"].new)
-        if not grew:
-            return {"posts": []}
-        corpus = [r["text"] for r in inputs["corpus"].history if r["user_id"] == target]
-        text = bot_text(corpus, master_seed)
-        if not text:
-            return {"posts": []}
-        return {"posts": [{"user_id": target, "text": text}]}
+    def transform(inputs, state):
+        texts = [r["text"] for r in inputs["corpus"].new if r["user_id"] == target]
+        text = bot_text(state, texts, master_seed)
+        return {"posts": [{"user_id": target, "text": text}] if text else []}
 
     return transform
 
@@ -134,8 +145,9 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
     b.stream("posts", Category.INPUT, POST)
     b.stream("timeline_requests", Category.INPUT, TIMELINE_REQUEST)
     b.stream("timelines", Category.OUTPUT, TIMELINE)
-    b.node(
+    b.fold(
         "timeline_builder",
+        lambda: ({}, {}),
         _timeline_node,
         inputs={"follows": "follows", "posts": "posts", "requests": "timeline_requests"},
         outputs={"timelines": "timelines"},
@@ -145,8 +157,9 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
     if stage in ("data", "ml"):
         b.stream("user_corpora", Category.INTERNAL, CORPUS_ROW)
         b.stream("interest_corpora", Category.OUTPUT, CORPUS_ROW)
-        b.node(
+        b.fold(
             "corpus_builder",
+            dict,
             _corpus_builder,
             inputs={"follows": "follows", "posts": "posts"},
             outputs={"corpus": "user_corpora"},
@@ -160,8 +173,9 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
         obs_kinds["interest_corpora"] = "corpus"
     if stage == "ml":
         b.stream("bot_posts", Category.OUTPUT, BOT_POST)
-        b.node(
+        b.fold(
             "bot",
+            lambda: {"counts": {}, "seen": 0},
             _bot_node(scenario.params["bot_user"], scenario.seed),
             inputs={"corpus": "user_corpora"},
             outputs={"posts": "bot_posts"},
@@ -264,8 +278,8 @@ def _timeline_service(stage: str, scenario: Scenario) -> ServiceSpec:
     routines: list[RoutineSpec] = []
     if stage in ("data", "ml"):
         def record_interest(req, ctx):
-            edges = [tuple(e) for e in ctx.call("users", "list_follows", {})["edges"]]
-            users = interested_users(req["author"], edges, ctx.tick)
+            edges = ctx.call("users", "list_follows", {})["edges"]
+            users = sorted({follower for follower, followee, _ in edges if followee == req["author"]})
             for user in users:
                 ctx.routine("put_interest", user, req["text"])
             return {"fanned_out": len(users)}
@@ -296,11 +310,10 @@ def _timeline_service(stage: str, scenario: Scenario) -> ServiceSpec:
 
         def generate_bot_post(req, ctx):
             corpus = ctx.routine("get_interests", req["user_id"])
-            last = ctx.routine("get_bot_state", req["user_id"])
-            if len(corpus) <= last:
-                return {"user_id": req["user_id"], "text": ""}
-            ctx.routine("put_bot_state", req["user_id"], len(corpus))
-            return {"user_id": req["user_id"], "text": bot_text(corpus, seed)}
+            state = ctx.routine("get_bot_state", req["user_id"])
+            text = bot_text(state, corpus[state["seen"]:], seed)
+            ctx.routine("put_bot_state", req["user_id"], state)
+            return {"user_id": req["user_id"], "text": text}
 
         apis.append(
             ApiSpec("generate_bot_post", generate_bot_post, ("user_id",), ("user_id", "text"))
@@ -309,11 +322,11 @@ def _timeline_service(stage: str, scenario: Scenario) -> ServiceSpec:
             (
                 RoutineSpec(
                     "put_bot_state",
-                    lambda ctx, user, n: ctx.store_put("bot_state", user, {"seen": n}),
+                    lambda ctx, user, state: ctx.store_put("bot_state", user, state),
                 ),
                 RoutineSpec(
                     "get_bot_state",
-                    lambda ctx, user: (ctx.store_get("bot_state", user) or {"seen": 0})["seen"],
+                    lambda ctx, user: ctx.store_get("bot_state", user) or {"counts": {}, "seen": 0},
                 ),
             )
         )
@@ -355,7 +368,9 @@ class BloggerWorld(World):
         self.follow_rate = checked_rate("follow_rate", float(p["follow_rate"]))
         self.post_rate = checked_rate("post_rate", float(p["post_rate"]))
         self.request_rate = checked_rate("request_rate", float(p["request_rate"]))
-        self.bot_user = str(p["bot_user"])
+        self.bot_user = p["bot_user"]
+        if not isinstance(self.bot_user, str):
+            raise ValueError(f"bot_user must be a str, got {self.bot_user!r}")
         self.edges: set[tuple[str, str]] = set()
         self.next_post_id = 0
 

@@ -5,13 +5,19 @@ titles from the genre's catalog. Sampling is seeded per request id so
 both paradigms draw identical playlists. The data stage maintains rolling
 0.75-quantiles of gross earnings per genre online (no raw dataset, no
 trained model); the model stage wires the builder to those quantiles and
-restricts sampling to titles grossing at least the threshold.
+restricts sampling to titles grossing at least the threshold. Both
+paradigms keep each genre's grosses sorted as movies arrive, so a
+quantile is one `nearest_rank` index; the fbp nodes are folds.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from itertools import compress, repeat
+from operator import itemgetter, le
+
 from ..graph import Category, GraphBuilder, Schema
-from ..mlkit import QuantileSketch, quantile
+from ..mlkit import nearest_rank
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
@@ -44,19 +50,14 @@ def request_rng(master_seed: int, request_id: int) -> SplitMix64:
     return SplitMix64(derive_seed(master_seed, "playlist", request_id))
 
 
-def sample_playlist(genre, movies, k, rng, min_gross=None) -> list[str]:
-    """Uniform sample without replacement from the genre's catalog,
-    optionally restricted to titles grossing at least `min_gross`."""
-    pool = [
-        title
-        for title, movie_genre, gross in movies
-        if movie_genre == genre and (min_gross is None or gross >= min_gross)
-    ]
-    return rng.sample(pool, k)
-
-
-def gross_threshold(grosses) -> float:
-    return quantile(QuantileSketch.from_values(grosses), GROSS_QUANTILE)
+def sample_playlist(catalog, k, rng, min_gross=None) -> list[str]:
+    """Uniform sample without replacement from one genre's (title, gross)
+    catalog in arrival order, optionally restricted to titles grossing at
+    least `min_gross`; the pool is built at C level."""
+    titles = map(itemgetter(0), catalog)
+    if min_gross is not None:
+        titles = compress(titles, map(le, repeat(min_gross), map(itemgetter(1), catalog)))
+    return rng.sample(titles, k)
 
 
 # ----------------------------------------------------------------------
@@ -66,19 +67,21 @@ def gross_threshold(grosses) -> float:
 
 def _builder(master_seed: int):
     """Sample each request's playlist; when a `quantiles` in-port is wired,
-    only from titles grossing at least the genre's latest threshold."""
+    only from titles grossing at least the genre's latest threshold. A
+    fold over genre -> catalog and genre -> latest threshold."""
 
-    def transform(inputs):
-        movies = [(r["title"], r["genre"], r["gross"]) for r in inputs["movies"].history]
-        thresholds = {}
+    def transform(inputs, state):
+        catalogs, thresholds = state
+        for r in inputs["movies"].new:
+            catalogs.setdefault(r["genre"], []).append((r["title"], r["gross"]))
         if "quantiles" in inputs:
-            for rec in inputs["quantiles"].history:
+            for rec in inputs["quantiles"].new:
                 thresholds[rec["genre"]] = rec["q75"]
         out = []
         for req in inputs["requests"].new:
             rng = request_rng(master_seed, req["request_id"])
             titles = sample_playlist(
-                req["genre"], movies, req["k"], rng, thresholds.get(req["genre"])
+                catalogs.get(req["genre"], ()), req["k"], rng, thresholds.get(req["genre"])
             )
             out.append(
                 {"request_id": req["request_id"], "genre": req["genre"], "titles": "|".join(titles)}
@@ -88,14 +91,14 @@ def _builder(master_seed: int):
     return transform
 
 
-def _stats_node(inputs):
-    grosses: dict[str, list[float]] = {}
-    for rec in inputs["movies"].history:
-        grosses.setdefault(rec["genre"], []).append(rec["gross"])
+def _stats_node(inputs, grosses: dict):
+    """Fold: genre -> ascending grosses."""
+    for rec in inputs["movies"].new:
+        insort(grosses.setdefault(rec["genre"], []), rec["gross"])
     touched = sorted({rec["genre"] for rec in inputs["movies"].new})
     return {
         "quantiles": [
-            {"genre": genre, "q75": gross_threshold(grosses[genre])} for genre in touched
+            {"genre": genre, "q75": nearest_rank(grosses[genre], GROSS_QUANTILE)} for genre in touched
         ]
     }
 
@@ -114,8 +117,9 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
     if stage in ("data", "ml"):
         b.stream("genre_quantiles", Category.INTERNAL, GENRE_QUANTILE)
         b.stream("genre_stats", Category.OUTPUT, GENRE_QUANTILE)
-        b.node(
+        b.fold(
             "quantile_tracker",
+            dict,
             _stats_node,
             inputs={"movies": "movies"},
             outputs={"quantiles": "genre_quantiles"},
@@ -131,8 +135,9 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
     inputs = {"movies": "movies", "requests": "playlist_requests"}
     if stage == "ml":
         inputs["quantiles"] = "genre_quantiles"
-    b.node(
+    b.fold(
         "builder",
+        lambda: ({}, {}),
         _builder(scenario.seed),
         inputs=inputs,
         outputs={"playlists": "playlists"},
@@ -158,16 +163,10 @@ def _catalog_service(stage: str) -> ServiceSpec:
         movies = ctx.routine("get_movies")
         ctx.routine("save_movie", str(len(movies)), dict(req))
         if track_stats:
-            grosses = [
-                doc["gross"]
-                for doc in ctx.routine("get_movies").values()
-                if doc["genre"] == req["genre"]
-            ]
-            ctx.routine(
-                "put_genre_stats",
-                req["genre"],
-                {"genre": req["genre"], "n_movies": len(grosses), "q75": gross_threshold(grosses)},
-            )
+            stats = ctx.routine("get_genre_stats", req["genre"]) or {"genre": req["genre"], "grosses": []}
+            insort(stats["grosses"], float(req["gross"]))
+            stats.update(n_movies=len(stats["grosses"]), q75=nearest_rank(stats["grosses"], GROSS_QUANTILE))
+            ctx.routine("put_genre_stats", req["genre"], stats)
         return {"title": req["title"]}
 
     def list_by_genre(req, ctx):
@@ -218,14 +217,14 @@ def _builder_service(stage: str, scenario: Scenario) -> ServiceSpec:
     filtered = stage == "ml"
 
     def build_playlist(req, ctx):
-        movies = [tuple(m) for m in ctx.call("catalog", "list_by_genre", {"genre": req["genre"]})["movies"]]
+        movies = ctx.call("catalog", "list_by_genre", {"genre": req["genre"]})["movies"]
         min_gross = None
         if filtered:
             stats = ctx.call("catalog", "genre_quantile", {"genre": req["genre"]})
             if stats["n_movies"] > 0:
                 min_gross = stats["q75"]
         rng = request_rng(seed, req["request_id"])
-        titles = sample_playlist(req["genre"], movies, req["k"], rng, min_gross)
+        titles = sample_playlist([(title, gross) for title, _, gross in movies], req["k"], rng, min_gross)
         return {"request_id": req["request_id"], "genre": req["genre"], "titles": "|".join(titles)}
 
     return ServiceSpec(

@@ -174,8 +174,8 @@ class PortDecl:
     schema: Schema
 
 
-# Transforms map {in-port: PortView} -> {out-port: [field->value mapping, ...]};
-# a fold's transform also takes its state: (inputs, state) -> outputs.
+# Transforms map {in-port: PortView of its delta} -> {out-port: [field->value
+# mapping, ...]}; a fold's transform also takes its state: (inputs, state).
 Transform = Callable[..., dict]
 
 
@@ -183,13 +183,14 @@ Transform = Callable[..., dict]
 class NodeSpec:
     """Deterministic transform with named ports.
 
-    The transform itself holds no state between calls. A plain node
-    (`init` None) gets `transform(inputs)` and recomputes from what its
-    in-ports show. A fold node gets `transform(inputs, state)`: the runtime
-    calls `init()` once per instance for a fresh state, passes that same
-    object on every tick, and the transform updates it in place from the
-    `.new` deltas. Outputs stay pure functions of the input logs because
-    only the runtime creates and keeps the state.
+    The transform itself holds no state between calls, and each in-port
+    shows it only the records new since its last call. A plain node
+    (`init` None) gets `transform(inputs)` and maps that delta. A fold node
+    gets `transform(inputs, state)`: the runtime calls `init()` once per
+    instance for a fresh state, passes that same object on every tick, and
+    the transform updates it in place from the `.new` deltas. Outputs stay
+    pure functions of the input logs because only the runtime creates and
+    keeps the state.
     """
 
     id: str

@@ -2,7 +2,9 @@
 
 Four model families cover every data-driven feature in the reference
 applications: least-squares regression (normal equations), a Gini-split
-decision tree, a bigram text generator, and exact nearest-rank quantiles.
+decision tree, a bigram text generator whose counts grow one document
+at a time, and nearest-rank quantiles over values kept sorted as they
+arrive.
 Feature dimensionality is tiny everywhere (d <= 6), so pure-Python linear
 algebra is exact and fast enough; no numerical library is worth the
 dependency here.
@@ -255,14 +257,19 @@ class BigramModel:
     counts: dict
 
 
+def add_bigrams(counts: dict, doc: list[str]) -> None:
+    """Add one document's adjacent pairs, sentinels at both ends, to `counts`."""
+    chain = [START, *doc, END]
+    for cur, nxt in zip(chain, chain[1:]):
+        slot = counts.setdefault(cur, {})
+        slot[nxt] = slot.get(nxt, 0) + 1
+
+
 def fit_bigram(documents: list[list[str]]) -> BigramModel:
-    """Count adjacent pairs, with sentinel transitions at both ends."""
+    """Count adjacent pairs over all documents (`add_bigrams`)."""
     counts: dict = {}
     for doc in documents:
-        chain = [START, *doc, END]
-        for cur, nxt in zip(chain, chain[1:]):
-            slot = counts.setdefault(cur, {})
-            slot[nxt] = slot.get(nxt, 0) + 1
+        add_bigrams(counts, doc)
     return BigramModel(counts)
 
 
@@ -300,23 +307,11 @@ def generate(model: BigramModel, rng, max_len: int) -> list[str]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuantileSketch:
-    """Exact sketch: just the sorted values."""
-
-    values: tuple[float, ...]
-
-    @classmethod
-    def from_values(cls, values) -> "QuantileSketch":
-        return cls(tuple(sorted(float(v) for v in values)))
-
-
-def quantile(sketch: QuantileSketch, q: float) -> float:
-    """Nearest-rank quantile: the value at 1-based index ceil(q*n)."""
-    if not sketch.values:
-        raise ValueError("quantile() of an empty sketch")
+def nearest_rank(sorted_values, q: float) -> float:
+    """Nearest-rank quantile of ascending values, the value at 1-based index
+    ceil(q*n); values kept sorted as they arrive (`bisect.insort`) need no sort."""
+    if not sorted_values:
+        raise ValueError("nearest_rank() of no values")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be within [0, 1]")
-    n = len(sketch.values)
-    idx = max(1, math.ceil(q * n))
-    return sketch.values[idx - 1]
+    return sorted_values[max(1, math.ceil(q * len(sorted_values))) - 1]

@@ -1,11 +1,11 @@
 """Tick-based deterministic executor for a validated FlowGraph.
 
 The runtime owns all state: stream logs, per-node read cursors and the
-state of fold nodes. A plain node is stateless: each call it sees, per
-wired in-port, the live log plus the delta that is new since it last ran.
-A fold node (`NodeSpec.init` set) also gets a state object that the
-runtime creates once per instance with `init()` and hands back on every
-call; the transform updates it in place from `.new`. Since the runtime
+state of fold nodes. A node sees only its delta: per wired in-port, the
+records new since it last ran. A node that needs more is a fold
+(`NodeSpec.init` set): it also gets a state object that the runtime
+creates once per instance with `init()` and hands back on every call,
+and the transform updates it in place from `.new`. Since the runtime
 creates and keeps that state, every output is still a pure function of
 the input logs, and two instances of one graph never share it.
 
@@ -63,11 +63,12 @@ class NodeError(Exception):
 
 
 class PortView:
-    """What a transform sees on one in-port: the live log plus a delta marker.
+    """What a transform sees on one in-port: the records new since its node
+    last ran, as `.new` (a copy).
 
-    `records` is the stream's log itself, not a copy, so a view is valid
-    only for the duration of the call it was passed to. `.new` copies the
-    delta; `.history` copies the whole log, so read it only when needed.
+    `records` is the stream's live log and `new_from` the node's cursor in
+    it, so a view is valid only for the duration of the call it was
+    passed to.
     """
 
     __slots__ = ("records", "new_from")
@@ -75,10 +76,6 @@ class PortView:
     def __init__(self, records: list[Record], new_from: int):
         self.records = records
         self.new_from = new_from
-
-    @property
-    def history(self) -> tuple[Record, ...]:
-        return tuple(self.records)
 
     @property
     def new(self) -> tuple[Record, ...]:

@@ -49,7 +49,8 @@ class Scenario:
     """World configuration. Same scenario, same event sequence.
 
     Seeds are full 64-bit values; anything outside [0, 2**64) is refused
-    rather than masked, so two seed labels never name the same run.
+    rather than masked, so two seed labels never name the same run. Ticks
+    must be an int >= 0; a bool or a float is refused, not run.
     """
 
     app: str
@@ -58,8 +59,8 @@ class Scenario:
     params: dict = field(default_factory=dict, hash=False, compare=False)
 
     def __post_init__(self):
-        if self.ticks < 0:
-            raise ValueError("ticks must be >= 0")
+        if isinstance(self.ticks, bool) or not isinstance(self.ticks, int) or self.ticks < 0:
+            raise ValueError(f"ticks must be an int >= 0, got {self.ticks!r}")
         checked_seed(self.seed)
 
 

@@ -277,7 +277,7 @@ def test_c10_bot_generation_sampling_sanity():
     hits = 0
     n = 10_000
     for seed in range(n):
-        text = mblogger.bot_text(["a b", "a c"], seed)
+        text = mblogger.bot_text({"counts": {}, "seen": 0}, ["a b", "a c"], seed)
         tokens = text.split()
         assert tokens[0] == "a"
         if len(tokens) > 1 and tokens[1] == "b":
@@ -285,7 +285,7 @@ def test_c10_bot_generation_sampling_sanity():
     frequency = hits / n
     assert abs(frequency - 0.5) <= 0.02, f"second-token frequency {frequency}"
     for seed in range(50):
-        assert mblogger.bot_text(["a b"], seed) == "a b"
+        assert mblogger.bot_text({"counts": {}, "seen": 0}, ["a b"], seed) == "a b"
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"generation criterion took {elapsed:.2f}s"
     print(f"PASS 10: bot sampling frequency {frequency:.3f} within 0.5 +/- 0.02")

@@ -11,8 +11,10 @@ from flowbench import apps
 from flowbench.apps import insurance_claims, mblogger, playlist_builder, ride_allocation
 from flowbench.canon import canonical_json
 from flowbench.graph import upstream_closure, validate
+from flowbench.mlkit import fit_bigram, nearest_rank
 from flowbench.rng import SplitMix64, derive_seed
 from flowbench.sim import execute
+from util_graphs import nested_scan_timeline
 
 
 RIDE_COORDS = st.one_of(st.sampled_from([0.0, 1.0, 3.0, -3.0, 4.0]), st.floats(-50.0, 50.0))
@@ -173,20 +175,6 @@ class TestClaimRoute:
         assert again == [{"claim_id": 1, "decision": "fast_track"}]
 
 
-def _nested_scan_timeline(user_id, edges, posts, limit):
-    """Reference: scan every edge for every post."""
-    selected = []
-    for post_id, author, post_tick in posts:
-        followed = any(
-            follower == user_id and followee == author and tick <= post_tick
-            for follower, followee, tick in edges
-        )
-        if followed:
-            selected.append((post_tick, post_id))
-    selected.sort(reverse=True)
-    return [post_id for _, post_id in selected[:limit]]
-
-
 USERS = st.sampled_from(["u0", "u1", "u2", "u3"])
 TICKS = st.integers(0, 6)
 
@@ -213,7 +201,7 @@ class TestTimeline:
     @settings(max_examples=300, deadline=None)
     def test_matches_nested_scan_on_repeat_and_same_tick_follows(self, case):
         user, edges, posts, limit = case
-        expected = _nested_scan_timeline(user, edges, posts, limit)
+        expected = nested_scan_timeline(user, edges, posts, limit)
         assert mblogger.build_timeline(user, edges, posts, limit) == expected
 
     def test_following_nobody_is_empty(self):
@@ -262,36 +250,45 @@ class TestTimeline:
 
 
 class TestPlaylist:
-    MOVIES = [("m1", "action", 10.0), ("m2", "action", 20.0),
-              ("m3", "action", 30.0), ("m4", "action", 40.0),
-              ("m5", "drama", 99.0)]
+    ACTION = [("m1", 10.0), ("m2", 20.0), ("m3", 30.0), ("m4", 40.0)]
 
     def test_single_match_small_pool(self):
         rng = SplitMix64(1)
-        titles = playlist_builder.sample_playlist("drama", self.MOVIES, 3, rng)
+        titles = playlist_builder.sample_playlist([("m5", 99.0)], 3, rng)
         assert titles == ["m5"]
 
     def test_quantile_filter_pool(self):
         # Nearest-rank Q(0.75) of [10,20,30,40] is the 3rd value, 30; the
         # eligible pool is exactly the titles grossing 30 and 40.
-        threshold = playlist_builder.gross_threshold([10.0, 20.0, 30.0, 40.0])
+        threshold = nearest_rank([10.0, 20.0, 30.0, 40.0], playlist_builder.GROSS_QUANTILE)
         assert threshold == 30.0
         rng = SplitMix64(1)
-        titles = playlist_builder.sample_playlist("action", self.MOVIES, 10, rng, threshold)
+        titles = playlist_builder.sample_playlist(self.ACTION, 10, rng, threshold)
         assert sorted(titles) == ["m3", "m4"]
 
     def test_same_seed_same_playlist(self):
-        a = playlist_builder.sample_playlist(
-            "action", self.MOVIES, 2, playlist_builder.request_rng(9, 4)
-        )
-        b = playlist_builder.sample_playlist(
-            "action", self.MOVIES, 2, playlist_builder.request_rng(9, 4)
-        )
+        a = playlist_builder.sample_playlist(self.ACTION, 2, playlist_builder.request_rng(9, 4))
+        b = playlist_builder.sample_playlist(self.ACTION, 2, playlist_builder.request_rng(9, 4))
         assert a == b
 
     def test_no_match_is_empty(self):
         rng = SplitMix64(1)
-        assert playlist_builder.sample_playlist("comedy", self.MOVIES, 2, rng) == []
+        assert playlist_builder.sample_playlist((), 2, rng) == []
+        assert playlist_builder.sample_playlist(self.ACTION, 2, rng, 50.0) == []
+
+    @given(
+        st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from([-0.0, 0.0, 1.0, 5.0, 5.0])), max_size=12),
+        st.sampled_from([None, 0.0, 1.0, 5.0, 9.0]),
+        st.integers(0, 5),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pool_is_the_filtered_catalog_in_arrival_order(self, catalog, min_gross, k, seed):
+        # The C-level pool draws what a Python filter over the catalog
+        # draws: the same titles in the same order, so the same playlist.
+        pool = [title for title, gross in catalog if min_gross is None or gross >= min_gross]
+        expected = SplitMix64(seed).sample(pool, k)
+        assert playlist_builder.sample_playlist(catalog, k, SplitMix64(seed), min_gross) == expected
 
 
 class TestSoaStatsCopies:
@@ -320,14 +317,24 @@ class TestSoaServedModel:
         assert built.registry.context_for(service).routine("get_model") is built.extras["model"]
 
 
+def _bot_state():
+    return {"counts": {}, "seen": 0}
+
+
 class TestBotText:
     def test_single_bigram_corpus_regenerates_itself(self):
         for seed in range(10):
-            assert mblogger.bot_text(["a b"], seed) == "a b"
+            assert mblogger.bot_text(_bot_state(), ["a b"], seed) == "a b"
 
     def test_same_corpus_same_seed_same_text(self):
         corpus = ["amber breeze drift", "amber cobalt"]
-        assert mblogger.bot_text(corpus, 5) == mblogger.bot_text(corpus, 5)
+        assert mblogger.bot_text(_bot_state(), corpus, 5) == mblogger.bot_text(_bot_state(), corpus, 5)
+
+    def test_no_new_text_is_empty_and_leaves_the_state(self):
+        state = _bot_state()
+        mblogger.bot_text(state, ["a b"], 5)
+        assert mblogger.bot_text(state, [], 5) == ""
+        assert state == {"counts": fit_bigram([["a", "b"]]).counts, "seen": 1}
 
 
 class TestGraphValidity:

@@ -5,7 +5,8 @@ drivers, tiny catalogues) must neither crash the fbp nor the soa build,
 and their observation digests must be equal, which is what `flowbench
 equiv` checks. Params a world cannot generate from are refused at
 construction with a `ValueError` naming the parameter, and so are counts
-that are not ints and scales that are not finite: nothing is truncated.
+that are not ints, scales that are not finite and a bot user that is not
+a str: nothing is truncated or converted.
 """
 
 import math
@@ -77,6 +78,9 @@ def test_paradigms_agree_at_min_on_random_params(app):
     ]
     + [("ride_allocation", {"n_drivers": bad}, "n_drivers") for bad in (-3, 2.7, True)]
     + [("mblogger", {"n_users": bad}, "n_users") for bad in (2.5, True)]
+    # The fbp bot compares user ids with the param as given, so a bot_user
+    # that is not a str would match nobody there.
+    + [("mblogger", {"bot_user": bad}, "bot_user") for bad in (3, None, b"u0", ["u0"])]
     + [
         ("ride_allocation", {param: bad}, param)
         for param in ("noise", "world_size")

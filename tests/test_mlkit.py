@@ -14,17 +14,17 @@ from flowbench.mlkit import (
     END,
     START,
     LinearModel,
-    QuantileSketch,
     TreeLeaf,
     TreeModel,
     TreeSplit,
+    add_bigrams,
     fit_bigram,
     fit_linear,
     fit_tree,
     generate,
     predict_linear,
+    nearest_rank,
     predict_tree,
-    quantile,
 )
 from flowbench.rng import SplitMix64, derive_seed
 
@@ -369,6 +369,19 @@ class TestBigram:
         }
         assert flattened == brute
 
+    @given(st.lists(st.lists(st.sampled_from("abcd"), max_size=6), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_add_bigrams_one_document_at_a_time_equals_a_full_fit(self, docs):
+        # The bot's running counts after each document equal a refit over
+        # every document so far, insertion order of the keys included.
+        counts: dict = {}
+        for i, doc in enumerate(docs):
+            add_bigrams(counts, doc)
+            fitted = fit_bigram(docs[: i + 1]).counts
+            assert counts == fitted
+            assert list(counts) == list(fitted)
+            assert all(list(counts[k]) == list(fitted[k]) for k in counts)
+
     def test_deterministic_corpus_always_regenerates_itself(self):
         model = fit_bigram([["a", "b"]])
         for seed in range(20):
@@ -395,23 +408,27 @@ class TestBigram:
         assert generate(model, SplitMix64(42), 8) == generate(model, SplitMix64(42), 8)
 
 
-class TestQuantile:
+class TestNearestRank:
     def test_median_of_four(self):
         # Nearest rank: ceil(0.5 * 4) = 2nd value.
-        assert quantile(QuantileSketch.from_values([1, 2, 3, 4]), 0.5) == 2
+        assert nearest_rank([1, 2, 3, 4], 0.5) == 2
 
     def test_upper_quartile_of_four(self):
         # ceil(0.75 * 4) = 3rd value.
-        assert quantile(QuantileSketch.from_values([1, 2, 3, 4]), 0.75) == 3
+        assert nearest_rank([1, 2, 3, 4], 0.75) == 3
 
     def test_singleton(self):
-        sk = QuantileSketch.from_values([7.5])
         for q in (0.0, 0.3, 1.0):
-            assert quantile(sk, q) == 7.5
+            assert nearest_rank([7.5], q) == 7.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            quantile(QuantileSketch.from_values([]), 0.5)
+            nearest_rank([], 0.5)
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan])
+    def test_q_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ValueError, match="q"):
+            nearest_rank([1.0, 2.0], q)
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=40),
@@ -419,7 +436,7 @@ class TestQuantile:
     )
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_q(self, values, qs):
-        sk = QuantileSketch.from_values(values)
+        values = sorted(values)
         qs = sorted(qs)
-        results = [quantile(sk, q) for q in qs]
+        results = [nearest_rank(values, q) for q in qs]
         assert results == sorted(results)

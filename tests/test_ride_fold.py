@@ -1,12 +1,11 @@
 """Ride allocation's fold nodes against a full-history replay oracle.
 
 The allocator and the pickup tracker keep their state in runtime-owned
-folds and read only each tick's delta. The oracle below is the stateless
-form they replace: every tick it re-sorts and replays all history since
-tick 0. Both must emit the same records at every tick.
+folds and read only each tick's delta. The oracle below is the form they
+replace: it keeps its own copy of every record it has been shown, and
+every tick it re-sorts and replays that whole history since tick 0. Both
+must emit the same records at every tick.
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,28 +15,29 @@ from flowbench import apps
 from flowbench.apps import ride_allocation
 from flowbench.runtime import start
 from flowbench.sim import execute
+from util_graphs import with_oracles
 
 
-def _merged_replay(inputs):
+def _merged_replay(logs):
     """All registrations, completions and requests, in world order."""
     entries = []
-    for rec in inputs["drivers"].history:
+    for rec in logs["drivers"]:
         entries.append((rec.tick, 0, rec.seq, "driver", rec))
-    for rec in inputs["completions"].history:
+    for rec in logs["completions"]:
         entries.append((rec.tick, 1, rec.seq, "completion", rec))
-    for rec in inputs["requests"].history:
+    for rec in logs["requests"]:
         entries.append((rec.tick, 2, rec.seq, "request", rec))
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
     return entries
 
 
-def replay_allocator(inputs):
-    new_from = inputs["requests"].new_from
+def replay_allocator(logs, new_from):
+    first_new = new_from["requests"]
     positions = {}
     busy = set()
     ride_driver = {}
     out = []
-    for tick, _, seq, kind, rec in _merged_replay(inputs):
+    for tick, _, seq, kind, rec in _merged_replay(logs):
         if kind == "driver":
             positions[rec["driver_id"]] = (rec["x"], rec["y"])
         elif kind == "completion":
@@ -56,15 +56,15 @@ def replay_allocator(inputs):
             if alloc["matched"]:
                 busy.add(alloc["driver_id"])
                 ride_driver[alloc["ride_id"]] = alloc["driver_id"]
-            if seq >= new_from:
+            if seq >= first_new:
                 out.append(alloc)
     return {"allocations": out}
 
 
-def replay_tracker(inputs):
-    by_ride = {r["ride_id"]: r for r in inputs["allocations"].history}
+def replay_tracker(logs, new_from):
+    by_ride = {r["ride_id"]: r for r in logs["allocations"]}
     out = []
-    for pickup in inputs["pickups"].new:
+    for pickup in logs["pickups"][new_from["pickups"]:]:
         alloc = by_ride.get(pickup["ride_id"])
         if alloc is None or not alloc["matched"]:
             continue
@@ -83,14 +83,7 @@ ORACLES = {"allocator": replay_allocator, "pickup_tracker": replay_tracker}
 def _graphs():
     scenario = apps.make_scenario("ride_allocation", 1, 0)
     graph = ride_allocation.build_fbp("min", scenario).graph
-    oracle = dataclasses.replace(
-        graph,
-        nodes=tuple(
-            dataclasses.replace(n, transform=ORACLES[n.id], init=None) if n.id in ORACLES else n
-            for n in graph.nodes
-        ),
-    )
-    return graph, oracle
+    return graph, with_oracles(graph, ORACLES)
 
 
 FOLD_GRAPH, ORACLE_GRAPH = _graphs()

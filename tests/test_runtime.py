@@ -298,13 +298,16 @@ def _sum_fold(inputs, totals):
     return {"out": out}
 
 
-def _sum_recompute(inputs):
-    """Oracle: the same running sums, recomputed from full history."""
+def _sum_recompute(inputs, seen):
+    """Oracle: the same running sums, recomputed every tick from the node's
+    own copy of every record it has been shown."""
+    new_from = len(seen)
+    seen.extend(inputs["in"].new)
     totals: dict[int, int] = {}
     out = []
-    for rec in inputs["in"].history:
+    for i, rec in enumerate(seen):
         totals[rec["k"]] = totals.get(rec["k"], 0) + rec["v"]
-        if rec.seq >= inputs["in"].new_from:
+        if i >= new_from:
             out.append({"k": rec["k"], "total": totals[rec["k"]]})
     return {"out": out}
 
@@ -318,7 +321,7 @@ def running_sum_graph(fold: bool):
     if fold:
         b.fold("sum", dict, _sum_fold, **wiring)
     else:
-        b.node("sum", _sum_recompute, **wiring)
+        b.fold("sum", list, _sum_recompute, **wiring)
     return b.build()
 
 

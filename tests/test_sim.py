@@ -146,6 +146,13 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             Scenario("mblogger", -1, 0)
 
+    @pytest.mark.parametrize("ticks", [True, False, 2.5, 3.0, "5", None])
+    def test_rejects_ticks_that_are_not_an_int(self, ticks):
+        # A bool would run as 0 or 1 tick and report "ticks":true; a float
+        # would fail late inside the tick loop.
+        with pytest.raises(ValueError, match="ticks"):
+            Scenario("ride_allocation", ticks, 1)
+
 
 class TestRunningDigests:
     @pytest.mark.parametrize("seed", (4, 9))

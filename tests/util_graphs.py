@@ -1,7 +1,10 @@
-"""Shared helpers: tiny graph fixtures, a random valid-DAG generator, and
-brute-force reachability oracles kept independent of the library's BFS."""
+"""Shared helpers: tiny graph fixtures, a random valid-DAG generator,
+brute-force oracles kept independent of the library's code, and the
+recompute-from-copy fold that stands in for a fold node in oracle graphs."""
 
 from __future__ import annotations
+
+import dataclasses
 
 from flowbench.graph import (
     Category,
@@ -129,3 +132,48 @@ def brute_force_closure(graph: FlowGraph, start: str, forward: bool) -> set[str]
                 reach.add(b)
                 changed = True
     return reach
+
+
+def nested_scan_timeline(user_id, edges, posts, limit):
+    """Reference timeline: scan every edge for every post."""
+    selected = []
+    for post_id, author, post_tick in posts:
+        followed = any(
+            follower == user_id and followee == author and tick <= post_tick
+            for follower, followee, tick in edges
+        )
+        if followed:
+            selected.append((post_tick, post_id))
+    selected.sort(reverse=True)
+    return [post_id for _, post_id in selected[:limit]]
+
+
+def recompute_from_copy(replay):
+    """A fold that appends each port's delta to its own copy of that port's
+    log and returns `replay(logs, new_from)`: the copies, and per port the
+    index where this tick's delta starts. A copy holds every record since
+    seq 0, so a record's `seq` is its index there."""
+
+    def step(inputs, logs):
+        new_from = {}
+        for port, view in inputs.items():
+            log = logs.setdefault(port, [])
+            new_from[port] = len(log)
+            log.extend(view.new)
+        return replay(logs, new_from)
+
+    return step
+
+
+def with_oracles(graph: FlowGraph, oracles: dict) -> FlowGraph:
+    """`graph` with each node named in `oracles` replaced by a
+    `recompute_from_copy` fold over that node's replay function."""
+    return dataclasses.replace(
+        graph,
+        nodes=tuple(
+            dataclasses.replace(n, transform=recompute_from_copy(oracles[n.id]), init=dict)
+            if n.id in oracles
+            else n
+            for n in graph.nodes
+        ),
+    )
