@@ -5,7 +5,7 @@ from __future__ import annotations
 from .. import sim
 from ..sim import Scenario
 from . import insurance_claims, mblogger, playlist_builder, ride_allocation
-from .base import APP_STAGES, PARADIGMS, ApiRoute, AppVersion, FbpBuild, SoaBuild, StreamRoute, UntrainedModelError
+from .base import APP_STAGES, PARADIGMS, ApiRoute, AppVersion, FbpBuild, NoTrainingRowsError, SoaBuild, StreamRoute, UntrainedModelError
 
 _MODULES = {
     "insurance_claims": insurance_claims,
@@ -55,11 +55,17 @@ def build_app(version: AppVersion, scenario: Scenario):
     The ml stage of an app that trains offline (one with a `fit_model`)
     trains here, before building: a data-stage simulation plus a fit.
     Its build then carries `extras["model"]` and `extras["training_rows"]`.
+    A training run that collects no rows raises `NoTrainingRowsError`.
     """
     fit_model = getattr(_MODULES[version.app], "fit_model", None)
     if version.stage != "ml" or fit_model is None:
         return _builder(version)(version.stage, scenario)
     rows = sim.training_rows(version.app, version.paradigm, scenario)
+    if not rows:
+        raise NoTrainingRowsError(
+            f"{version.app} {version.paradigm} ml: the training run collected no rows"
+            f" (ticks={scenario.ticks}, seed={scenario.seed}); run more ticks to train"
+        )
     model = fit_model(rows)
     built = _builder(version)(version.stage, scenario, model)
     built.extras.update(model=model, training_rows=rows)
@@ -87,6 +93,7 @@ __all__ = [
     "ApiRoute",
     "AppVersion",
     "FbpBuild",
+    "NoTrainingRowsError",
     "SoaBuild",
     "StreamRoute",
     "UntrainedModelError",

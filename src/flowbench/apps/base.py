@@ -31,6 +31,11 @@ class UntrainedModelError(RuntimeError):
     """A structure-only build of a model stage was asked to serve."""
 
 
+class NoTrainingRowsError(ValueError):
+    """The training run of a model stage collected no rows: the scenario
+    is too short to train on, so it names no runnable model build."""
+
+
 def untrained(app: str, paradigm: str) -> Callable:
     """Stand-in for the model-serving node transform or API handler of a
     build made without a model: every call raises `UntrainedModelError`."""

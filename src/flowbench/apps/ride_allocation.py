@@ -468,6 +468,8 @@ class RideWorld(World):
     """Fleet registration at tick 0, Poisson request arrivals, and
     reactive pickups/completions derived from observed assignments."""
 
+    observes = ("assignment",)
+
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         p = scenario.params

@@ -114,7 +114,7 @@ def _cmd_collect(args) -> int:
     version = apps.app_version(args.app, "fbp", "data")
     if apps.build_structure(version, scenario).collection is None:
         raise UsageError(f"{args.app} collects data online only and writes no offline dataset")
-    result = execute(scenario, version)
+    result = execute(scenario, version, rows_only=True)
     count = write_dataset(result.dataset_rows, args.out)
     print(f"wrote {count} rows to {args.out}")
     return 0
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit:
         raise
-    except UsageError as exc:
+    except (UsageError, apps.NoTrainingRowsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary

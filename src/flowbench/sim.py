@@ -17,6 +17,11 @@ the batch's sort key and is folded into a running per-kind SHA-256 as the
 run goes, so the report digests need neither a second encoding nor a
 joined copy of every text.
 
+A training run (`training_rows`) needs only the dataset rows, so it runs
+the same loop rows-only: each batch keeps only the kinds the world reacts
+to (`World.observes`), nothing is hashed or filed, and `finish` collects
+or exports the rows without counting or publishing them.
+
 The world is deliberately stage-blind: it always reports everything that
 "happens" (pickups, polls, ...), and events whose kind has no route in
 the running version are simply not deliverable to it. That keeps event
@@ -67,6 +72,11 @@ class Scenario:
 class World:
     """Base for per-app worlds: exogenous arrivals plus reactions."""
 
+    observes: tuple[str, ...] = ()
+    """The observation kinds whose content and order `observe` uses. A
+    rows-only run shows the world only these, so a world that reacts to a
+    kind it does not declare here trains on different rows."""
+
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
 
@@ -74,7 +84,9 @@ class World:
         raise NotImplementedError
 
     def observe(self, tick: int, docs: list[dict]) -> None:
-        """Called once per tick with the app's sorted observation batch."""
+        """Called once per tick with the app's sorted observation batch: the
+        whole batch in a serving run, only the kinds in `observes` in a
+        rows-only run."""
 
 
 @dataclass(frozen=True)
@@ -96,10 +108,10 @@ class RunReport:
 class ExecutionResult:
     built: object
     instance: object | None  # RuntimeInstance for dataflow builds
-    observations: dict[str, list[dict]]
+    observations: dict[str, list[dict]]  # empty in a rows-only run
     dataset_rows: list[dict] | None  # `collection` row documents
-    counts: dict  # the report counts: stream lengths or per-API calls
-    digests: dict[str, str]  # per observation kind, see `observation_digests`
+    counts: dict  # the report counts: stream lengths or per-API calls; empty rows-only
+    digests: dict[str, str]  # per observation kind, see `observation_digests`; empty rows-only
 
 
 class _FbpDriver:
@@ -127,11 +139,14 @@ class _FbpDriver:
             self._read_pos[sid] = instance.length(sid)
         return batch
 
-    def finish(self) -> tuple[list[dict] | None, dict]:
+    def finish(self, rows_only: bool) -> tuple[list[dict] | None, dict]:
+        """The collected rows and the stream counts; rows-only: the rows
+        alone, neither counted nor published."""
         instance, spec = self.instance, self.built.collection
-        rows = None
-        if spec is not None:
-            rows = collect(instance, spec)
+        rows = None if spec is None else collect(instance, spec)
+        if rows_only:
+            return rows, {}
+        if rows is not None:
             publish_rows(instance, spec, rows)
         return rows, {f"stream/{sid}": instance.length(sid) for sid in instance.stream_ids()}
 
@@ -168,43 +183,57 @@ class _SoaDriver:
             batch.append({"data": response, "kind": route.obs_kind, "tick": tick})
         return batch
 
-    def finish(self) -> tuple[list[dict] | None, dict]:
-        rows = None
+    def finish(self, rows_only: bool) -> tuple[list[dict] | None, dict]:
+        """The exported rows and the per-API call counts; rows-only: the
+        rows alone."""
         service = self.built.dataset_service
+        rows = None
         if service is not None:
             rows = self.registry.call("sim", service, "export_dataset", {})["rows"]
+        if rows_only:
+            return rows, {}
         counts = Counter(f"api/{entry.callee}.{entry.api}" for entry in self.registry.trace)
         return rows, dict(sorted(counts.items()))
 
 
-def execute(scenario: Scenario, version) -> ExecutionResult:
+def execute(scenario: Scenario, version, *, rows_only: bool = False) -> ExecutionResult:
     """Run the full tick loop and keep the live app around for inspection.
 
     Per tick, each observation is encoded once; the batch is sorted by that
     text (ties keep their order) and each text is folded into its kind's
     running hash, so `digests` is ready when the loop ends.
+
+    `rows_only` is for runs that need only `dataset_rows` (training,
+    `flowbench collect`): each batch keeps only the kinds in
+    `world.observes` and is sorted and shown to the world as above, but
+    nothing is hashed or filed and `finish` neither counts nor publishes.
+    `observations`, `counts` and `digests` are then empty.
     """
     from . import apps  # local import: the apps import this module
 
     built = apps.build_app(version, scenario)
     world = apps.make_world(scenario)
+    kinds = frozenset(world.observes) if rows_only else None
     driver = _FbpDriver(built) if version.paradigm == "fbp" else _SoaDriver(built)
     observations: dict[str, list[dict]] = {}
     hashes: dict[str, hashlib._Hash] = {}
     for tick in range(scenario.ticks):
         batch = driver.tick(tick, world.generate_events(tick))
+        if rows_only:
+            batch = [doc for doc in batch if doc["kind"] in kinds]
         encoded = sorted(((canonical_json(doc), doc) for doc in batch), key=itemgetter(0))
-        for text, doc in encoded:
-            kind = doc["kind"]
-            running = hashes.get(kind)
-            if running is None:
-                hashes[kind] = hashlib.sha256(text.encode())
-                observations[kind] = [doc]
-            else:
-                running.update(b"\n" + text.encode())
-                observations[kind].append(doc)
+        if not rows_only:
+            for text, doc in encoded:
+                kind = doc["kind"]
+                running = hashes.get(kind)
+                if running is None:
+                    hashes[kind] = hashlib.sha256(text.encode())
+                    observations[kind] = [doc]
+                else:
+                    running.update(b"\n" + text.encode())
+                    observations[kind].append(doc)
         world.observe(tick, [doc for _, doc in encoded])
-    rows, counts = driver.finish()
+    rows, counts = driver.finish(rows_only)
     return ExecutionResult(
         built, driver.instance, observations, rows, counts, observation_digests(hashes)
     )
@@ -237,9 +266,11 @@ def training_rows(app: str, paradigm: str, scenario: Scenario) -> list[dict]:
 
     Runs the same app's data stage on a sibling scenario whose seed is
     derived from the serving seed, so training is deterministic but does
-    not replay the exact serving workload. `apps.build_app` calls it, and
-    fits the app's `fit_model` to the rows, before building a model stage;
-    structure-only builds never call it.
+    not replay the exact serving workload. The run is rows-only (see
+    `execute`): it returns the rows the full run would collect, without
+    the digests, counts and published dataset stream of a serving run.
+    `apps.build_app` calls it, and fits the app's `fit_model` to the rows,
+    before building a model stage; structure-only builds never call it.
     """
     from . import apps
 
@@ -249,5 +280,5 @@ def training_rows(app: str, paradigm: str, scenario: Scenario) -> list[dict]:
         seed=derive_seed(scenario.seed, "train"),
         params=dict(scenario.params),
     )
-    result = execute(train, apps.app_version(app, paradigm, "data"))
+    result = execute(train, apps.app_version(app, paradigm, "data"), rows_only=True)
     return result.dataset_rows or []

@@ -2,7 +2,10 @@
 
 import pytest
 
+from flowbench import apps
 from flowbench.cli import main
+from flowbench.collection import write_dataset
+from flowbench.sim import execute
 
 
 class TestUsageErrors:
@@ -38,6 +41,23 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "x.jsonl")]) == 1
         assert not (tmp_path / "x.jsonl").exists()
         assert main(["equiv", "playlist_builder", "--ticks", "-5"]) == 1
+
+    @pytest.mark.parametrize("app, paradigm", [
+        ("insurance_claims", "fbp"), ("ride_allocation", "fbp"), ("ride_allocation", "soa"),
+    ])
+    def test_too_few_ticks_to_train_exits_one(self, app, paradigm, capsys):
+        assert main(["run", app, paradigm, "ml", "--ticks", "0", "--seed", "4"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {app} {paradigm} ml: the training run collected no rows"
+            " (ticks=0, seed=4); run more ticks to train\n"
+        )
+
+    @pytest.mark.parametrize("paradigm", ["fbp", "soa"])
+    @pytest.mark.parametrize("app", ["mblogger", "playlist_builder"])
+    def test_online_ml_stage_runs_zero_ticks(self, app, paradigm, capsys):
+        # These ml stages learn online, so zero ticks is an empty run.
+        assert main(["run", app, paradigm, "ml", "--ticks", "0"]) == 0
+        assert '"ticks":0' in capsys.readouterr().out
 
 
 class TestRun:
@@ -90,6 +110,16 @@ class TestCollect:
         for path in paths:
             main(["collect", "ride_allocation", "--ticks", "40", "--seed", "2", "--out", str(path)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("app", ["insurance_claims", "ride_allocation"])
+    def test_writes_the_rows_of_the_full_run(self, app, tmp_path):
+        # collect runs rows-only; its file holds the full run's rows.
+        scenario = apps.make_scenario(app, 200, 3)
+        full = execute(scenario, apps.app_version(app, "fbp", "data")).dataset_rows
+        write_dataset(full, tmp_path / "full.jsonl")
+        path = tmp_path / "collected.jsonl"
+        assert main(["collect", app, "--ticks", "200", "--seed", "3", "--out", str(path)]) == 0
+        assert path.read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
     @pytest.mark.parametrize("app", ["mblogger", "playlist_builder"])
     def test_online_only_app_is_usage_error(self, app, tmp_path, capsys, monkeypatch):

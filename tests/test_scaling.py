@@ -39,8 +39,9 @@ def serving_reads(app: str, stage: str, monkeypatch) -> dict[int, int]:
     seen: dict[int, int] = {}
 
     def observed(self, tick, docs):
-        # An ml build's training run observes the same ticks first; the
-        # serving run comes last and overwrites them.
+        # An ml build's rows-only training run calls `observe` for the
+        # same ticks first, showing it only the kinds the world declares;
+        # the serving run comes last and overwrites them.
         seen[tick + 1] = reads[0]
         return observe(self, tick, docs)
 
