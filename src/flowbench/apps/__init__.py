@@ -54,8 +54,8 @@ def build_app(version: AppVersion, scenario: Scenario):
 
     The ml stage of an app that trains offline (one with a `fit_model`)
     trains here, before building: a data-stage simulation plus a fit.
-    Its build then carries `extras["model"]` and `extras["training_rows"]`.
-    A training run that collects no rows raises `NoTrainingRowsError`.
+    Its build carries only the model, `extras["model"]`: `sim.training_rows`
+    gives the rows again. A run that collects none raises `NoTrainingRowsError`.
     """
     fit_model = getattr(_MODULES[version.app], "fit_model", None)
     if version.stage != "ml" or fit_model is None:
@@ -68,7 +68,7 @@ def build_app(version: AppVersion, scenario: Scenario):
         )
     model = fit_model(rows)
     built = _builder(version)(version.stage, scenario, model)
-    built.extras.update(model=model, training_rows=rows)
+    built.extras["model"] = model
     return built
 
 

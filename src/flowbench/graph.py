@@ -436,29 +436,29 @@ def _find_cycle(node_ids: set[str], edges: set[tuple[str, str]]) -> list[str] | 
     for u, v in edges:
         if u in adj and v in adj:
             adj[u].append(v)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in node_ids}
+    on_stack: dict[str, bool] = {}  # visited node -> still on the stack
     stack: list[str] = []
-
-    def visit(u: str) -> list[str] | None:
-        color[u] = GRAY
-        stack.append(u)
-        for v in sorted(adj[u]):
-            if color[v] == GRAY:
-                return stack[stack.index(v):]
-            if color[v] == WHITE:
-                found = visit(v)
-                if found:
-                    return found
-        stack.pop()
-        color[u] = BLACK
-        return None
-
     for n in sorted(node_ids):
-        if color[n] == WHITE:
-            found = visit(n)
+        if n not in on_stack:
+            found = _visit(n, adj, on_stack, stack)
             if found:
                 return found
+    return None
+
+
+def _visit(u: str, adj: dict, on_stack: dict, stack: list[str]) -> list[str] | None:
+    """`_find_cycle`'s step; not nested, as a recursive closure is a cycle."""
+    on_stack[u] = True
+    stack.append(u)
+    for v in sorted(adj[u]):
+        if on_stack.get(v):
+            return stack[stack.index(v):]
+        if v not in on_stack:
+            found = _visit(v, adj, on_stack, stack)
+            if found:
+                return found
+    stack.pop()
+    on_stack[u] = False
     return None
 
 

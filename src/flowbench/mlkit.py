@@ -215,29 +215,30 @@ def fit_tree(rows: list[tuple[tuple[float, ...], object]], max_depth: int) -> Tr
     for (features, label), (count, first) in groups.items():
         _check_finite(first, features, "fit_tree")
         root.append((features, label, count))
+    return TreeModel(_grow(root, max_depth), max_depth)
 
-    def build(node: list, depth: int):
-        counts = _class_counts(node)
-        if depth >= max_depth or len(counts) == 1:
-            return _leaf(counts)
-        total = sum(counts.values())
-        parent = 1.0 - sum((c / total) ** 2 for c in counts.values())
-        best = None  # (gain, feature, threshold, left, right)
-        for f in range(d):
-            values = sorted({g[0][f] for g in node})
-            for a, b in zip(values, values[1:]):
-                thr = (a + b) / 2.0
-                left = [g for g in node if g[0][f] < thr]
-                right = [g for g in node if g[0][f] >= thr]
-                gain = parent - (_weighted_gini(left, total) + _weighted_gini(right, total))
-                if best is None or gain > best[0] + 1e-15:
-                    best = (gain, f, thr, left, right)
-        if best is None or best[0] <= 1e-15:
-            return _leaf(counts)
-        _, f, thr, left, right = best
-        return TreeSplit(f, thr, build(left, depth + 1), build(right, depth + 1))
 
-    return TreeModel(build(root, 0), max_depth)
+def _grow(node: list, depth_left: int):
+    """`fit_tree`'s subtree; not nested, as a recursive closure is a cycle."""
+    counts = _class_counts(node)
+    if depth_left <= 0 or len(counts) == 1:
+        return _leaf(counts)
+    total = sum(counts.values())
+    parent = 1.0 - sum((c / total) ** 2 for c in counts.values())
+    best = None  # (gain, feature, threshold, left, right)
+    for f in range(len(node[0][0])):
+        values = sorted({g[0][f] for g in node})
+        for a, b in zip(values, values[1:]):
+            thr = (a + b) / 2.0
+            left = [g for g in node if g[0][f] < thr]
+            right = [g for g in node if g[0][f] >= thr]
+            gain = parent - (_weighted_gini(left, total) + _weighted_gini(right, total))
+            if best is None or gain > best[0] + 1e-15:
+                best = (gain, f, thr, left, right)
+    if best is None or best[0] <= 1e-15:
+        return _leaf(counts)
+    _, f, thr, left, right = best
+    return TreeSplit(f, thr, _grow(left, depth_left - 1), _grow(right, depth_left - 1))
 
 
 def predict_tree(model: TreeModel, features):

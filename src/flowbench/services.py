@@ -8,11 +8,14 @@ copy of any request or response document: whatever a handler does not
 explicitly persist is gone when the call returns.
 
 `register` indexes every API by `(service, api)` to its handler and the
-service's context, so a call finds both with one dict lookup.
+service's context, so a call finds both with one dict lookup. A context
+holds its registry weakly, so a dropped registry is freed at once with its
+contexts, stores and trace: a context lives as long as its registry.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -79,11 +82,11 @@ class ServiceSpec:
 
 
 class ServiceContext:
-    """What a handler gets to touch: its own store and the registry."""
+    """A handler's own store and a weak proxy of its registry: it serves as long as that lives."""
 
     def __init__(self, service_id: str, registry: "ServiceRegistry"):
         self.service_id = service_id
-        self._registry = registry
+        self._registry = weakref.proxy(registry)
         self._tables: dict[str, dict] = {}
         self._routines: dict[str, RoutineSpec] = {}
 

@@ -8,19 +8,18 @@ earlier), the harness delivers them and then observes the app's outputs.
 One tick loop drives both paradigms through a small driver: `tick(tick,
 events)` delivers a tick's events and returns its observation batch, and
 `finish()` returns the dataset rows and the report counts. The loop sorts
-each batch, files it and shows it to the world. The rows are the row
-documents `collection.join` built, in both paradigms: the service twin's
-`export_dataset` response carries them as they are.
+each batch, hashes it and shows it to the world, the one reader of a run's
+observations. The rows are the row documents `collection.join` built, in
+both paradigms: the service twin's `export_dataset` response carries them.
 
 Each observation is encoded as canonical JSON exactly once: that text is
 the batch's sort key and is folded into a running per-kind SHA-256 as the
-run goes, so the report digests need neither a second encoding nor a
-joined copy of every text.
+run goes, so the digests keep no document, no text and no second encoding.
 
 A training run (`training_rows`) needs only the dataset rows, so it runs
 the same loop rows-only: each batch keeps only the kinds the world reacts
-to (`World.observes`), nothing is hashed or filed, and `finish` collects
-or exports the rows without counting or publishing them.
+to (`World.observes`), nothing is hashed, and `finish` collects or exports
+the rows without counting or publishing them.
 
 The world is deliberately stage-blind: it always reports everything that
 "happens" (pickups, polls, ...), and events whose kind has no route in
@@ -106,9 +105,10 @@ class RunReport:
 
 @dataclass
 class ExecutionResult:
+    """A run's live app, rows, counts and digests: no observation documents."""
+
     built: object
     instance: object | None  # RuntimeInstance for dataflow builds
-    observations: dict[str, list[dict]]  # empty in a rows-only run
     dataset_rows: list[dict] | None  # `collection` row documents
     counts: dict  # the report counts: stream lengths or per-API calls; empty rows-only
     digests: dict[str, str]  # per observation kind, see `observation_digests`; empty rows-only
@@ -200,14 +200,15 @@ def execute(scenario: Scenario, version, *, rows_only: bool = False) -> Executio
     """Run the full tick loop and keep the live app around for inspection.
 
     Per tick, each observation is encoded once; the batch is sorted by that
-    text (ties keep their order) and each text is folded into its kind's
-    running hash, so `digests` is ready when the loop ends.
+    text (ties keep their order), each text is folded into its kind's
+    running hash, so `digests` is ready at the end, and the batch is shown
+    to the world. No document is kept beyond its tick.
 
     `rows_only` is for runs that need only `dataset_rows` (training,
     `flowbench collect`): each batch keeps only the kinds in
     `world.observes` and is sorted and shown to the world as above, but
-    nothing is hashed or filed and `finish` neither counts nor publishes.
-    `observations`, `counts` and `digests` are then empty.
+    nothing is hashed and `finish` neither counts nor publishes. `counts`
+    and `digests` are then empty.
     """
     from . import apps  # local import: the apps import this module
 
@@ -215,7 +216,6 @@ def execute(scenario: Scenario, version, *, rows_only: bool = False) -> Executio
     world = apps.make_world(scenario)
     kinds = frozenset(world.observes) if rows_only else None
     driver = _FbpDriver(built) if version.paradigm == "fbp" else _SoaDriver(built)
-    observations: dict[str, list[dict]] = {}
     hashes: dict[str, hashlib._Hash] = {}
     for tick in range(scenario.ticks):
         batch = driver.tick(tick, world.generate_events(tick))
@@ -228,20 +228,16 @@ def execute(scenario: Scenario, version, *, rows_only: bool = False) -> Executio
                 running = hashes.get(kind)
                 if running is None:
                     hashes[kind] = hashlib.sha256(text.encode())
-                    observations[kind] = [doc]
                 else:
                     running.update(b"\n" + text.encode())
-                    observations[kind].append(doc)
         world.observe(tick, [doc for _, doc in encoded])
     rows, counts = driver.finish(rows_only)
-    return ExecutionResult(
-        built, driver.instance, observations, rows, counts, observation_digests(hashes)
-    )
+    return ExecutionResult(built, driver.instance, rows, counts, observation_digests(hashes))
 
 
 def observation_digests(hashes: dict[str, hashlib._Hash]) -> dict[str, str]:
     """Hex digest per kind, in kind order. Each running hash has seen the
-    kind's texts joined by newlines, so a digest equals
+    texts of the docs `observe` got, joined by newlines: a digest equals
     `sha256_hex("\n".join(canonical_json(d) for d in docs))`."""
     return {kind: running.hexdigest() for kind, running in sorted(hashes.items())}
 

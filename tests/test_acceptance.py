@@ -10,13 +10,14 @@ import time
 
 import pytest
 
-from flowbench import apps, metrics
+from flowbench import apps, metrics, sim
 from flowbench.apps import insurance_claims, mblogger
 from flowbench.collection import collect, write_dataset
 from flowbench.graph import Category, topological_order, upstream_closure, downstream_closure, validate
 from flowbench.mlkit import predict_tree
 from flowbench.sim import execute, run_scenario
 from util_graphs import brute_force_closure, random_dag
+from util_runs import observed
 
 ALL_APPS = apps.APP_NAMES
 OFFLINE_APPS = ("insurance_claims", "ride_allocation")
@@ -202,7 +203,7 @@ def test_c07_wait_regression_recovery():
         "ride_allocation", 200, 5, {"noise": 1.0, "request_rate": 1.4, "n_drivers": 25}
     )
     noisy_result = execute(noisy, apps.app_version("ride_allocation", "fbp", "ml"))
-    assert len(noisy_result.built.extras["training_rows"]) >= 200
+    assert len(sim.training_rows("ride_allocation", "fbp", noisy)) >= 200
     est = {r["ride_id"]: r["estimated_wait"] for r in noisy_result.instance.read("wait_estimates", 0)}
     real = {r["ride_id"]: r["wait_time"] for r in noisy_result.instance.read("pickup_waits", 0)}
     errors = [abs(est[k] - real[k]) for k in real if k in est]
@@ -218,7 +219,7 @@ def test_c08_classifier_reproduces_rule_chain():
     scenario = apps.make_scenario("insurance_claims", 200, 5)
     result = execute(scenario, apps.app_version("insurance_claims", "fbp", "ml"))
     model = result.built.extras["model"]
-    training = result.built.extras["training_rows"]
+    training = sim.training_rows("insurance_claims", "fbp", scenario)
     assert len(training) >= 500
     for row in training:
         predicted = predict_tree(model, insurance_claims.claim_features(row["features"]))
@@ -253,8 +254,8 @@ def test_c09_quantile_filter_on_every_playlist():
         movies = _movie_timeline(scenario)
         gross_of = {title: gross for _, title, _, gross in movies}
         for paradigm in ("fbp", "soa"):
-            result = execute(scenario, apps.app_version("playlist_builder", paradigm, "ml"))
-            for doc in result.observations.get("playlist", ()):
+            _, observations = observed(scenario, apps.app_version("playlist_builder", paradigm, "ml"))
+            for doc in observations.get("playlist", ()):
                 genre = doc["data"]["genre"]
                 tick = doc["tick"]
                 grosses = sorted(

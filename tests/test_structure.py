@@ -67,18 +67,21 @@ class TestTraining:
     @pytest.mark.parametrize("app", OFFLINE_APPS)
     @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
     def test_build_app_trains_once(self, monkeypatch, app, paradigm):
-        calls = []
+        calls, returned = [], []
         training_rows = sim.training_rows
 
         def counted(*args):
             calls.append(args)
-            return training_rows(*args)
+            returned.append(training_rows(*args))
+            return returned[-1]
 
         monkeypatch.setattr(sim, "training_rows", counted)
         scenario = apps.make_scenario(app, 30, 5)
         built = apps.build_app(apps.app_version(app, paradigm, "ml"), scenario)
         assert calls == [(app, paradigm, scenario)]
-        assert built.extras["training_rows"]
+        assert returned[0]
+        # The build carries the model, not the rows it was fitted to.
+        assert list(built.extras) == ["model"]
         assert built.extras["model"] is not None
 
     @pytest.mark.parametrize("app", OFFLINE_APPS)

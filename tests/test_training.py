@@ -53,7 +53,7 @@ def test_rows_only_run_keeps_only_the_rows(app, paradigm, monkeypatch):
     scenario = apps.make_scenario(app, 60, 3)
     result = execute(scenario, apps.app_version(app, paradigm, "data"), rows_only=True)
     assert result.dataset_rows
-    assert (result.observations, result.counts, result.digests) == ({}, {}, {})
+    assert (result.counts, result.digests) == ({}, {})
 
 
 @pytest.mark.parametrize(
