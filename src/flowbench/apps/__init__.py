@@ -24,14 +24,19 @@ _WORLDS = {
 APP_NAMES = tuple(sorted(_MODULES))
 
 
-def app_version(app: str, paradigm: str, stage: str) -> AppVersion:
+def _known(app: str) -> str:
+    """`app` if the catalog has it, else `ValueError` naming it."""
     if app not in _MODULES:
         raise ValueError(f"unknown app {app!r}")
-    return AppVersion(app, paradigm, stage)
+    return app
+
+
+def app_version(app: str, paradigm: str, stage: str) -> AppVersion:
+    return AppVersion(_known(app), paradigm, stage)
 
 
 def default_params(app: str) -> dict:
-    return dict(_MODULES[app].DEFAULT_PARAMS)
+    return dict(_MODULES[_known(app)].DEFAULT_PARAMS)
 
 
 def make_scenario(app: str, ticks: int, seed: int, overrides: dict | None = None) -> Scenario:
@@ -83,7 +88,7 @@ def build_structure(version: AppVersion, scenario: Scenario):
 
 
 def make_world(scenario: Scenario):
-    return _WORLDS[scenario.app](scenario)
+    return _WORLDS[_known(scenario.app)](scenario)
 
 
 __all__ = [

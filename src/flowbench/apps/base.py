@@ -18,8 +18,8 @@ to run. Worlds check their count and scale params at construction with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 APP_STAGES = ("min", "data", "ml")
 PARADIGMS = ("fbp", "soa")
@@ -80,15 +80,13 @@ class AppVersion:
         return f"{_KEY_PREFIX[self.paradigm]}_{self.app}_{self.stage}"
 
 
-@dataclass(frozen=True)
-class StreamRoute:
+class StreamRoute(NamedTuple):
     """Deliver an event kind by injecting into an input stream."""
 
     stream_id: str
 
 
-@dataclass(frozen=True)
-class ApiRoute:
+class ApiRoute(NamedTuple):
     """Deliver an event kind as a service call.
 
     `obs_kind` names the observation the response becomes (None: the
@@ -103,18 +101,18 @@ class ApiRoute:
     observe_when: str | None = None
 
 
-@dataclass
 class FbpBuild:
-    graph: object
-    routes: dict[str, StreamRoute]
-    obs_kinds: dict[str, str]  # output stream id -> observation kind
-    collection: object | None = None
-    extras: dict = field(default_factory=dict)
+    def __init__(self, graph, routes: dict[str, StreamRoute], obs_kinds: dict[str, str], collection=None):
+        self.graph = graph
+        self.routes = routes
+        self.obs_kinds = obs_kinds  # output stream id -> observation kind
+        self.collection = collection
+        self.extras: dict = {}  # a fresh dict per build
 
 
-@dataclass
 class SoaBuild:
-    registry: object
-    routes: dict[str, ApiRoute]
-    dataset_service: str | None = None  # service with an `export_dataset` API
-    extras: dict = field(default_factory=dict)
+    def __init__(self, registry, routes: dict[str, ApiRoute], dataset_service: str | None = None):
+        self.registry = registry
+        self.routes = routes
+        self.dataset_service = dataset_service  # service with an `export_dataset` API
+        self.extras: dict = {}  # a fresh dict per build

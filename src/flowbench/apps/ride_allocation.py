@@ -15,7 +15,6 @@ the pickup wait for every new allocation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from ..collection import CollectionSpec, StreamSelect, join
@@ -137,13 +136,13 @@ def fit_model(rows) -> LinearModel:
 # ----------------------------------------------------------------------
 
 
-@dataclass
 class _Fleet:
     """Allocator fold state: driver positions, busy drivers, ride -> driver."""
 
-    positions: dict[int, tuple[float, float]] = field(default_factory=dict)
-    busy: set[int] = field(default_factory=set)
-    ride_driver: dict[int, int] = field(default_factory=dict)
+    def __init__(self):
+        self.positions: dict[int, tuple[float, float]] = {}
+        self.busy: set[int] = set()
+        self.ride_driver: dict[int, int] = {}
 
 
 _FLEET_UPDATE, _COMPLETION, _REQUEST = range(3)

@@ -19,6 +19,7 @@ dataset stream and what `write_dataset` writes as one line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canon import canonical_json
 from .graph import Category, FlowGraph, UnknownElementError, upstream_closure
@@ -29,8 +30,7 @@ class CollectionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class StreamSelect:
+class StreamSelect(NamedTuple):
     """Fields to take from one stream, keyed by a correlation field."""
 
     stream_id: str
@@ -85,8 +85,9 @@ def _check_select(instance: RuntimeInstance, sel: StreamSelect) -> None:
 
 def _index(sel: StreamSelect, docs) -> dict:
     index: dict = {}
+    key_field = sel.key_field
     for doc in docs:
-        key = doc[sel.key_field]
+        key = doc[key_field]
         if key in index:
             raise CollectionError(f"duplicate key {key!r} in stream {sel.stream_id!r}")
         index[key] = doc
@@ -149,11 +150,9 @@ def publish_rows(instance: RuntimeInstance, spec: CollectionSpec, rows: list[dic
     The dataset stream is an output stream with no producing node; the
     runtime owns its write path, so the rest of the graph is untouched.
     """
+    dataset, key_field = spec.dataset_name, spec.label.key_field
     for row in rows:
-        instance.append_collected(
-            spec.dataset_name,
-            {spec.label.key_field: row["key"], **row["features"], **row["label"]},
-        )
+        instance.append_collected(dataset, {key_field: row["key"], **row["features"], **row["label"]})
     return len(rows)
 
 

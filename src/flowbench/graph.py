@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 FIELD_TYPES = ("int", "float", "text", "bool")
 _EXACT_TYPES = {"int": int, "float": float, "text": str, "bool": bool}
@@ -161,15 +161,13 @@ class Record(namedtuple("Record", ("schema", "values", "tick", "seq"))):
         return dict(zip(self.schema.field_names, self.values))
 
 
-@dataclass(frozen=True)
-class StreamDecl:
+class StreamDecl(NamedTuple):
     id: str
     category: Category
     schema: Schema
 
 
-@dataclass(frozen=True)
-class PortDecl:
+class PortDecl(NamedTuple):
     name: str
     schema: Schema
 
@@ -179,8 +177,7 @@ class PortDecl:
 Transform = Callable[..., dict]
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     """Deterministic transform with named ports.
 
     The transform itself holds no state between calls, and each in-port
@@ -201,8 +198,7 @@ class NodeSpec:
     init: Callable[[], Any] | None = None
 
 
-@dataclass(frozen=True)
-class InEdge:
+class InEdge(NamedTuple):
     """stream -> node.port"""
 
     stream: str
@@ -210,8 +206,7 @@ class InEdge:
     port: str
 
 
-@dataclass(frozen=True)
-class OutEdge:
+class OutEdge(NamedTuple):
     """node.port -> stream"""
 
     node: str
@@ -219,8 +214,7 @@ class OutEdge:
     stream: str
 
 
-@dataclass(frozen=True)
-class FlowGraph:
+class FlowGraph(NamedTuple):
     streams: tuple[StreamDecl, ...]
     nodes: tuple[NodeSpec, ...]
     in_edges: tuple[InEdge, ...]
@@ -301,7 +295,7 @@ class GraphBuilder:
     ) -> "GraphBuilder":
         """Declare a fold node: `step(inputs, state)` over runtime-owned `init()` state."""
         self.node(node_id, step, inputs, outputs, logic_version)
-        self._nodes[-1] = replace(self._nodes[-1], init=init)
+        self._nodes[-1] = self._nodes[-1]._replace(init=init)
         return self
 
     def build(self) -> FlowGraph:
@@ -313,8 +307,7 @@ class GraphBuilder:
         )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     subject: str
     message: str

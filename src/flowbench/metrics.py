@@ -10,7 +10,7 @@ and changed sets; their total size is how intrusive a change was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canon import fingerprint
 from .sim import Scenario
@@ -21,8 +21,7 @@ MANIFEST_TICKS = 100
 MANIFEST_SEED = 11
 
 
-@dataclass(frozen=True)
-class ComponentManifest:
+class ComponentManifest(NamedTuple):
     version_key: str
     components: dict  # component id -> fingerprint
 
@@ -30,8 +29,7 @@ class ComponentManifest:
         return set(self.components)
 
 
-@dataclass(frozen=True)
-class ComponentDiff:
+class ComponentDiff(NamedTuple):
     added: frozenset
     removed: frozenset
     changed: frozenset

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 START = "<s>"
 END = "</s>"
@@ -253,8 +254,7 @@ def predict_tree(model: TreeModel, features):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BigramModel:
+class BigramModel(NamedTuple):
     counts: dict
 
 
@@ -281,9 +281,9 @@ def generate(model: BigramModel, rng, max_len: int) -> list[str]:
     same text. Stops at END or after max_len tokens.
     """
     tokens: list[str] = []
-    current = START
+    current, counts = START, model.counts
     while len(tokens) < max_len:
-        successors = model.counts.get(current)
+        successors = counts.get(current)
         if not successors:
             break
         total = sum(successors.values())

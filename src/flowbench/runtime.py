@@ -25,9 +25,12 @@ marked failed: any later `step`, `inject` or `append_collected` raises
 `FailedInstanceError` naming the original node and tick. Reads still work.
 
 `start` builds a plan once, one entry per node in topological order with
-its fold state, its in-ports' logs and cursor keys and its out-ports'
-declarations and logs; `step` only walks that plan. Each port's checked
-rows are appended with one `extend`.
+its id, transform, fold flag and state, its in-ports' logs and cursor keys
+and, per out-port, the port name, stream id, schema and log; `step` only
+walks that plan. Each port's checked rows are appended with one `extend`.
+The graph's records (`NodeSpec`, `StreamDecl`, ...) are NamedTuples, whose
+field reads cost about twice an attribute read, so `step`, `inject` and
+`read` unpack what they need at start and read no record field per tick.
 """
 
 from __future__ import annotations
@@ -100,15 +103,16 @@ class RuntimeInstance:
         order = topological_order(graph)  # validates; raises GraphValidationError
         self._streams = graph.stream_map()
         self._logs: dict[str, list[Record]] = {s.id: [] for s in graph.streams}
-        self._producer_count = {
-            s.id: len(graph.producers_of(s.id)) for s in graph.streams
+        self._inputs = {  # input stream id -> (schema, log), for `inject`
+            s.id: (s.schema, self._logs[s.id]) for s in graph.streams if s.category is Category.INPUT
         }
+        self._producer_count = {s.id: len(graph.producers_of(s.id)) for s in graph.streams}
         in_wiring = {(e.node, e.port): e.stream for e in graph.in_edges}
         out_wiring = {(e.node, e.port): e.stream for e in graph.out_edges}
         self._cursors: dict[tuple[str, str], int] = {key: 0 for key in in_wiring}
-        # One entry per node in topological order: (node, fold state or None,
-        # ((port, log, cursor key), ...), ((port, stream decl, log), ...),
-        # out-port names). `step` walks it and looks nothing else up.
+        # One entry per node in topological order: (node id, transform, is a fold,
+        # fold state or None, ((port, log, cursor key), ...), ((port, stream id,
+        # schema, log), ...), out-port names). `step` walks it, looks nothing up.
         nodes = graph.node_map()
         self._plan = []
         for nid in order:
@@ -119,11 +123,12 @@ class RuntimeInstance:
             )
             outs = []
             for p in node.out_ports:
-                decl = self._streams[out_wiring[(nid, p.name)]]
-                outs.append((p.name, decl, self._logs[decl.id]))
-            state = None if node.init is None else node.init()
+                sid = out_wiring[(nid, p.name)]
+                outs.append((p.name, sid, self._streams[sid].schema, self._logs[sid]))
+            fold = node.init is not None
+            state = node.init() if fold else None
             names = frozenset(p.name for p in node.out_ports)
-            self._plan.append((node, state, ins, tuple(outs), names))
+            self._plan.append((nid, node.transform, fold, state, ins, tuple(outs), names))
         self._failure: str | None = None
         self.tick = 0
         self.invocations: dict[str, int] = {n.id: 0 for n in graph.nodes}
@@ -136,10 +141,12 @@ class RuntimeInstance:
         """Append outside-world data to an input stream at the current tick."""
         if self._failure is not None:
             raise FailedInstanceError(self._failure)
-        decl = self._decl(stream_id)
-        if decl.category is not Category.INPUT:
+        target = self._inputs.get(stream_id)
+        if target is None:
+            self._log(stream_id)  # an unknown id raises `UnknownElementError`
             raise StreamWriteError(f"{stream_id!r} is not an input stream")
-        return self._append(decl, decl.schema.coerce_row(values))
+        schema, log = target
+        return self._append(schema, log, schema.coerce_row(values))
 
     def append_collected(self, stream_id: str, values) -> Record:
         """Runtime-owned write path for producer-less output streams.
@@ -149,16 +156,15 @@ class RuntimeInstance:
         """
         if self._failure is not None:
             raise FailedInstanceError(self._failure)
-        decl = self._decl(stream_id)
+        log, decl = self._log(stream_id), self._streams[stream_id]
         if decl.category is not Category.OUTPUT:
             raise StreamWriteError(f"{stream_id!r} is not an output stream")
         if self._producer_count[stream_id]:
             raise StreamWriteError(f"{stream_id!r} is produced by a node")
-        return self._append(decl, decl.schema.coerce_row(values))
+        return self._append(decl.schema, log, decl.schema.coerce_row(values))
 
-    def _append(self, decl, row: tuple) -> Record:
-        log = self._logs[decl.id]
-        rec = Record(decl.schema, row, self.tick, len(log))
+    def _append(self, schema, log: list[Record], row: tuple) -> Record:
+        rec = Record(schema, row, self.tick, len(log))
         log.append(rec)
         return rec
 
@@ -179,41 +185,37 @@ class RuntimeInstance:
         cursors = self._cursors
         produced: dict[str, int] = {}
         try:
-            for node, state, ins, outs, out_names in self._plan:
+            for nid, transform, fold, state, ins, outs, out_names in self._plan:
                 inputs = {name: PortView(log, cursors[key]) for name, log, key in ins}
                 try:
-                    if node.init is None:
-                        result = node.transform(inputs)
-                    else:
-                        result = node.transform(inputs, state)
+                    result = transform(inputs, state) if fold else transform(inputs)
                 except Exception as exc:
-                    raise NodeError(node.id, tick, exc) from exc
+                    raise NodeError(nid, tick, exc) from exc
                 if result:
                     if not out_names.issuperset(result):
                         raise TransformError(
-                            f"node {node.id!r} at tick {tick} emitted to undeclared ports "
+                            f"node {nid!r} at tick {tick} emitted to undeclared ports "
                             f"{sorted(set(result) - out_names)}"
                         )
                     staged = []
-                    for name, decl, log in outs:
-                        coerce = decl.schema.coerce_row
+                    for name, sid, schema, log in outs:
+                        coerce = schema.coerce_row
                         try:
                             rows = [coerce(row) for row in result.get(name, ())]
                         except SchemaMismatchError as exc:
                             raise TransformError(
-                                f"node {node.id!r} port {name!r} at tick {tick}: {exc}"
+                                f"node {nid!r} port {name!r} at tick {tick}: {exc}"
                             ) from exc
                         if rows:
-                            staged.append((decl, log, rows))
-                    for decl, log, rows in staged:
-                        schema = decl.schema
+                            staged.append((sid, schema, log, rows))
+                    for sid, schema, log, rows in staged:
                         log.extend([
                             Record(schema, row, tick, seq) for seq, row in enumerate(rows, len(log))
                         ])
-                        produced[decl.id] = produced.get(decl.id, 0) + len(rows)
+                        produced[sid] = produced.get(sid, 0) + len(rows)
                 for name, log, key in ins:
                     cursors[key] = len(log)
-                self.invocations[node.id] += 1
+                self.invocations[nid] += 1
         except (NodeError, TransformError) as exc:
             self._fail(tick, exc)
             raise
@@ -226,8 +228,8 @@ class RuntimeInstance:
         Only nodes write to produced streams, and only inside `step`, so the
         tick's records there are exactly the trailing ones stamped `tick`.
         """
-        for _, _, _, outs, _ in self._plan:
-            for _, _, log in outs:
+        for *_, outs, _ in self._plan:
+            for *_, log in outs:
                 while log and log[-1].tick == tick:
                     log.pop()
         self._failure = f"instance failed, start a new one: {exc}"
@@ -239,18 +241,17 @@ class RuntimeInstance:
     def read(self, stream_id: str, from_seq: int = 0) -> list[Record]:
         if from_seq < 0:
             raise ValueError("from_seq must be >= 0")
-        decl = self._decl(stream_id)
-        return list(self._logs[decl.id][from_seq:])
+        return self._log(stream_id)[from_seq:]  # a slice: already a fresh list
 
     def length(self, stream_id: str) -> int:
-        return len(self._logs[self._decl(stream_id).id])
+        return len(self._log(stream_id))
 
     def stream_ids(self) -> list[str]:
         return sorted(self._logs)
 
-    def _decl(self, stream_id: str):
+    def _log(self, stream_id: str) -> list[Record]:
         try:
-            return self._streams[stream_id]
+            return self._logs[stream_id]
         except KeyError:
             raise UnknownElementError(stream_id) from None
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -57,8 +57,7 @@ class ApiSpec:
     logic_version: str = "v1"
 
 
-@dataclass(frozen=True)
-class RoutineSpec:
+class RoutineSpec(NamedTuple):
     """Named data-access helper; the only sanctioned store accessor."""
 
     name: str
@@ -84,11 +83,11 @@ class ServiceSpec:
 class ServiceContext:
     """A handler's own store and a weak proxy of its registry: it serves as long as that lives."""
 
-    def __init__(self, service_id: str, registry: "ServiceRegistry"):
+    def __init__(self, service_id: str, registry: "ServiceRegistry", routines: dict[str, Callable]):
         self.service_id = service_id
         self._registry = weakref.proxy(registry)
         self._tables: dict[str, dict] = {}
-        self._routines: dict[str, RoutineSpec] = {}
+        self._routines = routines  # routine name -> its `fn`
 
     @property
     def tick(self) -> int:
@@ -113,10 +112,10 @@ class ServiceContext:
         return MappingProxyType(self._tables.get(table, {}))
 
     def routine(self, name: str, *args):
-        spec = self._routines.get(name)
-        if spec is None:
+        fn = self._routines.get(name)
+        if fn is None:
             raise ServiceError(f"service {self.service_id!r} has no routine {name!r}")
-        return spec.fn(self, *args)
+        return fn(self, *args)
 
     def call(self, callee: str, api: str, request: dict) -> dict:
         return self._registry.call(self.service_id, callee, api, request)
@@ -129,21 +128,20 @@ class CallEntry(NamedTuple):
     tick: int
 
 
-@dataclass
 class ServiceRegistry:
-    tick: int = 0
-    trace: list[CallEntry] = field(default_factory=list)
-    _services: dict[str, ServiceSpec] = field(default_factory=dict)
-    _apis: dict[tuple[str, str], tuple[Callable, ServiceContext]] = field(default_factory=dict)
-    _contexts: dict[str, ServiceContext] = field(default_factory=dict)
-    _in_flight: set[tuple[str, str]] = field(default_factory=set)
+    def __init__(self):
+        self.tick = 0
+        self.trace: list[CallEntry] = []
+        self._services: dict[str, ServiceSpec] = {}
+        self._apis: dict[tuple[str, str], tuple[Callable, ServiceContext]] = {}
+        self._contexts: dict[str, ServiceContext] = {}
+        self._in_flight: set[tuple[str, str]] = set()
 
     def register(self, spec: ServiceSpec) -> None:
         if spec.id in self._services:
             raise DuplicateServiceError(f"service {spec.id!r} already registered")
         self._services[spec.id] = spec
-        ctx = ServiceContext(spec.id, self)
-        ctx._routines = {r.name: r for r in spec.routines}
+        ctx = ServiceContext(spec.id, self, {r.name: r.fn for r in spec.routines})
         self._contexts[spec.id] = ctx
         for api in spec.apis:
             self._apis[(spec.id, api.name)] = (api.handler, ctx)

@@ -11,6 +11,10 @@ events)` delivers a tick's events and returns its observation batch, and
 each batch, hashes it and shows it to the world, the one reader of a run's
 observations. The rows are the row documents `collection.join` built, in
 both paradigms: the service twin's `export_dataset` response carries them.
+Value records (`RunReport`, `ExecutionResult`, a build's routes) are
+NamedTuples, whose field reads cost about twice an attribute read, so each
+driver unpacks `built.routes` into per-kind tuples when it starts and its
+`tick` reads no record field; mutable holders are plain classes.
 
 Each observation is encoded as canonical JSON exactly once: that text is
 the batch's sort key and is folded into a running per-kind SHA-256 as the
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -88,8 +92,7 @@ class World:
         rows-only run."""
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     app: str
     paradigm: str
     stage: str
@@ -100,11 +103,10 @@ class RunReport:
     dataset_rows: int | None
 
     def to_json(self) -> str:
-        return canonical_json(asdict(self))
+        return canonical_json(self._asdict())
 
 
-@dataclass
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     """A run's live app, rows, counts and digests: no observation documents."""
 
     built: object
@@ -121,22 +123,25 @@ class _FbpDriver:
     def __init__(self, built):
         self.built = built
         self.instance = start(built.graph)
-        self._fields = {s.id: s.schema.field_names for s in built.graph.streams}
+        fields = {s.id: s.schema.field_names for s in built.graph.streams}
+        # event kind -> (input stream id, its field names)
+        self._routes = {kind: (r.stream_id, fields[r.stream_id]) for kind, r in built.routes.items()}
+        self._observed = sorted(built.obs_kinds.items())  # (output stream id, kind)
         self._read_pos = {sid: 0 for sid in built.obs_kinds}
 
     def tick(self, tick: int, events: list[Event]) -> list[dict]:
-        routes, instance = self.built.routes, self.instance
-        for ev in events:
-            route = routes.get(ev.kind)
+        routes, instance, read_pos = self._routes, self.instance, self._read_pos
+        for _, kind, payload in events:
+            route = routes.get(kind)
             if route is not None:
-                values = {f: ev.payload[f] for f in self._fields[route.stream_id]}
-                instance.inject(route.stream_id, values)
+                sid, fields = route
+                instance.inject(sid, {f: payload[f] for f in fields})
         instance.step()
         batch = []
-        for sid, kind in sorted(self.built.obs_kinds.items()):
-            for rec in instance.read(sid, self._read_pos[sid]):
-                batch.append({"data": rec.as_dict(), "kind": kind, "tick": tick})
-            self._read_pos[sid] = instance.length(sid)
+        for sid, kind in self._observed:
+            new = instance.read(sid, read_pos[sid])
+            batch += [{"data": rec.as_dict(), "kind": kind, "tick": tick} for rec in new]
+            read_pos[sid] += len(new)
         return batch
 
     def finish(self, rows_only: bool) -> tuple[list[dict] | None, dict]:
@@ -160,27 +165,28 @@ class _SoaDriver:
     def __init__(self, built):
         self.built = built
         self.registry = built.registry
-        self._fields = {
-            (spec.id, api.name): api.request_fields
-            for spec in self.registry.service_specs()
-            for api in spec.apis
+        fields = {(s.id, a.name): a.request_fields for s in self.registry.service_specs() for a in s.apis}
+        # event kind -> (service, api, request fields, obs_kind, observe_when)
+        self._routes = {
+            kind: (r.service, r.api, fields[(r.service, r.api)], r.obs_kind, r.observe_when)
+            for kind, r in built.routes.items()
         }
 
     def tick(self, tick: int, events: list[Event]) -> list[dict]:
-        routes, registry = self.built.routes, self.registry
+        routes, registry = self._routes, self.registry
         registry.tick = tick
         batch = []
-        for ev in events:
-            route = routes.get(ev.kind)
+        for _, kind, payload in events:
+            route = routes.get(kind)
             if route is None:
                 continue
-            request = {f: ev.payload[f] for f in self._fields[(route.service, route.api)]}
-            response = registry.call("sim", route.service, route.api, request)
-            if route.obs_kind is None:
+            service, api, fields, obs_kind, observe_when = route
+            response = registry.call("sim", service, api, {f: payload[f] for f in fields})
+            if obs_kind is None:
                 continue
-            if route.observe_when is not None and not response.get(route.observe_when):
+            if observe_when is not None and not response.get(observe_when):
                 continue
-            batch.append({"data": response, "kind": route.obs_kind, "tick": tick})
+            batch.append({"data": response, "kind": obs_kind, "tick": tick})
         return batch
 
     def finish(self, rows_only: bool) -> tuple[list[dict] | None, dict]:

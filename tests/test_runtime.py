@@ -279,6 +279,15 @@ class TestRead:
         inst = self._three_records()
         assert inst.read("o", 1) == inst.read("o", 1)
 
+    def test_mutating_what_read_returns_leaves_the_log_unchanged(self):
+        inst = self._three_records()
+        for from_seq in (0, 1):
+            got = inst.read("o", from_seq)
+            got.clear()
+            got.append("junk")
+        assert inst.length("o") == 3
+        assert [r.seq for r in inst.read("o")] == [0, 1, 2]
+
     def test_read_unknown_stream_raises(self):
         from flowbench.graph import UnknownElementError
 

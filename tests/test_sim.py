@@ -94,6 +94,20 @@ class TestScenario:
         with pytest.raises(ValueError, match=r"\['n_driver'\]"):
             apps.make_scenario("ride_allocation", 20, 1, {"n_driver": 5})
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: apps.make_scenario("nope", 10, 1),
+            lambda: apps.default_params("nope"),
+            lambda: apps.make_world(Scenario("nope", 10, 1)),
+            lambda: apps.app_version("nope", "fbp", "min"),
+        ],
+        ids=["make_scenario", "default_params", "make_world", "app_version"],
+    )
+    def test_unknown_app_refused_by_name(self, call):
+        with pytest.raises(ValueError, match="unknown app 'nope'"):
+            call()
+
 
 @pytest.mark.parametrize(
     "cls,fields,other",

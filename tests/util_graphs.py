@@ -4,8 +4,6 @@ recompute-from-copy fold that stands in for a fold node in oracle graphs."""
 
 from __future__ import annotations
 
-import dataclasses
-
 from flowbench.graph import (
     Category,
     FlowGraph,
@@ -168,10 +166,9 @@ def recompute_from_copy(replay):
 def with_oracles(graph: FlowGraph, oracles: dict) -> FlowGraph:
     """`graph` with each node named in `oracles` replaced by a
     `recompute_from_copy` fold over that node's replay function."""
-    return dataclasses.replace(
-        graph,
+    return graph._replace(
         nodes=tuple(
-            dataclasses.replace(n, transform=recompute_from_copy(oracles[n.id]), init=dict)
+            n._replace(transform=recompute_from_copy(oracles[n.id]), init=dict)
             if n.id in oracles
             else n
             for n in graph.nodes
