@@ -59,7 +59,7 @@ def build_app(version: AppVersion, scenario: Scenario):
 
     The ml stage of an app that trains offline (one with a `fit_model`)
     trains here, before building: a data-stage simulation plus a fit.
-    Its build carries only the model, `extras["model"]`: `sim.training_rows`
+    Its build carries only the model, as `built.model`: `sim.training_rows`
     gives the rows again. A run that collects none raises `NoTrainingRowsError`.
     """
     fit_model = getattr(_MODULES[version.app], "fit_model", None)
@@ -73,7 +73,7 @@ def build_app(version: AppVersion, scenario: Scenario):
         )
     model = fit_model(rows)
     built = _builder(version)(version.stage, scenario, model)
-    built.extras["model"] = model
+    built.model = model
     return built
 
 

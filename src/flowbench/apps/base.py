@@ -107,7 +107,7 @@ class FbpBuild:
         self.routes = routes
         self.obs_kinds = obs_kinds  # output stream id -> observation kind
         self.collection = collection
-        self.extras: dict = {}  # a fresh dict per build
+        self.model = None  # the fitted model, if `apps.build_app` trained one
 
 
 class SoaBuild:
@@ -115,4 +115,4 @@ class SoaBuild:
         self.registry = registry
         self.routes = routes
         self.dataset_service = dataset_service  # service with an `export_dataset` API
-        self.extras: dict = {}  # a fresh dict per build
+        self.model = None  # the fitted model, if `apps.build_app` trained one

@@ -382,7 +382,7 @@ class ClaimsWorld(World):
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         self.rng = SplitMix64(derive_seed(scenario.seed, "world", "insurance_claims"))
-        self.claim_rate = checked_rate("claim_rate", float(scenario.params["claim_rate"]))
+        self.claim_rate = checked_rate("claim_rate", scenario.params["claim_rate"])
         self.next_claim_id = 0
 
     def generate_events(self, tick: int) -> list[Event]:

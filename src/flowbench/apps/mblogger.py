@@ -365,9 +365,9 @@ class BloggerWorld(World):
         p = scenario.params
         self.rng = SplitMix64(derive_seed(scenario.seed, "world", "mblogger"))
         self.n_users = checked_count("n_users", p["n_users"], 1)
-        self.follow_rate = checked_rate("follow_rate", float(p["follow_rate"]))
-        self.post_rate = checked_rate("post_rate", float(p["post_rate"]))
-        self.request_rate = checked_rate("request_rate", float(p["request_rate"]))
+        self.follow_rate = checked_rate("follow_rate", p["follow_rate"])
+        self.post_rate = checked_rate("post_rate", p["post_rate"])
+        self.request_rate = checked_rate("request_rate", p["request_rate"])
         self.bot_user = p["bot_user"]
         if not isinstance(self.bot_user, str):
             raise ValueError(f"bot_user must be a str, got {self.bot_user!r}")

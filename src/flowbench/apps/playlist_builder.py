@@ -274,11 +274,10 @@ class PlaylistWorld(World):
         if not isinstance(genres, (list, tuple)) or not genres or not all(isinstance(g, str) and g for g in genres):
             raise ValueError(f"genres must be a non-empty list or tuple of non-empty str, got {genres!r}")
         self.genres = tuple(genres)
-        self.movie_rate = checked_rate("movie_rate", float(p["movie_rate"]))
-        self.request_rate = checked_rate("request_rate", float(p["request_rate"]))
+        self.movie_rate = checked_rate("movie_rate", p["movie_rate"])
+        self.request_rate = checked_rate("request_rate", p["request_rate"])
         self.next_movie = 0
         self.next_request = 0
-        self.catalog: list[tuple[str, str, float]] = []
 
     def generate_events(self, tick: int) -> list[Event]:
         events = []
@@ -287,7 +286,6 @@ class PlaylistWorld(World):
             self.next_movie += 1
             genre = self.genres[self.rng.randrange(len(self.genres))]
             gross = self.rng.uniform(1.0, 100.0)
-            self.catalog.append((title, genre, gross))
             events.append(Event(tick, "movie", {"title": title, "genre": genre, "gross": gross}))
         for _ in range(self.rng.poisson(self.request_rate)):
             events.append(

@@ -474,7 +474,7 @@ class RideWorld(World):
         p = scenario.params
         self.rng = SplitMix64(derive_seed(scenario.seed, "world", "ride_allocation"))
         self.n_drivers = checked_count("n_drivers", p["n_drivers"], 0)
-        self.request_rate = checked_rate("request_rate", float(p["request_rate"]))
+        self.request_rate = checked_rate("request_rate", p["request_rate"])
         self.noise = checked_scale("noise", p["noise"])
         self.world_size = checked_scale("world_size", p["world_size"])
         self.driver_pos: dict[int, tuple[float, float]] = {}

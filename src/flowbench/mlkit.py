@@ -137,14 +137,6 @@ class TreeModel:
     root: TreeLeaf | TreeSplit
     max_depth: int
 
-    def depth(self) -> int:
-        def walk(node):
-            if isinstance(node, TreeLeaf):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
 
 def _class_counts(node: list) -> dict:
     """Rows per label, the labels in the order of their first row.

@@ -19,11 +19,13 @@ _GAMMA = 0x9E3779B97F4A7C15
 MAX_POISSON_RATE = 700.0
 
 
-def checked_rate(name: str, lam: float) -> float:
-    """`lam` itself if `poisson` can draw from it, else `ValueError` naming `name`."""
-    if not 0.0 <= lam <= MAX_POISSON_RATE:  # also refuses NaN
-        raise ValueError(f"{name} must lie in [0, {MAX_POISSON_RATE:g}], got {lam!r}")
-    return lam
+def checked_rate(name: str, lam) -> float:
+    """`lam` as a float if it is an int or float (not a bool) `poisson` can
+    draw from, else `ValueError` naming `name`: a rate is never converted
+    from a bool or a string."""
+    if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0.0 <= lam <= MAX_POISSON_RATE:
+        raise ValueError(f"{name} must be a number in [0, {MAX_POISSON_RATE:g}], got {lam!r}")  # NaN too
+    return float(lam)
 
 
 def checked_seed(seed: int) -> int:

@@ -2,15 +2,15 @@
 
 Services expose named APIs and keep their state in private per-service
 key-value stores, reachable only through the service's own data routines.
-Calls are synchronous and go through a registry that records a call trace
-of `CallEntry` tuples (caller, callee, api, tick) but deliberately keeps no
-copy of any request or response document: whatever a handler does not
-explicitly persist is gone when the call returns.
+Calls are synchronous and go through a registry that counts the calls to
+each `(service, api)` but deliberately keeps no copy of any request or
+response document: whatever a handler does not explicitly persist is gone
+when the call returns.
 
 `register` indexes every API by `(service, api)` to its handler and the
 service's context, so a call finds both with one dict lookup. A context
 holds its registry weakly, so a dropped registry is freed at once with its
-contexts, stores and trace: a context lives as long as its registry.
+contexts, stores and counts: a context lives as long as its registry.
 """
 
 from __future__ import annotations
@@ -121,17 +121,10 @@ class ServiceContext:
         return self._registry.call(self.service_id, callee, api, request)
 
 
-class CallEntry(NamedTuple):
-    caller: str
-    callee: str
-    api: str
-    tick: int
-
-
 class ServiceRegistry:
     def __init__(self):
         self.tick = 0
-        self.trace: list[CallEntry] = []
+        self.call_counts: dict[tuple[str, str], int] = {}  # (callee, api) -> calls so far
         self._services: dict[str, ServiceSpec] = {}
         self._apis: dict[tuple[str, str], tuple[Callable, ServiceContext]] = {}
         self._contexts: dict[str, ServiceContext] = {}
@@ -145,9 +138,6 @@ class ServiceRegistry:
         self._contexts[spec.id] = ctx
         for api in spec.apis:
             self._apis[(spec.id, api.name)] = (api.handler, ctx)
-
-    def has_api(self, service: str, api: str) -> bool:
-        return (service, api) in self._apis
 
     def service_specs(self) -> list[ServiceSpec]:
         return [self._services[sid] for sid in sorted(self._services)]
@@ -169,8 +159,8 @@ class ServiceRegistry:
         in_flight = self._in_flight
         if key in in_flight:
             raise ReentrantCallError(f"re-entrant call to {callee}.{api}")
-        # tuple.__new__ builds the entry without a Python-level __new__ frame.
-        self.trace.append(tuple.__new__(CallEntry, (caller, callee, api, self.tick)))
+        counts = self.call_counts
+        counts[key] = counts.get(key, 0) + 1
         in_flight.add(key)
         handler, ctx = target
         try:

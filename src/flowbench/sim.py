@@ -35,7 +35,6 @@ and monotonicity checks rely on.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
@@ -190,15 +189,16 @@ class _SoaDriver:
         return batch
 
     def finish(self, rows_only: bool) -> tuple[list[dict] | None, dict]:
-        """The exported rows and the per-API call counts; rows-only: the
-        rows alone."""
+        """The exported rows and the registry's per-API call counts, the
+        export included, as `api/<service>.<api>` in key order; rows-only:
+        the rows alone."""
         service = self.built.dataset_service
         rows = None
         if service is not None:
             rows = self.registry.call("sim", service, "export_dataset", {})["rows"]
         if rows_only:
             return rows, {}
-        counts = Counter(f"api/{entry.callee}.{entry.api}" for entry in self.registry.trace)
+        counts = {f"api/{callee}.{api}": n for (callee, api), n in self.registry.call_counts.items()}
         return rows, dict(sorted(counts.items()))
 
 

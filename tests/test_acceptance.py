@@ -186,7 +186,7 @@ def test_c07_wait_regression_recovery():
     overrides = {"noise": 0.0, "request_rate": 1.4, "n_drivers": 25}
     scenario = apps.make_scenario("ride_allocation", 200, 5, overrides)
     result = execute(scenario, apps.app_version("ride_allocation", "fbp", "ml"))
-    model = result.built.extras["model"]
+    model = result.built.model
     coefficients = dict(zip(("distance", "n_available", "tod"), model.coefficients))
     assert abs(coefficients["distance"] - 2.0) < 1e-6
     assert abs(coefficients["n_available"]) < 1e-6
@@ -218,7 +218,7 @@ def test_c08_classifier_reproduces_rule_chain():
     started = time.perf_counter()
     scenario = apps.make_scenario("insurance_claims", 200, 5)
     result = execute(scenario, apps.app_version("insurance_claims", "fbp", "ml"))
-    model = result.built.extras["model"]
+    model = result.built.model
     training = sim.training_rows("insurance_claims", "fbp", scenario)
     assert len(training) >= 500
     for row in training:

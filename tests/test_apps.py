@@ -314,7 +314,7 @@ class TestSoaServedModel:
     def test_store_serves_the_fitted_model_itself(self, app, service):
         scenario = apps.make_scenario(app, 40, 3)
         built = apps.build_app(apps.app_version(app, "soa", "ml"), scenario)
-        assert built.registry.context_for(service).routine("get_model") is built.extras["model"]
+        assert built.registry.context_for(service).routine("get_model") is built.model
 
 
 def _bot_state():
@@ -367,8 +367,8 @@ class TestStageSurfaceMonotonicity:
             surface[stage] = {
                 (r.service, r.api) for r in built.routes.values()
             }
-            for service, api in surface[stage]:
-                assert built.registry.has_api(service, api)
+            registered = {(s.id, a.name) for s in built.registry.service_specs() for a in s.apis}
+            assert surface[stage] <= registered
         assert surface["min"] <= surface["data"] <= surface["ml"]
 
 

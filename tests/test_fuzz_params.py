@@ -97,7 +97,7 @@ def test_paradigms_agree_at_min_on_random_params(app):
             ("playlist_builder", "movie_rate"),
             ("playlist_builder", "request_rate"),
         )
-        for rate in (-1.0, math.nan, math.inf, -math.inf, 700.5)
+        for rate in (-1.0, math.nan, math.inf, -math.inf, 700.5, True, "1.2")
     ],
 )
 def test_world_refuses_params_it_cannot_draw_from(app, params, name):

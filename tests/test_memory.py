@@ -78,7 +78,7 @@ def collector_off():
 def test_a_dropped_soa_run_frees_its_registry_at_once(app, stage, collector_off):
     result = sim.execute(apps.make_scenario(app, TICKS, SEED), apps.app_version(app, "soa", stage))
     registry = weakref.ref(result.built.registry)
-    assert registry().trace
+    assert registry().call_counts
     del result
     assert registry() is None
 

@@ -29,6 +29,13 @@ from flowbench.mlkit import (
 from flowbench.rng import SplitMix64, derive_seed
 
 
+def tree_depth(node) -> int:
+    """Splits on the longest path from `node` (a model's root) to a leaf."""
+    if isinstance(node, TreeLeaf):
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
 class TestFitLinear:
     def test_exact_line(self):
         model = fit_linear([((0.0,), 1.0), ((1.0,), 3.0), ((2.0,), 5.0)])
@@ -281,7 +288,7 @@ class TestFitTreeMatchesReference:
 class TestFitTree:
     def test_pure_input_gives_depth_zero_leaf(self):
         model = fit_tree([((1.0,), "A"), ((2.0,), "A")], max_depth=3)
-        assert model.depth() == 0
+        assert tree_depth(model.root) == 0
         assert predict_tree(model, (5.0,)) == "A"
 
     def test_one_dimensional_boundary(self):
@@ -325,7 +332,7 @@ class TestFitTree:
             for _ in range(64)
         ]
         model = fit_tree(rows, max_depth=3)
-        assert model.depth() <= 3
+        assert tree_depth(model.root) <= 3
 
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=20, deadline=None)

@@ -60,10 +60,9 @@ def test_importing_the_apps_and_metrics_decorates_only_the_kept_dataclasses():
     assert json.loads(proc.stdout) == KEPT_DATACLASSES
 
 
-def test_each_build_gets_a_fresh_extras_dict():
+def test_a_fresh_build_has_no_model():
     scenario = apps.make_scenario("ride_allocation", 10, 1)
     for paradigm in apps.PARADIGMS:
-        version = apps.app_version("ride_allocation", paradigm, "data")
-        a, b = apps.build_structure(version, scenario), apps.build_structure(version, scenario)
-        a.extras["model"] = object()
-        assert b.extras == {}
+        for stage in apps.APP_STAGES:
+            version = apps.app_version("ride_allocation", paradigm, stage)
+            assert apps.build_structure(version, scenario).model is None

@@ -8,8 +8,8 @@ import pytest
 
 from flowbench import apps
 from flowbench.apps import insurance_claims
-from flowbench.rng import _GAMMA, MASK64, SplitMix64, _mix64, derive_seed
-from flowbench.sim import execute
+from flowbench.rng import _GAMMA, MASK64, SplitMix64, _mix64, checked_rate, derive_seed
+from flowbench.sim import execute, run_scenario
 
 EDGE_SEEDS = [0, 1, 2**64 - 1]
 
@@ -81,10 +81,19 @@ class TestPoisson:
         mean = sum(rng.poisson(700.0) for _ in range(40)) / 40
         assert abs(mean - 700.0) < 30.0
 
-    @pytest.mark.parametrize("lam", [1000.0, 700.5, -1.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("lam", [1000.0, 700.5, -1.0, math.inf, -math.inf, math.nan, True, "1.2", None])
     def test_rate_it_cannot_sample_is_refused(self, lam):
         with pytest.raises(ValueError, match="lam"):
             SplitMix64(5).poisson(lam)
+
+    def test_an_int_rate_is_widened_and_runs_as_its_float(self):
+        assert type(checked_rate("claim_rate", 4)) is float
+        version = apps.app_version("insurance_claims", "fbp", "min")
+        as_int, as_float = (
+            run_scenario(apps.make_scenario("insurance_claims", 30, 1, {"claim_rate": rate}), version)
+            for rate in (4, 4.0)
+        )
+        assert as_int == as_float
 
     @pytest.mark.parametrize("rate", [1000.0, math.nan])
     def test_world_with_such_a_rate_fails_the_run(self, rate):

@@ -1,7 +1,8 @@
-"""Service baseline: registry, calls, tracing, data hiding."""
+"""Service baseline: registry, calls, call counts, data hiding."""
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,6 @@ from flowbench import apps
 from flowbench.canon import canonical_json
 from flowbench.services import (
     ApiSpec,
-    CallEntry,
     DuplicateServiceError,
     HandlerError,
     ReentrantCallError,
@@ -18,7 +18,8 @@ from flowbench.services import (
     ServiceSpec,
     UnknownServiceError,
 )
-from flowbench.sim import run_scenario
+from flowbench.sim import execute, run_scenario
+from util_runs import recorded_calls
 
 
 def _echo_service():
@@ -39,7 +40,7 @@ class TestRegister:
     def test_register_once(self):
         reg = ServiceRegistry()
         reg.register(_echo_service())
-        assert reg.has_api("echo", "ping")
+        assert [spec.id for spec in reg.service_specs()] == ["echo"]
 
     def test_duplicate_rejected(self):
         reg = ServiceRegistry()
@@ -62,42 +63,20 @@ class TestRegister:
         with pytest.raises(UnknownServiceError) as err:
             reg.call("sim", "echo", "pong", {})
         assert str(err.value) == "service 'echo' has no api 'pong'"
-        assert not reg.has_api("ghost", "ping")
-        assert not reg.has_api("echo", "pong")
-        assert reg.trace == []
-
-    @pytest.mark.parametrize("app", apps.APP_NAMES)
-    def test_has_api_agrees_with_call_on_the_soa_ml_builds(self, app):
-        # Every (service, api) pairing of the build's names, plus an unknown
-        # service: `has_api` is true exactly when `call` finds a handler.
-        built = apps.build_app(apps.app_version(app, "soa", "ml"), apps.make_scenario(app, 20, 3))
-        reg = built.registry
-        specs = reg.service_specs()
-        services = [spec.id for spec in specs] + ["ghost"]
-        api_names = sorted({api.name for spec in specs for api in spec.apis})
-        registered = {(spec.id, api.name) for spec in specs for api in spec.apis}
-        for service in services:
-            for api in api_names:
-                try:
-                    reg.call("sim", service, api, {})
-                    found = True
-                except UnknownServiceError:
-                    found = False
-                except Exception:
-                    found = True  # the handler ran and refused the empty request
-                assert reg.has_api(service, api) is found
-                assert found is ((service, api) in registered)
+        assert reg.call_counts == {}
 
 
 class TestCall:
-    def test_echo_round_trip_appends_trace(self):
+    def test_echo_round_trip_is_counted(self):
         reg = ServiceRegistry()
         reg.register(_echo_service())
-        response = reg.call("sim", "echo", "ping", {"x": 1})
+        with recorded_calls() as calls:
+            response = reg.call("sim", "echo", "ping", {"x": 1})
         assert response == {"x": 1}
-        assert reg.trace == [CallEntry("sim", "echo", "ping", 0)]
+        assert calls[reg] == [("sim", "echo", "ping", 0)]
+        assert reg.call_counts == {("echo", "ping"): 1}
 
-    def test_interim_call_shows_up_in_trace(self):
+    def test_interim_call_is_made_and_counted(self):
         # Three services: A.compute consults C.lookup before answering.
         reg = ServiceRegistry()
         reg.register(
@@ -121,12 +100,11 @@ class TestCall:
                 ),
             )
         )
-        response = reg.call("sim", "A", "compute", {"x": 5})
+        with recorded_calls() as calls:
+            response = reg.call("sim", "A", "compute", {"x": 5})
         assert response == {"out": 15}
-        assert [(e.caller, e.callee, e.api) for e in reg.trace] == [
-            ("sim", "A", "compute"),
-            ("A", "C", "lookup"),
-        ]
+        assert calls[reg] == [("sim", "A", "compute", 0), ("A", "C", "lookup", 0)]
+        assert reg.call_counts == {("A", "compute"): 1, ("C", "lookup"): 1}
 
     def test_reentrant_call_rejected(self):
         reg = ServiceRegistry()
@@ -159,10 +137,17 @@ class TestCall:
         def run():
             reg = ServiceRegistry()
             reg.register(_echo_service())
-            responses = [reg.call("sim", "echo", "ping", {"x": i}) for i in range(5)]
-            return responses, [(e.caller, e.callee, e.api, e.tick) for e in reg.trace]
+            responses = []
+            with recorded_calls() as calls:
+                for i in range(5):
+                    reg.tick = i // 2
+                    responses.append(reg.call("sim", "echo", "ping", {"x": i}))
+            return responses, calls[reg], reg.call_counts
 
-        assert run() == run()
+        first = run()
+        assert first == run()
+        assert [tick for *_, tick in first[1]] == [0, 0, 1, 1, 2]
+        assert first[2] == {("echo", "ping"): 5}
 
 
 class TestStores:
@@ -236,18 +221,36 @@ class TestStores:
 
 class TestEphemerality:
     def test_framework_retains_no_request_or_response(self):
-        # After a call, the only places a payload could hide are the trace
-        # and the stores. The trace carries identifiers only; the store is
+        # After a call, the only places a payload could hide are the
+        # registry's own state and the stores. The registry counts calls
+        # per (service, api) and holds neither document; the store is
         # empty unless a handler wrote to it.
         reg = ServiceRegistry()
         reg.register(_echo_service())
         marker = {"x": 987654321}
-        reg.call("sim", "echo", "ping", marker)
-        for entry in reg.trace:
-            assert not hasattr(entry, "request")
-            assert not hasattr(entry, "response")
-            assert 987654321 not in tuple(entry._asdict().values())
+        with recorded_calls() as calls:
+            response = reg.call("sim", "echo", "ping", marker)
+        assert calls[reg] == [("sim", "echo", "ping", 0)]
+        assert reg.call_counts == {("echo", "ping"): 1}
+        held = _containers(vars(reg), set())
+        for ctx in reg._contexts.values():
+            _containers(ctx._tables, held)
+        assert id(marker) not in held and id(response) not in held
         assert reg.context_for("echo").store_table("anything") == {}
+
+
+@pytest.mark.parametrize("stage", apps.APP_STAGES)
+@pytest.mark.parametrize("app", apps.APP_NAMES)
+def test_report_counts_equal_the_calls_made(app, stage):
+    # Oracle: count the calls the serving registry was asked to make, the
+    # calls between services and the closing `export_dataset` included.
+    with recorded_calls() as calls:
+        result = execute(apps.make_scenario(app, 60, 3), apps.app_version(app, "soa", stage))
+        made = Counter(f"api/{callee}.{api}" for _, callee, api, _ in calls[result.built.registry])
+    assert list(result.counts.items()) == sorted(made.items())
+    service = result.built.dataset_service
+    if service is not None:
+        assert result.counts[f"api/{service}.export_dataset"] == 1
 
 
 def _containers(obj, into: set) -> set:

@@ -8,7 +8,6 @@ from flowbench import apps
 from flowbench.apps import ride_allocation
 from flowbench.canon import canonical_json, sha256_hex
 from flowbench.runtime import TickSummary
-from flowbench.services import CallEntry
 from flowbench.sim import Event, Scenario, run_scenario
 from util_runs import observed
 
@@ -113,7 +112,6 @@ class TestScenario:
     "cls,fields,other",
     [
         (Event, (3, "ride_request", {"ride_id": 1}), (3, "ride_request", {"ride_id": 2})),
-        (CallEntry, ("sim", "rides", "request_ride", 3), ("sim", "rides", "request_ride", 4)),
         (TickSummary, (3, {"allocations": 2}), (3, {"allocations": 1})),
     ],
 )

@@ -81,8 +81,8 @@ class TestTraining:
         assert calls == [(app, paradigm, scenario)]
         assert returned[0]
         # The build carries the model, not the rows it was fitted to.
-        assert list(built.extras) == ["model"]
-        assert built.extras["model"] is not None
+        assert built.model is not None
+        assert all(value is not returned[0] for value in vars(built).values())
 
     @pytest.mark.parametrize("app", OFFLINE_APPS)
     @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
