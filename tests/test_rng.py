@@ -3,8 +3,11 @@
 rates they cannot sample."""
 
 import math
+from itertools import cycle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowbench import apps
 from flowbench.apps import insurance_claims
@@ -24,6 +27,96 @@ def _reference_chain(seed):
 
 def _unit(u64):
     return (u64 >> 11) / 2**53
+
+
+class _ScalarOracle:
+    """The generator's methods written over `_reference_chain`, one draw at
+    a time, with the state stepped by `_GAMMA` per draw: the oracle of the
+    batched `SplitMix64`."""
+
+    def __init__(self, seed):
+        self.state, self.draws, self._chain = seed, 0, _reference_chain(seed)
+
+    def next_u64(self):
+        self.state = (self.state + _GAMMA) & MASK64
+        self.draws += 1
+        return next(self._chain)
+
+    def random(self):
+        return _unit(self.next_u64())
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self.random()
+
+    def randrange(self, n):
+        return self.next_u64() % n
+
+    def sample(self, seq, k):
+        pool = list(seq)
+        return [pool.pop(self.randrange(len(pool))) for _ in range(min(k, len(pool)))]
+
+    def poisson(self, lam):
+        k, p = 0, 1.0
+        if lam == 0:
+            return 0
+        while True:
+            p *= self.random()
+            if p <= math.exp(-lam):
+                return k
+            k += 1
+
+
+SEEDS = st.integers(0, MASK64)
+CALLS = st.one_of(
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("uniform"), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    st.tuples(st.just("randrange"), st.integers(1, 2**70)),
+    st.tuples(st.just("poisson"), st.one_of(st.floats(0.0, 40.0), st.integers(0, 12))),
+    st.tuples(st.just("sample"), st.integers(0, 12).map(range), st.integers(0, 15)),
+)
+# Past the 4-, 16- and 64-lane batches and two 128-lane ones, so every
+# batch size is computed and the largest one refilled.
+CROSSES_EVERY_BATCH = 4 + 16 + 64 + 2 * 128
+
+
+class TestBatchesMatchScalarOracle:
+    @given(seed=SEEDS, calls=st.lists(CALLS, min_size=1, max_size=40))
+    @example(seed=0, calls=[("random",)])
+    @example(seed=1, calls=[("next_u64",), ("poisson", 0.0), ("sample", range(3), 0)])
+    @example(seed=MASK64, calls=[("sample", range(12), 15), ("poisson", 3.5)])
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_calls_give_the_scalar_outputs_and_states(self, seed, calls):
+        rng, oracle = SplitMix64(seed), _ScalarOracle(seed)
+        assert rng.state == seed
+        # The calls repeat in order until the draws cross every batch size; a
+        # plain draw ends each round so that a round always draws.
+        for name, *args in cycle([*calls, ("next_u64",)]):
+            got, want = getattr(rng, name)(*args), getattr(oracle, name)(*args)
+            assert (type(got), got) == (type(want), want), (name, args, oracle.draws)
+            assert rng.state == oracle.state, (name, args, oracle.draws)
+            if oracle.draws > CROSSES_EVERY_BATCH:
+                break
+
+    def test_state_is_read_only(self):
+        with pytest.raises(AttributeError):
+            SplitMix64(1).state = 2
+
+
+class TestBadArgumentsAreRefused:
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None, 0, -1])
+    def test_randrange_n(self, n):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError, match=r"randrange\(\) n must be"):
+            rng.randrange(n)
+        assert rng.state == 1
+
+    @pytest.mark.parametrize("k", [-1, -5, 1.0, True, "2", None])
+    def test_sample_k(self, k):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError, match=r"sample\(\) k must be"):
+            rng.sample([1, 2, 3], k)
+        assert rng.state == 1
 
 
 class TestDrawsMatchReferenceChain:
