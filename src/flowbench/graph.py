@@ -11,14 +11,18 @@ the program as a picture.
 Construction never fails on a malformed graph; `validate` reports every
 broken invariant as data so callers can decide what to do.
 
-Every record is checked on its way into a log. `Schema.coerce_row` first
-tries one loop over a (name, exact Python type) plan built with the
-schema: a dict holding exactly the declared fields, each value of exactly
-its field's type, is returned as a tuple in field order. Anything else,
-an int for a float, a subclass, a missing or extra key, takes the full
-checks with their messages. A `Record` is a tuple underneath (schema,
-values, tick, seq), so building one sets no attributes, and it stays
-immutable.
+Every record is checked and stamped on its way into a log by its schema's
+record maker, `make(values, tick, seq) -> Record`. The maker is Python
+source generated for that schema and compiled with `exec` the first time
+a running instance asks for it (`Schema.record_maker`), never at import
+or for a structure-only build. Its fast path is straight-line code: a
+dict holding exactly the declared fields, each value of exactly its
+field's Python type, becomes a `Record` with one subscript and one type
+test per field. Anything else, an int for a float, a subclass, a missing
+or extra key, goes to `Schema.coerce_row`, the full checks with their
+messages. A `Record` is a tuple underneath (schema, values, tick, seq),
+built with `tuple.__new__`, so building one sets no attributes and runs
+no Python `__new__`, and it stays immutable.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping, NamedTuple
 
 FIELD_TYPES = ("int", "float", "text", "bool")
-_EXACT_TYPES = {"int": int, "float": float, "text": str, "bool": bool}
+_TYPE_NAMES = {"int": "int", "float": "float", "text": "str", "bool": "bool"}
 
 
 class Category(str, Enum):
@@ -66,10 +70,18 @@ class Schema:
     fields: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
+        if type(self.fields) is not tuple:
+            raise ValueError(f"schema {self.name!r}: fields must be a tuple, got {self.fields!r}")
         if not self.fields:
             raise ValueError(f"schema {self.name!r} must declare at least one field")
         seen = set()
-        for fname, ftype in self.fields:
+        for field in self.fields:
+            if type(field) is not tuple or len(field) != 2:
+                raise ValueError(f"schema {self.name!r}: field {field!r} is not a (name, type) pair")
+            fname, ftype = field
+            # Exact str only: the record maker embeds `repr(fname)` in its source.
+            if type(fname) is not str or not fname:
+                raise ValueError(f"schema {self.name!r}: field name {fname!r} is not a non-empty str")
             if ftype not in FIELD_TYPES:
                 raise ValueError(f"schema {self.name!r}: unknown type {ftype!r} for {fname!r}")
             if fname in seen:
@@ -79,10 +91,6 @@ class Schema:
         # plain attributes, so equality and hash still depend on the fields only.
         object.__setattr__(self, "field_names", tuple(fname for fname, _ in self.fields))
         object.__setattr__(self, "_index", {fname: i for i, fname in enumerate(self.field_names)})
-        # (name, exact Python type) per field, for `coerce_row`'s one-loop pass.
-        object.__setattr__(
-            self, "_exact", tuple((fname, _EXACT_TYPES[ftype]) for fname, ftype in self.fields)
-        )
 
     def field_type(self, name: str) -> str:
         for fname, ftype in self.fields:
@@ -90,24 +98,25 @@ class Schema:
                 return ftype
         raise KeyError(name)
 
+    def record_maker(self) -> Callable[[Mapping[str, Any], int, int], "Record"]:
+        """This schema's `make(values, tick, seq) -> Record`, compiled on first use.
+
+        Cached on the schema like `field_names`, so each schema pays the
+        compile once per process.
+        """
+        make = self.__dict__.get("_make")
+        if make is None:
+            make = _compile_record_maker(self)
+            object.__setattr__(self, "_make", make)
+        return make
+
     def coerce_row(self, values: Mapping[str, Any]) -> tuple:
         """Check a field->value mapping against the schema, return ordered values.
 
         ints are accepted for float fields (and widened); bool is never
-        treated as an int. A dict holding exactly the declared fields, each
-        value of exactly its field's Python type, passes in one loop; any
-        other input takes the full checks below, which raise on it or widen it.
+        treated as an int. The record maker's fast path takes exact rows;
+        this is the full check it falls back to.
         """
-        plan = self._exact
-        if type(values) is dict and len(values) == len(plan):
-            row = []
-            for fname, ftype in plan:
-                v = values.get(fname)
-                if type(v) is not ftype:
-                    break
-                row.append(v)
-            else:
-                return tuple(row)
         extra = set(values).difference(self._index)
         if extra:
             raise SchemaMismatchError(
@@ -159,6 +168,36 @@ class Record(namedtuple("Record", ("schema", "values", "tick", "seq"))):
 
     def as_dict(self) -> dict[str, Any]:
         return dict(zip(self.schema.field_names, self.values))
+
+
+def _compile_record_maker(schema: Schema) -> Callable[[Mapping[str, Any], int, int], Record]:
+    """Generate and compile `schema`'s record maker (see the module docstring).
+
+    Field names reach the source only as `repr` of an exact `str`, checked
+    in `Schema.__post_init__`; values are bound to `v0`, `v1`, ...
+    """
+    names = [f"v{i}" for i in range(len(schema.fields))]
+    reads = "".join(
+        f"            {v} = values[{fname!r}]\n" for v, (fname, _) in zip(names, schema.fields)
+    )
+    exact = " and ".join(
+        f"type({v}) is {_TYPE_NAMES[ftype]}" for v, (_, ftype) in zip(names, schema.fields)
+    )
+    source = (
+        "def make(values, tick, seq):\n"
+        f"    if type(values) is dict and len(values) == {len(names)}:\n"
+        "        try:\n"
+        f"{reads}"
+        "        except KeyError:\n"
+        "            pass\n"
+        "        else:\n"
+        f"            if {exact}:\n"
+        f"                return new(Record, (schema, ({', '.join(names)},), tick, seq))\n"
+        "    return new(Record, (schema, schema.coerce_row(values), tick, seq))\n"
+    )
+    namespace = {"new": tuple.__new__, "Record": Record, "schema": schema}
+    exec(compile(source, f"<record maker {schema.name!r}>", "exec"), namespace)
+    return namespace["make"]
 
 
 class StreamDecl(NamedTuple):

@@ -11,26 +11,32 @@ the input logs, and two instances of one graph never share it.
 
 One `step()` executes every node exactly once in a frozen topological
 order, so records produced upstream are visible downstream within the
-same tick. A node's outputs are checked against their schemas before any
-of them is appended, so a bad row leaves no rows of that node in the
-logs; the `TransformError` names the node, port and tick. An exception
-raised inside a transform is re-raised as `NodeError`, naming the node
-and tick, with the original as its cause.
+same tick. A row that fails its schema's checks raises `TransformError`
+naming the node, port and tick. An exception raised inside a transform
+is re-raised as `NodeError`, naming the node and tick, with the original
+as its cause.
 
-A failed tick is atomic for the logs: before either error propagates,
+A failed tick is atomic for the logs: before any error leaves `step`,
 every record that nodes appended during that tick is removed again, so
-the logs are exactly as they were when `step()` was entered. Fold state
+the logs are exactly as they were when `step()` was entered, and a bad
+row leaves no rows of its node, on any port, in the logs. Fold state
 may already have advanced and is not rolled back, so the instance is then
 marked failed: any later `step`, `inject` or `append_collected` raises
 `FailedInstanceError` naming the original node and tick. Reads still work.
 
 `start` builds a plan once, one entry per node in topological order with
 its id, transform, fold flag and state, its in-ports' logs and cursor keys
-and, per out-port, the port name, stream id, schema and log; `step` only
-walks that plan. Each port's checked rows are appended with one `extend`.
-The graph's records (`NodeSpec`, `StreamDecl`, ...) are NamedTuples, whose
-field reads cost about twice an attribute read, so `step`, `inject` and
-`read` unpack what they need at start and read no record field per tick.
+and, per out-port, the port name, stream id, record maker and log; `step`
+only walks that plan. Every write, `inject`, `append_collected` or a
+node's output, is one call per record to its stream schema's record
+maker (`Schema.record_maker`), which checks the row and stamps tick and
+seq; `start` resolves each stream's maker once. A port's records are
+stamped with `seq` from the log's length and appended with one `extend`
+before the next port is checked, so two out-ports wired to one stream
+number its records in port order. The graph's records (`NodeSpec`,
+`StreamDecl`, ...) are NamedTuples, whose field reads cost about twice an
+attribute read, so `step`, `inject` and `read` unpack what they need at
+start and read no record field per tick.
 """
 
 from __future__ import annotations
@@ -103,16 +109,23 @@ class RuntimeInstance:
         order = topological_order(graph)  # validates; raises GraphValidationError
         self._streams = graph.stream_map()
         self._logs: dict[str, list[Record]] = {s.id: [] for s in graph.streams}
-        self._inputs = {  # input stream id -> (schema, log), for `inject`
-            s.id: (s.schema, self._logs[s.id]) for s in graph.streams if s.category is Category.INPUT
+        self._inputs = {  # input stream id -> (record maker, log), for `inject`
+            s.id: (s.schema.record_maker(), self._logs[s.id])
+            for s in graph.streams
+            if s.category is Category.INPUT
         }
-        self._producer_count = {s.id: len(graph.producers_of(s.id)) for s in graph.streams}
+        produced = {e.stream for e in graph.out_edges}
+        self._collected = {  # producer-less output stream id -> (record maker, log)
+            s.id: (s.schema.record_maker(), self._logs[s.id])
+            for s in graph.streams
+            if s.category is Category.OUTPUT and s.id not in produced
+        }
         in_wiring = {(e.node, e.port): e.stream for e in graph.in_edges}
         out_wiring = {(e.node, e.port): e.stream for e in graph.out_edges}
         self._cursors: dict[tuple[str, str], int] = {key: 0 for key in in_wiring}
         # One entry per node in topological order: (node id, transform, is a fold,
         # fold state or None, ((port, log, cursor key), ...), ((port, stream id,
-        # schema, log), ...), out-port names). `step` walks it, looks nothing up.
+        # record maker, log), ...), out-port names). `step` walks it, looks nothing up.
         nodes = graph.node_map()
         self._plan = []
         for nid in order:
@@ -124,7 +137,7 @@ class RuntimeInstance:
             outs = []
             for p in node.out_ports:
                 sid = out_wiring[(nid, p.name)]
-                outs.append((p.name, sid, self._streams[sid].schema, self._logs[sid]))
+                outs.append((p.name, sid, self._streams[sid].schema.record_maker(), self._logs[sid]))
             fold = node.init is not None
             state = node.init() if fold else None
             names = frozenset(p.name for p in node.out_ports)
@@ -145,8 +158,10 @@ class RuntimeInstance:
         if target is None:
             self._log(stream_id)  # an unknown id raises `UnknownElementError`
             raise StreamWriteError(f"{stream_id!r} is not an input stream")
-        schema, log = target
-        return self._append(schema, log, schema.coerce_row(values))
+        make, log = target
+        rec = make(values, self.tick, len(log))
+        log.append(rec)
+        return rec
 
     def append_collected(self, stream_id: str, values) -> Record:
         """Runtime-owned write path for producer-less output streams.
@@ -156,15 +171,14 @@ class RuntimeInstance:
         """
         if self._failure is not None:
             raise FailedInstanceError(self._failure)
-        log, decl = self._log(stream_id), self._streams[stream_id]
-        if decl.category is not Category.OUTPUT:
-            raise StreamWriteError(f"{stream_id!r} is not an output stream")
-        if self._producer_count[stream_id]:
+        target = self._collected.get(stream_id)
+        if target is None:
+            self._log(stream_id)  # an unknown id raises `UnknownElementError`
+            if self._streams[stream_id].category is not Category.OUTPUT:
+                raise StreamWriteError(f"{stream_id!r} is not an output stream")
             raise StreamWriteError(f"{stream_id!r} is produced by a node")
-        return self._append(decl.schema, log, decl.schema.coerce_row(values))
-
-    def _append(self, schema, log: list[Record], row: tuple) -> Record:
-        rec = Record(schema, row, self.tick, len(log))
+        make, log = target
+        rec = make(values, self.tick, len(log))
         log.append(rec)
         return rec
 
@@ -176,8 +190,8 @@ class RuntimeInstance:
         """Run every node once in topological order, then advance the tick.
 
         If a node fails, every record a node appended during this tick is
-        removed again, the instance is marked failed, and the `NodeError`
-        or `TransformError` propagates.
+        removed again, the instance is marked failed, and the error (a
+        `NodeError`, a `TransformError` or whatever else escaped) propagates.
         """
         if self._failure is not None:
             raise FailedInstanceError(self._failure)
@@ -197,26 +211,25 @@ class RuntimeInstance:
                             f"node {nid!r} at tick {tick} emitted to undeclared ports "
                             f"{sorted(set(result) - out_names)}"
                         )
-                    staged = []
-                    for name, sid, schema, log in outs:
-                        coerce = schema.coerce_row
+                    # Stamp from the log's length at append, port by port: two
+                    # out-ports may share a stream. `_fail` drops these on error.
+                    for name, sid, make, log in outs:
                         try:
-                            rows = [coerce(row) for row in result.get(name, ())]
+                            recs = [
+                                make(row, tick, seq)
+                                for seq, row in enumerate(result.get(name, ()), len(log))
+                            ]
                         except SchemaMismatchError as exc:
                             raise TransformError(
                                 f"node {nid!r} port {name!r} at tick {tick}: {exc}"
                             ) from exc
-                        if rows:
-                            staged.append((sid, schema, log, rows))
-                    for sid, schema, log, rows in staged:
-                        log.extend([
-                            Record(schema, row, tick, seq) for seq, row in enumerate(rows, len(log))
-                        ])
-                        produced[sid] = produced.get(sid, 0) + len(rows)
+                        if recs:
+                            log.extend(recs)
+                            produced[sid] = produced.get(sid, 0) + len(recs)
                 for name, log, key in ins:
                     cursors[key] = len(log)
                 self.invocations[nid] += 1
-        except (NodeError, TransformError) as exc:
+        except Exception as exc:
             self._fail(tick, exc)
             raise
         self.tick = tick + 1
@@ -239,8 +252,8 @@ class RuntimeInstance:
     # ------------------------------------------------------------------
 
     def read(self, stream_id: str, from_seq: int = 0) -> list[Record]:
-        if from_seq < 0:
-            raise ValueError("from_seq must be >= 0")
+        if isinstance(from_seq, bool) or not isinstance(from_seq, int) or from_seq < 0:
+            raise ValueError(f"from_seq must be an int >= 0, got {from_seq!r}")
         return self._log(stream_id)[from_seq:]  # a slice: already a fresh list
 
     def length(self, stream_id: str) -> int:

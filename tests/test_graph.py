@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowbench.graph import (
+    FIELD_TYPES,
     Category,
     FlowGraph,
     GraphBuilder,
@@ -45,6 +46,21 @@ class TestSchema:
     def test_rejects_unknown_type(self):
         with pytest.raises(ValueError):
             Schema("bad", (("x", "decimal"),))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            [("x", "int")],
+            ((1, "int"),),
+            (("", "int"),),
+            ((None, "int"),),
+            (("x", "int"), ("y",)),
+            (["x", "int"],),
+        ],
+    )
+    def test_rejects_malformed_fields_naming_the_schema(self, fields):
+        with pytest.raises(ValueError, match="schema 'bad'"):
+            Schema("bad", fields)
 
     def test_coerce_row_widens_int_to_float(self):
         s = Schema("m", (("v", "float"),))
@@ -134,10 +150,10 @@ EXACT = {"int": st.integers(-(2**70), 2**70), "float": st.floats(allow_nan=False
 
 
 @st.composite
-def schema_and_values(draw):
+def schema_and_values(draw, field_names=FIELD_NAMES):
     """A schema, then a mapping that is often exactly right and otherwise off
     by a missing or extra key or a value of a near-miss type."""
-    names = draw(st.lists(st.sampled_from(FIELD_NAMES), min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(st.sampled_from(field_names), min_size=1, max_size=4, unique=True))
     fields = tuple((n, draw(st.sampled_from(("int", "float", "text", "bool")))) for n in names)
     schema = Schema("s", fields)
     values = {}
@@ -145,7 +161,7 @@ def schema_and_values(draw):
         if draw(st.integers(0, 9)) == 0:
             continue  # missing
         values[fname] = draw(EXACT[ftype] if draw(st.booleans()) else VALUES)
-    for extra in draw(st.lists(st.sampled_from(("x", "y") + FIELD_NAMES), max_size=2)):
+    for extra in draw(st.lists(st.sampled_from(("x", "y") + field_names), max_size=2)):
         values.setdefault(extra, draw(VALUES))
     wrap = draw(st.sampled_from((dict, dict, SubDict, MappingProxyType)))
     return schema, wrap(values)
@@ -183,6 +199,69 @@ class TestCoerceRowOracle:
         with pytest.raises(SchemaMismatchError) as err:
             schema.coerce_row(values)
         assert str(err.value) == f"schema 's': {message}"
+
+
+# Names the record maker may carry into its source only as string literals:
+# quotes, backslashes, spaces, a newline, non-ASCII, keywords, and the names
+# of the maker's own parameters and globals.
+AWKWARD_NAMES = (
+    "a", "it's", 'say "hi"', "back\\slash", "two words", "line\nbreak", "naïve", "日本",
+    "'''", 'x"""', "class", "lambda", "None", "values", "tick", "seq", "schema",
+    "new", "Record", "make", "v0", "type",
+)
+
+
+def _made(schema, values, tick, seq):
+    try:
+        rec = schema.record_maker()(values, tick, seq)
+    except SchemaMismatchError as exc:
+        return ("error", str(exc))
+    assert type(rec) is Record
+    assert rec.schema is schema and (rec.tick, rec.seq) == (tick, seq)
+    return ("row", [(type(v), repr(v)) for v in rec.values])
+
+
+class TestRecordMakerOracle:
+    @given(schema_and_values(AWKWARD_NAMES), st.integers(0, 10**6), st.integers(0, 10**6))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_reference_checker(self, case, tick, seq):
+        schema, values = case
+        assert _made(schema, values, tick, seq) == _outcome(reference_coerce_row, schema, values)
+
+    @pytest.mark.parametrize("wrap", [dict, SubDict, MappingProxyType])
+    @pytest.mark.parametrize(
+        "ftype,value",
+        [
+            (ftype, value)
+            for ftype in FIELD_TYPES
+            for value in (1, -(2**70), 2.5, "x", True, False, None,
+                          SubInt(3), SubFloat(1.5), SubStr("y"))
+        ],
+    )
+    def test_each_near_miss_in_an_otherwise_exact_row(self, ftype, value, wrap):
+        schema = Schema("s", (("tick", "int"), ("it's", ftype), ("seq", "text")))
+        values = wrap({"tick": 1, "it's": value, "seq": "z"})
+        assert _made(schema, values, 5, 9) == _outcome(reference_coerce_row, schema, values)
+
+    def test_compiled_once_per_schema_and_not_part_of_equality(self):
+        a = Schema("m", (("v", "int"),))
+        b = Schema("m", (("v", "int"),))
+        assert a.record_maker() is a.record_maker()
+        assert a == b and hash(a) == hash(b)
+
+    def test_only_rows_off_the_fast_path_reach_coerce_row(self, monkeypatch):
+        schema = Schema("m", (("n", "int"), ("f", "float")))
+        make = schema.record_maker()
+        seen = []
+        real = Schema.coerce_row
+        monkeypatch.setattr(Schema, "coerce_row", lambda self, v: seen.append(v) or real(self, v))
+        assert make({"n": 1, "f": 2.0}, 0, 0).values == (1, 2.0)
+        assert seen == []
+        assert make({"n": 1, "f": 2}, 0, 0).values == (1, 2.0)
+        assert make(SubDict(n=1, f=2.0), 0, 0).values == (1, 2.0)
+        with pytest.raises(SchemaMismatchError, match="unexpected fields \\['g'\\]"):
+            make({"n": 1, "g": 2.0}, 0, 0)
+        assert seen == [{"n": 1, "f": 2}, {"n": 1, "f": 2.0}, {"n": 1, "g": 2.0}]
 
 
 class TestRecord:

@@ -1,9 +1,15 @@
 """Runtime executor: injection, stepping, cursors, determinism."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowbench
 from flowbench.graph import Category, GraphBuilder, GraphValidationError, Schema, validate
 from flowbench.runtime import (
     FailedInstanceError,
@@ -161,6 +167,49 @@ class TestStep:
         assert inst.length("bad") == 0
 
 
+    def test_two_ports_on_one_stream_number_its_records_in_port_order(self):
+        # Validation allows a node to wire two out-ports to one output
+        # stream; seq is the log position at append, port after port.
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("o", Category.OUTPUT, POINT)
+        b.node(
+            "A",
+            lambda inputs: {
+                "pos": [{"x": r["x"]} for r in inputs["in"].new],
+                "neg": [{"x": -r["x"]} for r in inputs["in"].new],
+            },
+            inputs={"in": "i"},
+            outputs={"pos": "o", "neg": "o"},
+        )
+        graph = b.build()
+        assert validate(graph) == []
+        inst = start(graph)
+        inst.inject("i", {"x": 1})
+        inst.inject("i", {"x": 2})
+        assert inst.step().produced == {"o": 4}
+        assert [(r.seq, r.values) for r in inst.read("o")] == [
+            (0, (1,)), (1, (2,)), (2, (-1,)), (3, (-2,)),
+        ]
+
+    def test_non_mapping_row_fails_the_tick_and_appends_nothing(self):
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("good", Category.OUTPUT, POINT)
+        b.stream("bad", Category.OUTPUT, POINT)
+        b.node(
+            "A",
+            lambda inputs: {"good": [{"x": 1}], "bad": [None]},
+            inputs={"in": "i"},
+            outputs={"good": "good", "bad": "bad"},
+        )
+        inst = start(b.build())
+        with pytest.raises(TypeError):
+            inst.step()
+        assert inst.length("good") == 0
+        with pytest.raises(FailedInstanceError):
+            inst.step()
+
     def test_undeclared_port_message(self):
         b = GraphBuilder()
         b.stream("i", Category.INPUT, POINT)
@@ -287,6 +336,11 @@ class TestRead:
             got.append("junk")
         assert inst.length("o") == 3
         assert [r.seq for r in inst.read("o")] == [0, 1, 2]
+
+    @pytest.mark.parametrize("from_seq", [True, False, 1.5, 1.0, "1", None, -1])
+    def test_read_refuses_a_from_seq_that_is_not_a_non_negative_int(self, from_seq):
+        with pytest.raises(ValueError, match="from_seq must be an int >= 0"):
+            self._three_records().read("o", from_seq)
 
     def test_read_unknown_stream_raises(self):
         from flowbench.graph import UnknownElementError
@@ -425,3 +479,50 @@ class TestRunProperties:
         graph = random_dag(seed)
         _, inst = _drive(graph, seed, ticks=6)
         assert set(inst.invocations.values()) == {6}
+
+
+# Record makers are compiled the first time a running instance needs one,
+# never at import or for the structure-only builds that manifests inventory
+# (the `flowbench diff` path). The spy wraps the compiler before the apps
+# are imported; the last `start` shows it sees compiles at all.
+_COUNT_MAKER_COMPILES = """
+import json
+import flowbench.graph as graph
+
+real, compiled = graph._compile_record_maker, []
+
+def spy(schema):
+    compiled.append(schema.name)
+    return real(schema)
+
+graph._compile_record_maker = spy
+import flowbench.apps, flowbench.metrics
+from flowbench import apps, metrics, runtime
+
+versions = [
+    apps.app_version(app, paradigm, stage)
+    for app in apps.APP_NAMES for paradigm in apps.PARADIGMS for stage in apps.APP_STAGES
+]
+for version in versions:
+    metrics.manifest(version)
+after_manifests = list(compiled)
+version = apps.app_version("insurance_claims", "fbp", "min")
+runtime.start(apps.build_structure(version, apps.make_scenario(version.app, 10, 1)).graph)
+print(json.dumps([len(versions), after_manifests, len(compiled)]))
+"""
+
+
+def test_import_and_manifests_compile_no_record_maker():
+    src = os.path.dirname(os.path.dirname(flowbench.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_MAKER_COMPILES],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    n_versions, after_manifests, after_start = json.loads(proc.stdout)
+    assert n_versions == 24
+    assert after_manifests == []
+    assert after_start > 0
