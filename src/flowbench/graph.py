@@ -11,18 +11,16 @@ the program as a picture.
 Construction never fails on a malformed graph; `validate` reports every
 broken invariant as data so callers can decide what to do.
 
-Every record is checked and stamped on its way into a log by its schema's
-record maker, `make(values, tick, seq) -> Record`. The maker is Python
-source generated for that schema and compiled with `exec` the first time
-a running instance asks for it (`Schema.record_maker`), never at import
-or for a structure-only build. Its fast path is straight-line code: a
-dict holding exactly the declared fields, each value of exactly its
-field's Python type, becomes a `Record` with one subscript and one type
-test per field. Anything else, an int for a float, a subclass, a missing
-or extra key, goes to `Schema.coerce_row`, the full checks with their
-messages. A `Record` is a tuple underneath (schema, values, tick, seq),
-built with `tuple.__new__`, so building one sets no attributes and runs
-no Python `__new__`, and it stays immutable.
+Every record is checked on its way into a log by `Schema.coerce_row`.
+Its fast path is Python source generated for that schema and compiled
+with `exec` the first time the schema checks a row, never at import or
+for a structure-only build: a dict holding exactly the declared fields,
+each value of exactly its field's Python type, becomes the values tuple
+with one subscript and one type test per field. Anything else, an int
+for a float, a subclass, a missing or extra key, takes the full checks
+with their messages. A `Record` is a tuple underneath (schema, values,
+tick, seq), so the runtime builds one with `tuple.__new__`: that sets no
+attributes and runs no Python `__new__`, and the record stays immutable.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ class Schema:
             if type(field) is not tuple or len(field) != 2:
                 raise ValueError(f"schema {self.name!r}: field {field!r} is not a (name, type) pair")
             fname, ftype = field
-            # Exact str only: the record maker embeds `repr(fname)` in its source.
+            # Exact str only: the compiled checker embeds `repr(fname)` in its source.
             if type(fname) is not str or not fname:
                 raise ValueError(f"schema {self.name!r}: field name {fname!r} is not a non-empty str")
             if ftype not in FIELD_TYPES:
@@ -98,25 +96,25 @@ class Schema:
                 return ftype
         raise KeyError(name)
 
-    def record_maker(self) -> Callable[[Mapping[str, Any], int, int], "Record"]:
-        """This schema's `make(values, tick, seq) -> Record`, compiled on first use.
-
-        Cached on the schema like `field_names`, so each schema pays the
-        compile once per process.
-        """
-        make = self.__dict__.get("_make")
-        if make is None:
-            make = _compile_record_maker(self)
-            object.__setattr__(self, "_make", make)
-        return make
-
     def coerce_row(self, values: Mapping[str, Any]) -> tuple:
         """Check a field->value mapping against the schema, return ordered values.
 
         ints are accepted for float fields (and widened); bool is never
-        treated as an int. The record maker's fast path takes exact rows;
-        this is the full check it falls back to.
+        treated as an int. An exact row passes this schema's compiled
+        checker; any other input takes the full checks, which raise on it
+        or widen it.
         """
+        return self._check(values)
+
+    def _check(self, values: Mapping[str, Any]) -> tuple:
+        # First call only: compile this schema's checker and cache it on the
+        # instance like `field_names`, where it shadows this method.
+        check = _compile_checker(self)
+        object.__setattr__(self, "_check", check)
+        return check(values)
+
+    def _full_check(self, values: Mapping[str, Any]) -> tuple:
+        """The checks behind `coerce_row` for rows off the compiled fast path."""
         extra = set(values).difference(self._index)
         if extra:
             raise SchemaMismatchError(
@@ -170,8 +168,8 @@ class Record(namedtuple("Record", ("schema", "values", "tick", "seq"))):
         return dict(zip(self.schema.field_names, self.values))
 
 
-def _compile_record_maker(schema: Schema) -> Callable[[Mapping[str, Any], int, int], Record]:
-    """Generate and compile `schema`'s record maker (see the module docstring).
+def _compile_checker(schema: Schema) -> Callable[[Mapping[str, Any]], tuple]:
+    """Generate and compile `schema`'s row checker (see the module docstring).
 
     Field names reach the source only as `repr` of an exact `str`, checked
     in `Schema.__post_init__`; values are bound to `v0`, `v1`, ...
@@ -184,7 +182,7 @@ def _compile_record_maker(schema: Schema) -> Callable[[Mapping[str, Any], int, i
         f"type({v}) is {_TYPE_NAMES[ftype]}" for v, (_, ftype) in zip(names, schema.fields)
     )
     source = (
-        "def make(values, tick, seq):\n"
+        "def check(values):\n"
         f"    if type(values) is dict and len(values) == {len(names)}:\n"
         "        try:\n"
         f"{reads}"
@@ -192,12 +190,12 @@ def _compile_record_maker(schema: Schema) -> Callable[[Mapping[str, Any], int, i
         "            pass\n"
         "        else:\n"
         f"            if {exact}:\n"
-        f"                return new(Record, (schema, ({', '.join(names)},), tick, seq))\n"
-        "    return new(Record, (schema, schema.coerce_row(values), tick, seq))\n"
+        f"                return ({', '.join(names)},)\n"
+        "    return full(values)\n"
     )
-    namespace = {"new": tuple.__new__, "Record": Record, "schema": schema}
-    exec(compile(source, f"<record maker {schema.name!r}>", "exec"), namespace)
-    return namespace["make"]
+    namespace = {"full": schema._full_check}
+    exec(compile(source, f"<row checker {schema.name!r}>", "exec"), namespace)
+    return namespace["check"]
 
 
 class StreamDecl(NamedTuple):

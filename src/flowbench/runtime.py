@@ -26,17 +26,18 @@ marked failed: any later `step`, `inject` or `append_collected` raises
 
 `start` builds a plan once, one entry per node in topological order with
 its id, transform, fold flag and state, its in-ports' logs and cursor keys
-and, per out-port, the port name, stream id, record maker and log; `step`
-only walks that plan. Every write, `inject`, `append_collected` or a
-node's output, is one call per record to its stream schema's record
-maker (`Schema.record_maker`), which checks the row and stamps tick and
-seq; `start` resolves each stream's maker once. A port's records are
-stamped with `seq` from the log's length and appended with one `extend`
-before the next port is checked, so two out-ports wired to one stream
-number its records in port order. The graph's records (`NodeSpec`,
-`StreamDecl`, ...) are NamedTuples, whose field reads cost about twice an
-attribute read, so `step`, `inject` and `read` unpack what they need at
-start and read no record field per tick.
+and, per out-port, the port name, stream id, schema, bound
+`Schema.coerce_row` and log; `step` only walks that plan. Every write,
+`inject`, `append_collected` or a node's output, is one `coerce_row` call
+per record (an exact row takes the schema's compiled fast path, see
+`graph`) and one `tuple.__new__` that stamps tick and seq; `start`
+resolves each stream's `coerce_row` once. A port's records are stamped
+with `seq` from the log's length and appended with one `extend` before
+the next port is checked, so two out-ports wired to one stream number its
+records in port order. The graph's records (`NodeSpec`, `StreamDecl`,
+...) are NamedTuples, whose field reads cost about twice an attribute
+read, so `step`, `inject` and `read` unpack what they need at start and
+read no record field per tick.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ from .graph import (
     UnknownElementError,
     topological_order,
 )
+
+# Builds a `Record` from (schema, values, tick, seq) without its Python `__new__`.
+_new = tuple.__new__
 
 
 class StreamWriteError(Exception):
@@ -109,14 +113,14 @@ class RuntimeInstance:
         order = topological_order(graph)  # validates; raises GraphValidationError
         self._streams = graph.stream_map()
         self._logs: dict[str, list[Record]] = {s.id: [] for s in graph.streams}
-        self._inputs = {  # input stream id -> (record maker, log), for `inject`
-            s.id: (s.schema.record_maker(), self._logs[s.id])
+        self._inputs = {  # input stream id -> (schema, coerce_row, log), for `inject`
+            s.id: (s.schema, s.schema.coerce_row, self._logs[s.id])
             for s in graph.streams
             if s.category is Category.INPUT
         }
         produced = {e.stream for e in graph.out_edges}
-        self._collected = {  # producer-less output stream id -> (record maker, log)
-            s.id: (s.schema.record_maker(), self._logs[s.id])
+        self._collected = {  # producer-less output stream id -> (schema, coerce_row, log)
+            s.id: (s.schema, s.schema.coerce_row, self._logs[s.id])
             for s in graph.streams
             if s.category is Category.OUTPUT and s.id not in produced
         }
@@ -125,7 +129,8 @@ class RuntimeInstance:
         self._cursors: dict[tuple[str, str], int] = {key: 0 for key in in_wiring}
         # One entry per node in topological order: (node id, transform, is a fold,
         # fold state or None, ((port, log, cursor key), ...), ((port, stream id,
-        # record maker, log), ...), out-port names). `step` walks it, looks nothing up.
+        # schema, coerce_row, log), ...), out-port names). `step` walks it, looks
+        # nothing up.
         nodes = graph.node_map()
         self._plan = []
         for nid in order:
@@ -137,7 +142,8 @@ class RuntimeInstance:
             outs = []
             for p in node.out_ports:
                 sid = out_wiring[(nid, p.name)]
-                outs.append((p.name, sid, self._streams[sid].schema.record_maker(), self._logs[sid]))
+                schema = self._streams[sid].schema
+                outs.append((p.name, sid, schema, schema.coerce_row, self._logs[sid]))
             fold = node.init is not None
             state = node.init() if fold else None
             names = frozenset(p.name for p in node.out_ports)
@@ -158,8 +164,8 @@ class RuntimeInstance:
         if target is None:
             self._log(stream_id)  # an unknown id raises `UnknownElementError`
             raise StreamWriteError(f"{stream_id!r} is not an input stream")
-        make, log = target
-        rec = make(values, self.tick, len(log))
+        schema, coerce, log = target
+        rec = _new(Record, (schema, coerce(values), self.tick, len(log)))
         log.append(rec)
         return rec
 
@@ -177,8 +183,8 @@ class RuntimeInstance:
             if self._streams[stream_id].category is not Category.OUTPUT:
                 raise StreamWriteError(f"{stream_id!r} is not an output stream")
             raise StreamWriteError(f"{stream_id!r} is produced by a node")
-        make, log = target
-        rec = make(values, self.tick, len(log))
+        schema, coerce, log = target
+        rec = _new(Record, (schema, coerce(values), self.tick, len(log)))
         log.append(rec)
         return rec
 
@@ -213,13 +219,13 @@ class RuntimeInstance:
                         )
                     # Stamp from the log's length at append, port by port: two
                     # out-ports may share a stream. `_fail` drops these on error.
-                    for name, sid, make, log in outs:
+                    for name, sid, schema, coerce, log in outs:
                         try:
                             recs = [
-                                make(row, tick, seq)
+                                _new(Record, (schema, coerce(row), tick, seq))
                                 for seq, row in enumerate(result.get(name, ()), len(log))
                             ]
-                        except SchemaMismatchError as exc:
+                        except (SchemaMismatchError, TypeError) as exc:
                             raise TransformError(
                                 f"node {nid!r} port {name!r} at tick {tick}: {exc}"
                             ) from exc

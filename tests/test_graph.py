@@ -201,32 +201,22 @@ class TestCoerceRowOracle:
         assert str(err.value) == f"schema 's': {message}"
 
 
-# Names the record maker may carry into its source only as string literals:
-# quotes, backslashes, spaces, a newline, non-ASCII, keywords, and the names
-# of the maker's own parameters and globals.
+# Names the compiled checker may carry into its source only as string
+# literals: quotes, backslashes, spaces, a newline, non-ASCII, keywords, and
+# the names of the checker's own parameter, locals and globals.
 AWKWARD_NAMES = (
     "a", "it's", 'say "hi"', "back\\slash", "two words", "line\nbreak", "naïve", "日本",
     "'''", 'x"""', "class", "lambda", "None", "values", "tick", "seq", "schema",
-    "new", "Record", "make", "v0", "type",
+    "check", "full", "v0", "type",
 )
 
 
-def _made(schema, values, tick, seq):
-    try:
-        rec = schema.record_maker()(values, tick, seq)
-    except SchemaMismatchError as exc:
-        return ("error", str(exc))
-    assert type(rec) is Record
-    assert rec.schema is schema and (rec.tick, rec.seq) == (tick, seq)
-    return ("row", [(type(v), repr(v)) for v in rec.values])
-
-
-class TestRecordMakerOracle:
-    @given(schema_and_values(AWKWARD_NAMES), st.integers(0, 10**6), st.integers(0, 10**6))
+class TestCompiledCheckerOracle:
+    @given(schema_and_values(AWKWARD_NAMES))
     @settings(max_examples=400, deadline=None)
-    def test_equals_the_reference_checker(self, case, tick, seq):
+    def test_equals_the_reference_checker(self, case):
         schema, values = case
-        assert _made(schema, values, tick, seq) == _outcome(reference_coerce_row, schema, values)
+        assert _outcome(schema.coerce_row, values) == _outcome(reference_coerce_row, schema, values)
 
     @pytest.mark.parametrize("wrap", [dict, SubDict, MappingProxyType])
     @pytest.mark.parametrize(
@@ -241,26 +231,27 @@ class TestRecordMakerOracle:
     def test_each_near_miss_in_an_otherwise_exact_row(self, ftype, value, wrap):
         schema = Schema("s", (("tick", "int"), ("it's", ftype), ("seq", "text")))
         values = wrap({"tick": 1, "it's": value, "seq": "z"})
-        assert _made(schema, values, 5, 9) == _outcome(reference_coerce_row, schema, values)
+        assert _outcome(schema.coerce_row, values) == _outcome(reference_coerce_row, schema, values)
 
     def test_compiled_once_per_schema_and_not_part_of_equality(self):
         a = Schema("m", (("v", "int"),))
         b = Schema("m", (("v", "int"),))
-        assert a.record_maker() is a.record_maker()
+        assert a.coerce_row({"v": 1}) == (1,)
+        check = a._check
+        assert a.coerce_row({"v": 2}) == (2,) and a._check is check
         assert a == b and hash(a) == hash(b)
 
-    def test_only_rows_off_the_fast_path_reach_coerce_row(self, monkeypatch):
-        schema = Schema("m", (("n", "int"), ("f", "float")))
-        make = schema.record_maker()
+    def test_only_rows_off_the_fast_path_take_the_full_checks(self, monkeypatch):
         seen = []
-        real = Schema.coerce_row
-        monkeypatch.setattr(Schema, "coerce_row", lambda self, v: seen.append(v) or real(self, v))
-        assert make({"n": 1, "f": 2.0}, 0, 0).values == (1, 2.0)
+        real = Schema._full_check
+        monkeypatch.setattr(Schema, "_full_check", lambda self, v: seen.append(v) or real(self, v))
+        schema = Schema("m", (("n", "int"), ("f", "float")))
+        assert schema.coerce_row({"n": 1, "f": 2.0}) == (1, 2.0)
         assert seen == []
-        assert make({"n": 1, "f": 2}, 0, 0).values == (1, 2.0)
-        assert make(SubDict(n=1, f=2.0), 0, 0).values == (1, 2.0)
+        assert schema.coerce_row({"n": 1, "f": 2}) == (1, 2.0)
+        assert schema.coerce_row(SubDict(n=1, f=2.0)) == (1, 2.0)
         with pytest.raises(SchemaMismatchError, match="unexpected fields \\['g'\\]"):
-            make({"n": 1, "g": 2.0}, 0, 0)
+            schema.coerce_row({"n": 1, "g": 2.0})
         assert seen == [{"n": 1, "f": 2}, {"n": 1, "f": 2.0}, {"n": 1, "g": 2.0}]
 
 

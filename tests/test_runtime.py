@@ -204,11 +204,33 @@ class TestStep:
             outputs={"good": "good", "bad": "bad"},
         )
         inst = start(b.build())
-        with pytest.raises(TypeError):
+        with pytest.raises(TransformError, match="node 'A' port 'bad' at tick 0") as err:
             inst.step()
+        assert isinstance(err.value.__cause__, TypeError)
         assert inst.length("good") == 0
-        with pytest.raises(FailedInstanceError):
+        with pytest.raises(FailedInstanceError, match="node 'A' port 'bad' at tick 0"):
             inst.step()
+
+    def test_every_write_is_one_class_level_coerce_row_call(self, monkeypatch):
+        # Each record goes through `Schema.coerce_row` as the class holds it
+        # when the instance starts, so a wrapper put there sees every write.
+        seen = []
+        real = Schema.coerce_row
+        monkeypatch.setattr(
+            Schema, "coerce_row", lambda self, v: seen.append((self.name, dict(v))) or real(self, v)
+        )
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("o", Category.OUTPUT, POINT)
+        b.node("A", lambda inputs: {"out": [{"x": r["x"] * 2} for r in inputs["in"].new]},
+               inputs={"in": "i"}, outputs={"out": "o"})
+        inst = start(b.build())
+        inst.inject("i", {"x": 1})
+        inst.inject("i", {"x": 2})
+        inst.step()
+        name = POINT.name
+        assert seen == [(name, {"x": 1}), (name, {"x": 2}), (name, {"x": 2}), (name, {"x": 4})]
+        assert [(r.tick, r.seq, r.values) for r in inst.read("o")] == [(0, 0, (2,)), (0, 1, (4,))]
 
     def test_undeclared_port_message(self):
         b = GraphBuilder()
@@ -481,21 +503,21 @@ class TestRunProperties:
         assert set(inst.invocations.values()) == {6}
 
 
-# Record makers are compiled the first time a running instance needs one,
-# never at import or for the structure-only builds that manifests inventory
-# (the `flowbench diff` path). The spy wraps the compiler before the apps
-# are imported; the last `start` shows it sees compiles at all.
-_COUNT_MAKER_COMPILES = """
+# A schema's row checker is compiled the first time it checks a row, never
+# at import or for the structure-only builds that manifests inventory (the
+# `flowbench diff` path). The spy wraps the compiler before the apps are
+# imported; the last `inject` shows it sees compiles at all.
+_COUNT_CHECKER_COMPILES = """
 import json
 import flowbench.graph as graph
 
-real, compiled = graph._compile_record_maker, []
+real, compiled = graph._compile_checker, []
 
 def spy(schema):
     compiled.append(schema.name)
     return real(schema)
 
-graph._compile_record_maker = spy
+graph._compile_checker = spy
 import flowbench.apps, flowbench.metrics
 from flowbench import apps, metrics, runtime
 
@@ -507,22 +529,26 @@ for version in versions:
     metrics.manifest(version)
 after_manifests = list(compiled)
 version = apps.app_version("insurance_claims", "fbp", "min")
-runtime.start(apps.build_structure(version, apps.make_scenario(version.app, 10, 1)).graph)
+inst = runtime.start(apps.build_structure(version, apps.make_scenario(version.app, 10, 1)).graph)
+assert compiled == []
+stream = next(s for s in inst.graph.streams if s.category is graph.Category.INPUT)
+inst.inject(stream.id, {n: {"int": 0, "float": 0.0, "text": "", "bool": False}[t]
+                        for n, t in stream.schema.fields})
 print(json.dumps([len(versions), after_manifests, len(compiled)]))
 """
 
 
-def test_import_and_manifests_compile_no_record_maker():
+def test_import_and_manifests_compile_no_row_checker():
     src = os.path.dirname(os.path.dirname(flowbench.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", _COUNT_MAKER_COMPILES],
+        [sys.executable, "-c", _COUNT_CHECKER_COMPILES],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
     )
-    n_versions, after_manifests, after_start = json.loads(proc.stdout)
+    n_versions, after_manifests, after_inject = json.loads(proc.stdout)
     assert n_versions == 24
     assert after_manifests == []
-    assert after_start > 0
+    assert after_inject == 1
