@@ -5,7 +5,7 @@ from __future__ import annotations
 from .. import sim
 from ..sim import Scenario
 from . import insurance_claims, mblogger, playlist_builder, ride_allocation
-from .base import APP_STAGES, PARADIGMS, ApiRoute, AppVersion, FbpBuild, NoTrainingRowsError, SoaBuild, StreamRoute, UntrainedModelError
+from .base import APP_STAGES, PARADIGMS, ApiRoute, AppVersion, FbpBuild, NoTrainingRowsError, SoaBuild, UntrainedModelError
 
 _MODULES = {
     "insurance_claims": insurance_claims,
@@ -100,7 +100,6 @@ __all__ = [
     "FbpBuild",
     "NoTrainingRowsError",
     "SoaBuild",
-    "StreamRoute",
     "UntrainedModelError",
     "app_version",
     "build_app",

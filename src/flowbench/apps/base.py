@@ -80,12 +80,6 @@ class AppVersion:
         return f"{_KEY_PREFIX[self.paradigm]}_{self.app}_{self.stage}"
 
 
-class StreamRoute(NamedTuple):
-    """Deliver an event kind by injecting into an input stream."""
-
-    stream_id: str
-
-
 class ApiRoute(NamedTuple):
     """Deliver an event kind as a service call.
 
@@ -102,9 +96,9 @@ class ApiRoute(NamedTuple):
 
 
 class FbpBuild:
-    def __init__(self, graph, routes: dict[str, StreamRoute], obs_kinds: dict[str, str], collection=None):
+    def __init__(self, graph, routes: dict[str, str], obs_kinds: dict[str, str], collection=None):
         self.graph = graph
-        self.routes = routes
+        self.routes = routes  # event kind -> the input stream id it is injected into
         self.obs_kinds = obs_kinds  # output stream id -> observation kind
         self.collection = collection
         self.model = None  # the fitted model, if `apps.build_app` trained one

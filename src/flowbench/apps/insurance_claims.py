@@ -17,7 +17,7 @@ from ..mlkit import TreeModel, fit_tree, predict_tree
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute, untrained
+from .base import ApiRoute, FbpBuild, SoaBuild, untrained
 
 DEFAULT_PARAMS = {"claim_rate": 4.0}
 
@@ -211,7 +211,7 @@ def build_fbp(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
 
     return FbpBuild(
         b.build(),
-        routes={"claim": StreamRoute("claims")},
+        routes={"claim": "claims"},
         obs_kinds={"decisions": "decision"},
         collection=collection,
     )

@@ -19,7 +19,7 @@ from ..mlkit import BigramModel, add_bigrams, fit_bigram, generate  # noqa: F401
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute, checked_count
+from .base import ApiRoute, FbpBuild, SoaBuild, checked_count
 
 DEFAULT_PARAMS = {
     "n_users": 8,
@@ -183,9 +183,9 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
         obs_kinds["bot_posts"] = "bot_post"
 
     routes = {
-        "follow": StreamRoute("follows"),
-        "post": StreamRoute("posts"),
-        "timeline_request": StreamRoute("timeline_requests"),
+        "follow": "follows",
+        "post": "posts",
+        "timeline_request": "timeline_requests",
     }
     return FbpBuild(b.build(), routes, obs_kinds)
 

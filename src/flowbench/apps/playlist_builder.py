@@ -21,7 +21,7 @@ from ..mlkit import nearest_rank
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute
+from .base import ApiRoute, FbpBuild, SoaBuild
 
 DEFAULT_PARAMS = {
     "genres": ("action", "comedy", "drama"),
@@ -145,8 +145,8 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
     )
 
     routes = {
-        "movie": StreamRoute("movies"),
-        "playlist_request": StreamRoute("playlist_requests"),
+        "movie": "movies",
+        "playlist_request": "playlist_requests",
     }
     return FbpBuild(b.build(), routes, obs_kinds)
 

@@ -23,7 +23,7 @@ from ..mlkit import LinearModel, predict_linear, fit_linear
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, StreamRoute, checked_count, checked_scale, untrained
+from .base import ApiRoute, FbpBuild, SoaBuild, checked_count, checked_scale, untrained
 
 DEFAULT_PARAMS = {
     "n_drivers": 20,
@@ -274,10 +274,10 @@ def build_fbp(stage: str, scenario: Scenario, model: LinearModel | None = None) 
     if stage == "ml":
         obs_kinds["wait_estimates"] = "wait_estimate"
     routes = {
-        "driver_event": StreamRoute("driver_events"),
-        "ride_completion": StreamRoute("ride_completions"),
-        "raw_pickup": StreamRoute("raw_pickups"),
-        "ride_request": StreamRoute("ride_requests"),
+        "driver_event": "driver_events",
+        "ride_completion": "ride_completions",
+        "raw_pickup": "raw_pickups",
+        "ride_request": "ride_requests",
     }
     return FbpBuild(b.build(), routes, obs_kinds, collection)
 

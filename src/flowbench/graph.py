@@ -26,13 +26,16 @@ attributes and runs no Python `__new__`, and the record stays immutable.
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-FIELD_TYPES = ("int", "float", "text", "bool")
-_TYPE_NAMES = {"int": "int", "float": "float", "text": "str", "bool": "bool"}
+# Field type -> the Python type of its values. The compiled checker tests
+# `type(v) is` it; the full checks accept an instance of it, never a bool
+# but for a bool field, and widen an int for a float field.
+_PY_TYPES = {"int": int, "float": float, "text": str, "bool": bool}
+FIELD_TYPES = tuple(_PY_TYPES)
 
 
 class Category(str, Enum):
@@ -125,28 +128,11 @@ class Schema:
             if fname not in values:
                 raise SchemaMismatchError(f"schema {self.name!r}: missing field {fname!r}")
             v = values[fname]
-            if ftype == "int":
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise SchemaMismatchError(
-                        f"schema {self.name!r}: field {fname!r} wants int, got {v!r}"
-                    )
-            elif ftype == "float":
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise SchemaMismatchError(
-                        f"schema {self.name!r}: field {fname!r} wants float, got {v!r}"
-                    )
-                v = float(v)
-            elif ftype == "text":
-                if not isinstance(v, str):
-                    raise SchemaMismatchError(
-                        f"schema {self.name!r}: field {fname!r} wants text, got {v!r}"
-                    )
-            else:  # bool
-                if not isinstance(v, bool):
-                    raise SchemaMismatchError(
-                        f"schema {self.name!r}: field {fname!r} wants bool, got {v!r}"
-                    )
-            row.append(v)
+            want = _PY_TYPES[ftype]
+            accepted = (int, float) if want is float else want
+            if isinstance(v, bool) is not (want is bool) or not isinstance(v, accepted):
+                raise SchemaMismatchError(f"schema {self.name!r}: field {fname!r} wants {ftype}, got {v!r}")
+            row.append(float(v) if want is float else v)
         return tuple(row)
 
 
@@ -179,7 +165,7 @@ def _compile_checker(schema: Schema) -> Callable[[Mapping[str, Any]], tuple]:
         f"            {v} = values[{fname!r}]\n" for v, (fname, _) in zip(names, schema.fields)
     )
     exact = " and ".join(
-        f"type({v}) is {_TYPE_NAMES[ftype]}" for v, (_, ftype) in zip(names, schema.fields)
+        f"type({v}) is {_PY_TYPES[ftype].__name__}" for v, (_, ftype) in zip(names, schema.fields)
     )
     source = (
         "def check(values):\n"
@@ -291,12 +277,14 @@ class GraphBuilder:
 
     def __init__(self):
         self._streams: list[StreamDecl] = []
+        self._schemas: dict[str, Schema] = {}  # stream id -> schema, for port declarations
         self._nodes: list[NodeSpec] = []
         self._in_edges: list[InEdge] = []
         self._out_edges: list[OutEdge] = []
 
     def stream(self, stream_id: str, category: Category, schema: Schema) -> "GraphBuilder":
         self._streams.append(StreamDecl(stream_id, category, schema))
+        self._schemas[stream_id] = schema
         return self
 
     def node(
@@ -307,14 +295,13 @@ class GraphBuilder:
         outputs: Mapping[str, str],
         logic_version: str = "v1",
     ) -> "GraphBuilder":
-        by_id = {s.id: s for s in self._streams}
         in_ports = []
         for port, stream_id in inputs.items():
-            in_ports.append(PortDecl(port, by_id[stream_id].schema))
+            in_ports.append(PortDecl(port, self._schemas[stream_id]))
             self._in_edges.append(InEdge(stream_id, node_id, port))
         out_ports = []
         for port, stream_id in outputs.items():
-            out_ports.append(PortDecl(port, by_id[stream_id].schema))
+            out_ports.append(PortDecl(port, self._schemas[stream_id]))
             self._out_edges.append(OutEdge(node_id, port, stream_id))
         self._nodes.append(
             NodeSpec(node_id, tuple(in_ports), tuple(out_ports), transform, logic_version)
@@ -358,22 +345,22 @@ def validate(graph: FlowGraph) -> list[Violation]:
 
     Violations are data, not exceptions: a report lists each broken rule
     with the offending element so callers can show all problems at once.
+    The wiring is indexed in one pass over the edges, and acyclicity is
+    checked by the one order pass, `_kahn`, that `topological_order` runs:
+    the `cycle` subject is the nodes of one cycle among those it leaves out.
     """
     out: list[Violation] = []
-    stream_ids = [s.id for s in graph.streams]
-    node_ids = [n.id for n in graph.nodes]
     streams = graph.stream_map()
     nodes = graph.node_map()
 
-    for sid in sorted({s for s in stream_ids if stream_ids.count(s) > 1}):
+    for sid in _repeated([s.id for s in graph.streams]):
         out.append(Violation("duplicate-stream", sid, "stream id declared more than once"))
-    for nid in sorted({n for n in node_ids if node_ids.count(n) > 1}):
+    for nid in _repeated([n.id for n in graph.nodes]):
         out.append(Violation("duplicate-node", nid, "node id declared more than once"))
 
     for node in graph.nodes:
         for ports, direction in ((node.in_ports, "in"), (node.out_ports, "out")):
-            names = [p.name for p in ports]
-            for pname in sorted({p for p in names if names.count(p) > 1}):
+            for pname in _repeated([p.name for p in ports]):
                 out.append(
                     Violation(
                         "duplicate-port",
@@ -382,138 +369,137 @@ def validate(graph: FlowGraph) -> list[Violation]:
                     )
                 )
 
+    # The wiring, indexed once: (direction, node, port) -> streams, and the
+    # nodes reading and writing each stream, all in edge order.
+    wired: dict[tuple[str, str, str], list[str]] = {}
+    consumers: dict[str, list[str]] = {}
+    producers: dict[str, list[str]] = {}
     for e in graph.in_edges:
         if e.stream not in streams:
             out.append(Violation("unknown-stream", e.stream, f"in-edge to {e.node}.{e.port} names a missing stream"))
         if e.node not in nodes:
             out.append(Violation("unknown-node", e.node, f"in-edge from {e.stream} names a missing node"))
+        wired.setdefault(("in", e.node, e.port), []).append(e.stream)
+        consumers.setdefault(e.stream, []).append(e.node)
     for e in graph.out_edges:
         if e.stream not in streams:
             out.append(Violation("unknown-stream", e.stream, f"out-edge from {e.node}.{e.port} names a missing stream"))
         if e.node not in nodes:
             out.append(Violation("unknown-node", e.node, f"out-edge to {e.stream} names a missing node"))
+        wired.setdefault(("out", e.node, e.port), []).append(e.stream)
+        producers.setdefault(e.stream, []).append(e.node)
 
     # Every port wired to exactly one stream, with matching schema.
     for node in graph.nodes:
-        for ports, edges, direction in (
-            (node.in_ports, graph.in_edges, "in"),
-            (node.out_ports, graph.out_edges, "out"),
-        ):
+        for ports, direction in ((node.in_ports, "in"), (node.out_ports, "out")):
             for port in ports:
-                wired = [e for e in edges if e.node == node.id and e.port == port.name]
+                to = wired.get((direction, node.id, port.name), ())
                 subject = f"{node.id}.{port.name}"
-                if not wired:
+                if not to:
                     out.append(Violation("unwired-port", subject, f"{direction}-port is not wired to any stream"))
-                elif len(wired) > 1:
+                elif len(to) > 1:
                     out.append(Violation("multi-wired-port", subject, f"{direction}-port wired to more than one stream"))
-                elif wired[0].stream in streams and streams[wired[0].stream].schema != port.schema:
-                    out.append(
-                        Violation("schema-mismatch", subject, f"port schema differs from stream {wired[0].stream!r}")
-                    )
+                elif to[0] in streams and streams[to[0]].schema != port.schema:
+                    out.append(Violation("schema-mismatch", subject, f"port schema differs from stream {to[0]!r}"))
 
     # Stream category rules.
     for s in graph.streams:
-        producers = graph.producers_of(s.id)
-        consumers = graph.consumers_of(s.id)
-        if s.category is Category.INPUT and producers:
+        writers = producers.get(s.id, [])
+        readers = consumers.get(s.id, [])
+        if s.category is Category.INPUT and writers:
             out.append(
-                Violation("input-has-producer", s.id, f"input stream written by nodes {sorted(producers)}")
+                Violation("input-has-producer", s.id, f"input stream written by nodes {sorted(writers)}")
             )
-        if s.category is Category.OUTPUT and consumers:
+        if s.category is Category.OUTPUT and readers:
             out.append(
-                Violation("output-has-consumer", s.id, f"output stream read by nodes {sorted(consumers)}")
+                Violation("output-has-consumer", s.id, f"output stream read by nodes {sorted(readers)}")
             )
         if s.category is Category.INTERNAL:
-            if len(producers) != 1:
+            if len(writers) != 1:
                 out.append(
                     Violation(
                         "internal-producers",
                         s.id,
-                        f"internal stream needs exactly one producer, has {len(producers)}",
+                        f"internal stream needs exactly one producer, has {len(writers)}",
                     )
                 )
-            if not consumers:
+            if not readers:
                 out.append(Violation("internal-consumers", s.id, "internal stream has no consumer"))
 
-    # Acyclicity of the node-to-node relation.
-    cycle = _find_cycle(set(node_ids), graph.node_edges())
-    if cycle:
-        out.append(
-            Violation("cycle", ",".join(sorted(cycle)), "instantaneous edges form a cycle")
-        )
+    # Acyclicity of the node-to-node relation (each writer of a stream ->
+    # each reader of it): what the order pass leaves out lies on or after a cycle.
+    edges = {(u, v) for sid, writers in producers.items() for u in writers for v in consumers.get(sid, ())}
+    left = set(nodes).difference(_kahn(nodes, edges))
+    if left:
+        out.append(Violation("cycle", ",".join(sorted(_cycle(left, edges))), "instantaneous edges form a cycle"))
 
     # Orphans: every node must lie on some input -> output path.
     if graph.nodes:
-        inputs = [s.id for s in graph.streams if s.category is Category.INPUT]
-        outputs = [s.id for s in graph.streams if s.category is Category.OUTPUT]
-        fed: set[str] = set()
-        for sid in inputs:
-            fed |= _closure(graph, sid, forward=True)
-        feeding: set[str] = set()
-        for sid in outputs:
-            feeding |= _closure(graph, sid, forward=False)
-        for nid in sorted(node_ids):
+        fed = _closure(graph, [s.id for s in graph.streams if s.category is Category.INPUT], forward=True)
+        feeding = _closure(graph, [s.id for s in graph.streams if s.category is Category.OUTPUT], forward=False)
+        for nid in sorted(n.id for n in graph.nodes):
             if nid not in fed or nid not in feeding:
-                out.append(
-                    Violation("orphan-node", nid, "node is not on any input-to-output path")
-                )
+                out.append(Violation("orphan-node", nid, "node is not on any input-to-output path"))
 
     return out
 
 
-def _find_cycle(node_ids: set[str], edges: set[tuple[str, str]]) -> list[str] | None:
-    adj: dict[str, list[str]] = {n: [] for n in node_ids}
-    for u, v in edges:
-        if u in adj and v in adj:
-            adj[u].append(v)
-    on_stack: dict[str, bool] = {}  # visited node -> still on the stack
-    stack: list[str] = []
-    for n in sorted(node_ids):
-        if n not in on_stack:
-            found = _visit(n, adj, on_stack, stack)
-            if found:
-                return found
-    return None
-
-
-def _visit(u: str, adj: dict, on_stack: dict, stack: list[str]) -> list[str] | None:
-    """`_find_cycle`'s step; not nested, as a recursive closure is a cycle."""
-    on_stack[u] = True
-    stack.append(u)
-    for v in sorted(adj[u]):
-        if on_stack.get(v):
-            return stack[stack.index(v):]
-        if v not in on_stack:
-            found = _visit(v, adj, on_stack, stack)
-            if found:
-                return found
-    stack.pop()
-    on_stack[u] = False
-    return None
-
-
 def topological_order(graph: FlowGraph) -> list[str]:
-    """Node ids so every instantaneous edge goes forward; ties by ascending id."""
+    """Node ids so every instantaneous edge goes forward; ties by ascending id.
+
+    An invalid graph raises `GraphValidationError`; a valid one is ordered
+    by the same Kahn pass `validate` checks acyclicity with.
+    """
     violations = validate(graph)
     if violations:
         raise GraphValidationError(violations)
-    edges = graph.node_edges()
-    indeg = {n.id: 0 for n in graph.nodes}
-    succ: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
+    return _kahn(graph.node_map(), graph.node_edges())
+
+
+def _repeated(ids: list[str]) -> list[str]:
+    return sorted(i for i, count in Counter(ids).items() if count > 1)
+
+
+def _kahn(node_ids: Iterable[str], edges: set[tuple[str, str]]) -> list[str]:
+    """Kahn's algorithm: `node_ids` so every edge between two of them goes
+    forward, ties by ascending id. A node on a cycle, or after one, is left
+    out. Iterative, so a graph of any depth is ordered."""
+    indeg = dict.fromkeys(node_ids, 0)
+    succ: dict[str, list[str]] = {nid: [] for nid in indeg}
     for u, v in edges:
-        indeg[v] += 1
-        succ[u].append(v)
+        if u in indeg and v in indeg:
+            indeg[v] += 1
+            succ[u].append(v)
     ready = [nid for nid, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         nid = heapq.heappop(ready)
         order.append(nid)
-        for v in sorted(succ[nid]):
+        for v in succ[nid]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(ready, v)
     return order
+
+
+def _cycle(left: set[str], edges: set[tuple[str, str]]) -> list[str]:
+    """The nodes of one cycle among the nodes `_kahn` left out.
+
+    Each has a left-out predecessor (else its in-degree would have reached
+    0), so walking back from the smallest through smallest left-out
+    predecessors revisits a node: the walk since its first visit is a cycle.
+    """
+    preds: dict[str, list[str]] = {}
+    for u, v in edges:
+        if u in left and v in left:
+            preds.setdefault(v, []).append(u)
+    walk: dict[str, int] = {}  # node -> its position on the walk
+    nid = min(left)
+    while nid not in walk:
+        walk[nid] = len(walk)
+        nid = min(preds[nid])
+    return list(walk)[walk[nid]:]
 
 
 def _links(graph: FlowGraph) -> list[tuple[str, str]]:
@@ -533,12 +519,14 @@ def _neighbors(graph: FlowGraph, forward: bool) -> dict[str, set[str]]:
     return nbrs
 
 
-def _closure(graph: FlowGraph, start: str, forward: bool) -> set[str]:
+def _closure(graph: FlowGraph, starts: list[str], forward: bool) -> set[str]:
+    """Every element reachable from any of `starts`, plus the starts."""
     nbrs = _neighbors(graph, forward)
-    if start not in nbrs:
-        raise UnknownElementError(start)
-    seen = {start}
-    frontier = [start]
+    for start in starts:
+        if start not in nbrs:
+            raise UnknownElementError(start)
+    seen = set(starts)
+    frontier = list(seen)
     while frontier:
         nxt = []
         for x in frontier:
@@ -552,12 +540,12 @@ def _closure(graph: FlowGraph, start: str, forward: bool) -> set[str]:
 
 def upstream_closure(graph: FlowGraph, target: str) -> set[str]:
     """All streams and nodes from which `target` is reachable, plus itself."""
-    return _closure(graph, target, forward=False)
+    return _closure(graph, [target], forward=False)
 
 
 def downstream_closure(graph: FlowGraph, source: str) -> set[str]:
     """All streams and nodes reachable from `source`, plus itself."""
-    return _closure(graph, source, forward=True)
+    return _closure(graph, [source], forward=True)
 
 
 _DOT_COLORS = {

@@ -68,14 +68,18 @@ def derive_seed(seed: int, *parts: int | str) -> int:
     """Stable sub-seed from a master seed and a label path.
 
     Used to give independent, reproducible streams to sub-systems
-    (e.g. a training run vs. a serving run of the same scenario).
+    (e.g. a training run vs. a serving run of the same scenario). A part is
+    a str or an int (not a bool) in [0, 2**64), else `ValueError` naming
+    it: a part is never masked, so two label paths never alias.
     """
     x = checked_seed(seed)
     for part in parts:
-        if isinstance(part, int):
-            token = _mix64(part & MASK64)
-        else:
+        if isinstance(part, str):
             token = _fnv1a64(part.encode("utf-8"))
+        elif isinstance(part, bool) or not isinstance(part, int) or not 0 <= part <= MASK64:
+            raise ValueError(f"seed label part must be a str or a 64-bit unsigned int, got {part!r}")
+        else:
+            token = _mix64(part)
         x = _mix64((x + _GAMMA) ^ token)
     return x
 

@@ -129,7 +129,7 @@ class _FbpDriver:
         self.instance = start(built.graph)
         fields = {s.id: s.schema.field_names for s in built.graph.streams}
         # event kind -> (input stream id, its field names)
-        self._routes = {kind: (r.stream_id, fields[r.stream_id]) for kind, r in built.routes.items()}
+        self._routes = {kind: (sid, fields[sid]) for kind, sid in built.routes.items()}
         # (output stream id, kind) of each kept kind
         self._observed = sorted(
             (sid, kind) for sid, kind in built.obs_kinds.items() if keep is None or kind in keep

@@ -1,5 +1,6 @@
 """Graph model: schemas and records, validation, ordering, traversal, DOT export."""
 
+from itertools import permutations
 from types import MappingProxyType
 
 import pytest
@@ -27,7 +28,8 @@ from flowbench.graph import (
     upstream_closure,
     validate,
 )
-from util_graphs import POINT, brute_force_closure, chain_graph, diamond_graph, random_dag
+from flowbench.runtime import start
+from util_graphs import POINT, brute_force_closure, chain_graph, copy_transform, diamond_graph, random_dag
 
 
 def _noop(inputs):
@@ -344,7 +346,7 @@ class TestValidate:
     def test_two_node_cycle_reported(self):
         # A -> s -> B and B -> t -> A: both nodes sit on the loop. The
         # oracle here is plain edge inspection: with edges {(A,B), (B,A)}
-        # every depth-first walk must revisit a gray node.
+        # neither node ever has all its predecessors placed.
         a = NodeSpec("A", (PortDecl("in", POINT),), (PortDecl("out", POINT),), _noop)
         bnode = NodeSpec("B", (PortDecl("in", POINT),), (PortDecl("out", POINT),), _noop)
         graph = FlowGraph(
@@ -359,6 +361,52 @@ class TestValidate:
         cycles = [v for v in validate(graph) if v.code == "cycle"]
         assert len(cycles) == 1
         assert set(cycles[0].subject.split(",")) == {"A", "B"}
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), unique=True, max_size=14),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cycle_subject_is_one_real_cycle(self, case):
+        # Node i writes stream si; an edge (i, j) wires si into a port of j.
+        # With several cycles the report still names exactly one, and some
+        # order of its nodes closes a loop along the node relation.
+        k, pairs = case
+        ids = [f"n{i}" for i in range(k)]
+        nodes = tuple(
+            NodeSpec(
+                nid,
+                tuple(PortDecl(f"from{i}", POINT) for i, j in pairs if ids[j] == nid),
+                (PortDecl("out", POINT),),
+                _noop,
+            )
+            for nid in ids
+        )
+        graph = FlowGraph(
+            streams=tuple(StreamDecl(f"s{i}", Category.INTERNAL, POINT) for i in range(k)),
+            nodes=nodes,
+            in_edges=tuple(InEdge(f"s{i}", ids[j], f"from{i}") for i, j in pairs),
+            out_edges=tuple(OutEdge(nid, "out", f"s{i}") for i, nid in enumerate(ids)),
+        )
+        edges = {(ids[i], ids[j]) for i, j in pairs}
+        reach = set(edges)
+        for w in ids:  # transitive closure, Floyd-Warshall order
+            reach |= {(u, v) for u, x in reach if x == w for y, v in reach if y == w}
+        cycles = [v.subject.split(",") for v in validate(graph) if v.code == "cycle"]
+        if not any((n, n) in reach for n in ids):
+            assert cycles == []
+            return
+        assert len(cycles) == 1
+        first, *rest = cycles[0]
+        assert cycles[0] == sorted(set(cycles[0]))
+        assert any(
+            all((u, v) in edges for u, v in zip((first, *loop), (*loop, first)))
+            for loop in permutations(rest)
+        )
 
     def test_input_with_producer_flagged(self):
         node = NodeSpec("A", (PortDecl("in", POINT),), (PortDecl("out", POINT),), _noop)
@@ -458,6 +506,28 @@ class TestTopologicalOrder:
             ready.sort()
         assert order == ["A", "B", "C"]
         assert topological_order(graph) == order
+
+    def test_long_chain_is_ordered_and_runs(self):
+        # s0000 -> n0000 -> s0001 -> ... -> n4999 -> s5000: far deeper than the
+        # interpreter's recursion limit, so no ordering step may recurse.
+        n = 5000
+        b = GraphBuilder()
+        b.stream("s0000", Category.INPUT, POINT)
+        for i in range(n):
+            b.stream(f"s{i + 1:04d}", Category.OUTPUT if i == n - 1 else Category.INTERNAL, POINT)
+            b.node(
+                f"n{i:04d}",
+                copy_transform("in", "out"),
+                inputs={"in": f"s{i:04d}"},
+                outputs={"out": f"s{i + 1:04d}"},
+            )
+        graph = b.build()
+        assert validate(graph) == []
+        assert topological_order(graph) == [f"n{i:04d}" for i in range(n)]
+        inst = start(graph)
+        inst.inject("s0000", {"x": 7})
+        inst.step()
+        assert [r.as_dict() for r in inst.read(f"s{n:04d}")] == [{"x": 7}]
 
     def test_rejects_invalid_graph(self):
         graph = FlowGraph(

@@ -1,10 +1,11 @@
 """A finished run frees itself by reference counting.
 
-A service context holds its registry weakly, the tree fit and the graph's
-cycle check recurse through module-level functions, and the tick loop
-keeps no observation documents. So a run, a manifest and a rows-only run
-leave no reference cycles behind: with the collector off, the next
-collection finds nothing, and a dropped build is freed at once.
+A service context holds its registry weakly, the tree fit recurses
+through module-level functions, the graph is checked and ordered by one
+iterative pass, and the tick loop keeps no observation documents. So a
+run, a manifest and a rows-only run leave no reference cycles behind:
+with the collector off, the next collection finds nothing, and a dropped
+build is freed at once.
 """
 
 import gc

@@ -1,8 +1,9 @@
 """The deterministic generator: its draws follow the splitmix64 chain of
-`_mix64`, seeds outside [0, 2**64) are refused, and Poisson draws refuse
-rates they cannot sample."""
+`_mix64`, seeds and int seed label parts outside [0, 2**64) are refused,
+and Poisson draws refuse rates they cannot sample."""
 
 import math
+import re
 from itertools import cycle
 
 import pytest
@@ -156,6 +157,14 @@ class TestSeedRange:
             SplitMix64(seed)
         with pytest.raises(ValueError, match="seed"):
             derive_seed(seed, "x")
+
+    @pytest.mark.parametrize("part", [True, False, -1, 2**64, 2**64 + 5, -(2**64), 1.0, None, b"x", ("a",)])
+    def test_label_part_outside_or_not_an_int_or_str_is_refused(self, part):
+        with pytest.raises(ValueError, match=re.escape(repr(part))):
+            derive_seed(1, "x", part)
+
+    def test_label_parts_at_the_edges_are_accepted_and_do_not_alias(self):
+        assert len({derive_seed(1, part) for part in (0, 1, 5, MASK64, "1", "")}) == 6
 
     def test_no_seed_aliases_another(self):
         with pytest.raises(ValueError, match="seed"):

@@ -211,8 +211,8 @@ class TestConservation:
         events = _collect_events(scenario, by_tick)
         routable = {}
         for ev in events:
-            route = result.built.routes.get(ev.kind)
-            if route is not None and ev.tick < scenario.ticks:
-                routable[route.stream_id] = routable.get(route.stream_id, 0) + 1
+            stream_id = result.built.routes.get(ev.kind)
+            if stream_id is not None and ev.tick < scenario.ticks:
+                routable[stream_id] = routable.get(stream_id, 0) + 1
         for stream_id, expected in routable.items():
             assert result.instance.length(stream_id) == expected
