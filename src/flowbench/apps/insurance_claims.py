@@ -130,7 +130,7 @@ def _screen(rule):
 
     def transform(inputs):
         out = []
-        for rec in inputs["claims"].new:
+        for rec in inputs["claims"]:
             doc = rec.as_dict()
             if not doc.get("decision"):
                 doc["decision"] = rule(doc)
@@ -144,7 +144,7 @@ def _payout(inputs):
     return {
         "decisions": [
             {"claim_id": r["claim_id"], "decision": r["decision"]}
-            for r in inputs["screened"].new
+            for r in inputs["screened"]
         ]
     }
 
@@ -152,7 +152,7 @@ def _payout(inputs):
 def _classifier(model: TreeModel):
     def transform(inputs):
         out = []
-        for rec in inputs["claims"].new:
+        for rec in inputs["claims"]:
             doc = rec.as_dict()
             doc["decision"] = predict_tree(model, claim_features(doc))
             out.append(doc)

@@ -104,12 +104,12 @@ def bot_text(state: dict, new_texts: list[str], master_seed: int) -> str:
 def _timeline_node(inputs, state):
     """Fold: follower -> followee -> first follow tick, author -> posts."""
     followed_at, by_author = state
-    for r in inputs["follows"].new:
+    for r in inputs["follows"]:
         followed_at.setdefault(r["follower"], {}).setdefault(r["followee"], r.tick)
-    for r in inputs["posts"].new:
+    for r in inputs["posts"]:
         insort(by_author.setdefault(r["author"], []), (r.tick, r["post_id"]))
     out = []
-    for req in inputs["requests"].new:
+    for req in inputs["requests"]:
         ids = recent_posts(followed_at.get(req["user_id"], {}), by_author, TIMELINE_LIMIT)
         out.append({"user_id": req["user_id"], "post_ids": ",".join(str(i) for i in ids)})
     return {"timelines": out}
@@ -117,22 +117,22 @@ def _timeline_node(inputs, state):
 
 def _corpus_builder(inputs, followers):
     """Fold: followee -> followers; a post fans out to them in id order."""
-    for r in inputs["follows"].new:
+    for r in inputs["follows"]:
         followers.setdefault(r["followee"], set()).add(r["follower"])
     out = []
-    for post in inputs["posts"].new:
+    for post in inputs["posts"]:
         for user in sorted(followers.get(post["author"], ())):
             out.append({"user_id": user, "text": post["text"]})
     return {"corpus": out}
 
 
 def _corpus_publisher(inputs):
-    return {"published": [r.as_dict() for r in inputs["corpus"].new]}
+    return {"published": [r.as_dict() for r in inputs["corpus"]]}
 
 
 def _bot_node(target: str, master_seed: int):
     def transform(inputs, state):
-        texts = [r["text"] for r in inputs["corpus"].new if r["user_id"] == target]
+        texts = [r["text"] for r in inputs["corpus"] if r["user_id"] == target]
         text = bot_text(state, texts, master_seed)
         return {"posts": [{"user_id": target, "text": text}] if text else []}
 

@@ -72,13 +72,13 @@ def _builder(master_seed: int):
 
     def transform(inputs, state):
         catalogs, thresholds = state
-        for r in inputs["movies"].new:
+        for r in inputs["movies"]:
             catalogs.setdefault(r["genre"], []).append((r["title"], r["gross"]))
         if "quantiles" in inputs:
-            for rec in inputs["quantiles"].new:
+            for rec in inputs["quantiles"]:
                 thresholds[rec["genre"]] = rec["q75"]
         out = []
-        for req in inputs["requests"].new:
+        for req in inputs["requests"]:
             rng = request_rng(master_seed, req["request_id"])
             titles = sample_playlist(
                 catalogs.get(req["genre"], ()), req["k"], rng, thresholds.get(req["genre"])
@@ -93,9 +93,9 @@ def _builder(master_seed: int):
 
 def _stats_node(inputs, grosses: dict):
     """Fold: genre -> ascending grosses."""
-    for rec in inputs["movies"].new:
+    for rec in inputs["movies"]:
         insort(grosses.setdefault(rec["genre"], []), rec["gross"])
-    touched = sorted({rec["genre"] for rec in inputs["movies"].new})
+    touched = sorted({rec["genre"] for rec in inputs["movies"]})
     return {
         "quantiles": [
             {"genre": genre, "q75": nearest_rank(grosses[genre], GROSS_QUANTILE)} for genre in touched
@@ -104,7 +104,7 @@ def _stats_node(inputs, grosses: dict):
 
 
 def _stats_publisher(inputs):
-    return {"published": [r.as_dict() for r in inputs["quantiles"].new]}
+    return {"published": [r.as_dict() for r in inputs["quantiles"]]}
 
 
 def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:

@@ -155,9 +155,9 @@ def _allocator(inputs, fleet: _Fleet):
     drivers, then requests are served in arrival order. Matches the call
     order the service build sees.
     """
-    delta = [(rec.tick, _FLEET_UPDATE, rec.seq, rec) for rec in inputs["drivers"].new]
-    delta += [(rec.tick, _COMPLETION, rec.seq, rec) for rec in inputs["completions"].new]
-    delta += [(rec.tick, _REQUEST, rec.seq, rec) for rec in inputs["requests"].new]
+    delta = [(rec.tick, _FLEET_UPDATE, rec.seq, rec) for rec in inputs["drivers"]]
+    delta += [(rec.tick, _COMPLETION, rec.seq, rec) for rec in inputs["completions"]]
+    delta += [(rec.tick, _REQUEST, rec.seq, rec) for rec in inputs["requests"]]
     delta.sort(key=itemgetter(0, 1, 2))
     out = []
     for tick, kind, _, rec in delta:
@@ -185,17 +185,17 @@ def _publisher(inputs):
     return {
         "assignments": [
             {"ride_id": r["ride_id"], "driver_id": r["driver_id"], "matched": r["matched"]}
-            for r in inputs["allocations"].new
+            for r in inputs["allocations"]
         ]
     }
 
 
 def _tracker(inputs, by_ride: dict):
     """Fold over allocations (ride_id -> latest allocation) joined with pickups."""
-    for alloc in inputs["allocations"].new:
+    for alloc in inputs["allocations"]:
         by_ride[alloc["ride_id"]] = alloc
     out = []
-    for pickup in inputs["pickups"].new:
+    for pickup in inputs["pickups"]:
         alloc = by_ride.get(pickup["ride_id"])
         if alloc is None or not alloc["matched"]:
             continue
@@ -211,7 +211,7 @@ def _tracker(inputs, by_ride: dict):
 def _estimator(model: LinearModel):
     def transform(inputs):
         out = []
-        for alloc in inputs["allocations"].new:
+        for alloc in inputs["allocations"]:
             if not alloc["matched"]:
                 continue
             out.append(

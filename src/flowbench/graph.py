@@ -130,9 +130,19 @@ class Schema:
             v = values[fname]
             want = _PY_TYPES[ftype]
             accepted = (int, float) if want is float else want
-            if isinstance(v, bool) is not (want is bool) or not isinstance(v, accepted):
-                raise SchemaMismatchError(f"schema {self.name!r}: field {fname!r} wants {ftype}, got {v!r}")
-            row.append(float(v) if want is float else v)
+            ok = isinstance(v, bool) is (want is bool) and isinstance(v, accepted)
+            if ok and want is float:
+                try:
+                    v = float(v)
+                except OverflowError:  # an int beyond float range
+                    ok = False
+            if not ok:
+                try:
+                    shown = repr(v)
+                except ValueError:  # an int past `sys.get_int_max_str_digits()`
+                    shown = f"an int of {v.bit_length()} bits"
+                raise SchemaMismatchError(f"schema {self.name!r}: field {fname!r} wants {ftype}, got {shown}")
+            row.append(v)
         return tuple(row)
 
 
@@ -195,7 +205,7 @@ class PortDecl(NamedTuple):
     schema: Schema
 
 
-# Transforms map {in-port: PortView of its delta} -> {out-port: [field->value
+# Transforms map {in-port: list of its new records} -> {out-port: [field->value
 # mapping, ...]}; a fold's transform also takes its state: (inputs, state).
 Transform = Callable[..., dict]
 
@@ -203,14 +213,15 @@ Transform = Callable[..., dict]
 class NodeSpec(NamedTuple):
     """Deterministic transform with named ports.
 
-    The transform itself holds no state between calls, and each in-port
-    shows it only the records new since its last call. A plain node
-    (`init` None) gets `transform(inputs)` and maps that delta. A fold node
-    gets `transform(inputs, state)`: the runtime calls `init()` once per
-    instance for a fresh state, passes that same object on every tick, and
-    the transform updates it in place from the `.new` deltas. Outputs stay
-    pure functions of the input logs because only the runtime creates and
-    keeps the state.
+    The transform itself holds no state between calls. It is called only
+    when one of its in-ports gained records, and each in-port is a list of
+    just the records new since its last call. A plain node (`init` None)
+    gets `transform(inputs)` and maps that delta. A fold node gets
+    `transform(inputs, state)`: the runtime calls `init()` once per instance
+    for a fresh state, passes that same object on every call, and the
+    transform updates it in place from the delta lists. Outputs stay pure
+    functions of the input logs because only the runtime creates and keeps
+    the state.
     """
 
     id: str
@@ -357,6 +368,8 @@ def validate(graph: FlowGraph) -> list[Violation]:
         out.append(Violation("duplicate-stream", sid, "stream id declared more than once"))
     for nid in _repeated([n.id for n in graph.nodes]):
         out.append(Violation("duplicate-node", nid, "node id declared more than once"))
+    for eid in sorted(streams.keys() & nodes.keys()):
+        out.append(Violation("shared-id", eid, "id names both a stream and a node"))
 
     for node in graph.nodes:
         for ports, direction in ((node.in_ports, "in"), (node.out_ports, "out")):

@@ -1,20 +1,23 @@
 """Tick-based deterministic executor for a validated FlowGraph.
 
 The runtime owns all state: stream logs, per-node read cursors and the
-state of fold nodes. A node sees only its delta: per wired in-port, the
-records new since it last ran. A node that needs more is a fold
-(`NodeSpec.init` set): it also gets a state object that the runtime
-creates once per instance with `init()` and hands back on every call,
-and the transform updates it in place from `.new`. Since the runtime
-creates and keeps that state, every output is still a pure function of
-the input logs, and two instances of one graph never share it.
+state of fold nodes. A node sees only its delta: per wired in-port, a
+fresh list of the records appended since it last ran. A node that needs
+more is a fold (`NodeSpec.init` set): it also gets a state object that the
+runtime creates once per instance with `init()` and hands back on every
+call, and the transform updates it in place from those lists. Since the
+runtime creates and keeps that state, every output is still a pure
+function of the input logs, and two instances of one graph never share it.
 
-One `step()` executes every node exactly once in a frozen topological
-order, so records produced upstream are visible downstream within the
-same tick. A row that fails its schema's checks raises `TransformError`
-naming the node, port and tick. An exception raised inside a transform
-is re-raised as `NodeError`, naming the node and tick, with the original
-as its cause.
+One `step()` walks the nodes in a frozen topological order, so records
+produced upstream are visible downstream within the same tick. A node
+runs at a tick only if at least one of its in-ports gained records since
+it last ran; otherwise it is not called, and a fold's state is untouched.
+A transform that must act without input is not supported. `invocations`
+counts each node's activations. A row that fails its schema's checks
+raises `TransformError` naming the node, port and tick. An exception
+raised inside a transform is re-raised as `NodeError`, naming the node and
+tick, with the original as its cause.
 
 A failed tick is atomic for the logs: before any error leaves `step`,
 every record that nodes appended during that tick is removed again, so
@@ -75,24 +78,15 @@ class NodeError(Exception):
         super().__init__(f"node {node!r} at tick {tick}: {type(cause).__name__}: {cause}")
 
 
-class PortView:
-    """What a transform sees on one in-port: the records new since its node
-    last ran, as `.new` (a copy).
+class PortView(list):
+    """What a transform gets on one in-port: a fresh list of the records in
+    `log` from its node's cursor on, which it may keep or change. A class
+    rather than a bare slice so that `bench/tracer.py` can count them."""
 
-    `records` is the stream's live log and `new_from` the node's cursor in
-    it, so a view is valid only for the duration of the call it was
-    passed to.
-    """
+    __slots__ = ()
 
-    __slots__ = ("records", "new_from")
-
-    def __init__(self, records: list[Record], new_from: int):
-        self.records = records
-        self.new_from = new_from
-
-    @property
-    def new(self) -> tuple[Record, ...]:
-        return tuple(self.records[self.new_from:])
+    def __init__(self, log: list[Record], cursor: int):
+        self += log[cursor:]  # cheaper than `list.__init__` or `super().__init__`
 
 
 class TickSummary(NamedTuple):
@@ -193,7 +187,8 @@ class RuntimeInstance:
     # ------------------------------------------------------------------
 
     def step(self) -> TickSummary:
-        """Run every node once in topological order, then advance the tick.
+        """Run, in topological order, each node one of whose in-ports gained
+        records since it last ran, then advance the tick.
 
         If a node fails, every record a node appended during this tick is
         removed again, the instance is marked failed, and the error (a
@@ -207,6 +202,8 @@ class RuntimeInstance:
         try:
             for nid, transform, fold, state, ins, outs, out_names in self._plan:
                 inputs = {name: PortView(log, cursors[key]) for name, log, key in ins}
+                if not any(inputs.values()):
+                    continue  # no in-port gained records: the node does not run
                 try:
                     result = transform(inputs, state) if fold else transform(inputs)
                 except Exception as exc:

@@ -5,7 +5,7 @@ needs in a runtime-owned fold: follow ticks and per-author post lists,
 followers per author, bigram counts, sorted grosses and per-genre
 catalogs. Each oracle below is the form a fold replaces: it keeps its own
 copy of every record it has been shown (`util_graphs.recompute_from_copy`)
-and recomputes the node's output from that whole history every tick, by
+and recomputes the node's output from that whole history on every call, by
 the rule as first written. Both graphs are fed the same records and must
 emit the same records, tick by tick.
 """
@@ -54,7 +54,7 @@ WORDS = st.lists(st.sampled_from(["amber", "breeze", "cobalt", "drift"]), max_si
 
 
 def timeline_oracle(timeline):
-    """Every tick, the `timeline` function over all follows and posts."""
+    """On every call, the `timeline` function over all follows and posts."""
 
     def replay(logs, new_from):
         edges = [(r["follower"], r["followee"], r.tick) for r in logs["follows"]]

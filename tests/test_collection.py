@@ -32,7 +32,7 @@ def _join_graph():
     b.stream("waits", Category.OUTPUT, RIDE)
     b.node(
         "track",
-        lambda inputs: {"out": [r.as_dict() for r in inputs["p"].new]},
+        lambda inputs: {"out": [r.as_dict() for r in inputs["p"]]},
         inputs={"p": "picks", "f": "feats"},
         outputs={"out": "waits"},
     )

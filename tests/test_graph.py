@@ -22,6 +22,7 @@ from flowbench.graph import (
     SchemaMismatchError,
     StreamDecl,
     UnknownElementError,
+    Violation,
     downstream_closure,
     export_dot,
     topological_order,
@@ -85,8 +86,13 @@ class TestSchema:
         assert a != Schema("m", (("w", "text"), ("v", "int")))
 
 
+# The least int whose nearest float, ties to even, is 2**1024: past float range.
+FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
 def reference_coerce_row(schema: Schema, values) -> tuple:
-    """Oracle: `Schema.coerce_row` as it was before its one-loop pass."""
+    """Oracle: `Schema.coerce_row` as it was before its one-loop pass, and
+    refusing an int for a float field when it lies beyond float range."""
     extra = set(values).difference(schema.field_names)
     if extra:
         raise SchemaMismatchError(f"schema {schema.name!r}: unexpected fields {sorted(extra)}")
@@ -101,7 +107,8 @@ def reference_coerce_row(schema: Schema, values) -> tuple:
                     f"schema {schema.name!r}: field {fname!r} wants int, got {v!r}"
                 )
         elif ftype == "float":
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            too_big = isinstance(v, int) and abs(v) >= FLOAT_OVERFLOW
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or too_big:
                 raise SchemaMismatchError(
                     f"schema {schema.name!r}: field {fname!r} wants float, got {v!r}"
                 )
@@ -139,6 +146,7 @@ class SubDict(dict):
 FIELD_NAMES = ("a", "b", "c", "d", "e")
 VALUES = st.one_of(
     st.integers(-(2**70), 2**70),
+    st.sampled_from((FLOAT_OVERFLOW - 1, FLOAT_OVERFLOW, -FLOAT_OVERFLOW, 2**1100)),
     st.floats(allow_nan=False),
     st.text(max_size=3),
     st.booleans(),
@@ -192,6 +200,9 @@ class TestCoerceRowOracle:
             ({"n": 1, "f": 2.0, "t": "x", "z": True}, "unexpected fields ['z']"),
             ({"n": True, "f": 2.0, "t": "x", "b": True}, "field 'n' wants int, got True"),
             ({"n": 1, "f": False, "t": "x", "b": True}, "field 'f' wants float, got False"),
+            ({"n": 1, "f": 2**1100, "t": "x", "b": True}, f"field 'f' wants float, got {2**1100}"),
+            ({"n": 1, "f": 2.0, "t": 2**20000, "b": True}, "field 't' wants text, got an int of 20001 bits"),
+            ({"n": 1, "f": 2**20000, "t": "x", "b": True}, "field 'f' wants float, got an int of 20001 bits"),
             ({"n": 1, "f": 2.0, "t": 3, "b": True}, "field 't' wants text, got 3"),
             ({"n": 1, "f": 2.0, "t": "x", "b": 1}, "field 'b' wants bool, got 1"),
         ],
@@ -226,7 +237,7 @@ class TestCompiledCheckerOracle:
         [
             (ftype, value)
             for ftype in FIELD_TYPES
-            for value in (1, -(2**70), 2.5, "x", True, False, None,
+            for value in (1, -(2**70), FLOAT_OVERFLOW - 1, FLOAT_OVERFLOW, 2.5, "x", True, False, None,
                           SubInt(3), SubFloat(1.5), SubStr("y"))
         ],
     )
@@ -457,6 +468,20 @@ class TestValidate:
         )
         assert [v.code for v in validate(graph)] == ["duplicate-stream"]
 
+    def test_stream_and_node_sharing_an_id_reported(self):
+        # i -> A -> (stream A) -> B -> o: without the check this validates
+        # and its DOT text declares "A" twice, with an "A" -> "A" edge.
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("A", Category.INTERNAL, POINT)
+        b.stream("o", Category.OUTPUT, POINT)
+        b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "A"})
+        b.node("B", copy_transform("in", "out"), inputs={"in": "A"}, outputs={"out": "o"})
+        graph = b.build()
+        assert validate(graph) == [Violation("shared-id", "A", "id names both a stream and a node")]
+        with pytest.raises(GraphValidationError, match="shared-id"):
+            start(graph)
+
     def test_validate_is_idempotent_and_pure(self):
         graph = chain_graph()
         first = validate(graph)
@@ -598,6 +623,27 @@ class TestDotExport:
     def test_export_is_deterministic(self):
         graph = diamond_graph()
         assert export_dot(graph) == export_dot(graph)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_valid_graph_declares_each_element_once(self, seed, data):
+        # Renaming a node to a stream's id makes the two one DOT element;
+        # only graphs `validate` passes are drawn, so that never passes.
+        graph = random_dag(seed)
+        stream_ids = sorted(s.id for s in graph.streams)
+        if data.draw(st.booleans()):
+            nid = data.draw(st.sampled_from(sorted(n.id for n in graph.nodes)))
+            new = data.draw(st.sampled_from(stream_ids))
+            graph = graph._replace(
+                nodes=tuple(n._replace(id=new) if n.id == nid else n for n in graph.nodes),
+                in_edges=tuple(e._replace(node=new) if e.node == nid else e for e in graph.in_edges),
+                out_edges=tuple(e._replace(node=new) if e.node == nid else e for e in graph.out_edges),
+            )
+        if validate(graph):
+            return
+        declared = [line.split('"')[1] for line in export_dot(graph).splitlines() if "shape=" in line]
+        assert sorted(declared) == sorted(stream_ids + [n.id for n in graph.nodes])
+        assert len(set(declared)) == len(declared)
 
 
 class TestRandomDagProperties:

@@ -3,7 +3,7 @@
 The allocator and the pickup tracker keep their state in runtime-owned
 folds and read only each tick's delta. The oracle below is the form they
 replace: it keeps its own copy of every record it has been shown, and
-every tick it re-sorts and replays that whole history since tick 0. Both
+on every call it re-sorts and replays that whole history since tick 0. Both
 must emit the same records at every tick.
 """
 

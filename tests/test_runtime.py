@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowbench
-from flowbench.graph import Category, GraphBuilder, GraphValidationError, Schema, validate
+from flowbench import runtime
+from flowbench.graph import (
+    Category,
+    GraphBuilder,
+    GraphValidationError,
+    Schema,
+    SchemaMismatchError,
+    validate,
+)
 from flowbench.runtime import (
     FailedInstanceError,
     NodeError,
@@ -20,6 +28,8 @@ from flowbench.runtime import (
 )
 from flowbench.rng import SplitMix64
 from util_graphs import POINT, chain_graph, copy_transform, random_dag
+
+REAL = Schema("real", (("f", "float"),))
 
 
 class TestStart:
@@ -75,6 +85,17 @@ class TestInject:
         with pytest.raises(Exception):
             inst.inject("i", {"x": "seven"})
 
+    def test_int_beyond_float_range_is_a_schema_mismatch(self):
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, REAL)
+        b.stream("o", Category.OUTPUT, REAL)
+        b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "o"})
+        inst = start(b.build())
+        with pytest.raises(SchemaMismatchError, match="field 'f' wants float, got 1358298529"):
+            inst.inject("i", {"f": 2**1100})
+        assert inst.inject("i", {"f": 2**1000}).values == (float(2**1000),)
+        assert inst.length("i") == 1
+
 
 class TestStep:
     def test_raising_transform_names_node_and_tick(self):
@@ -85,7 +106,7 @@ class TestStep:
         b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "s"})
         b.node(
             "B",
-            lambda inputs: {"out": [{"x": 1 // r["x"]} for r in inputs["in"].new]},
+            lambda inputs: {"out": [{"x": 1 // r["x"]} for r in inputs["in"]]},
             inputs={"in": "s"},
             outputs={"out": "o"},
         )
@@ -135,7 +156,7 @@ class TestStep:
         b.stream("o", Category.OUTPUT, Schema("other", (("y", "int"),)))
         b.node(
             "A",
-            lambda inputs: {"out": [{"x": r["x"]} for r in inputs["in"].new]},
+            lambda inputs: {"out": [{"x": r["x"]} for r in inputs["in"]]},
             inputs={"in": "i"},
             outputs={"out": "o"},
         )
@@ -152,8 +173,8 @@ class TestStep:
         b.node(
             "A",
             lambda inputs: {
-                "good": [r.as_dict() for r in inputs["in"].new],
-                "bad": [r.as_dict() for r in inputs["in"].new],
+                "good": [r.as_dict() for r in inputs["in"]],
+                "bad": [r.as_dict() for r in inputs["in"]],
             },
             inputs={"in": "i"},
             outputs={"good": "good", "bad": "bad"},
@@ -176,8 +197,8 @@ class TestStep:
         b.node(
             "A",
             lambda inputs: {
-                "pos": [{"x": r["x"]} for r in inputs["in"].new],
-                "neg": [{"x": -r["x"]} for r in inputs["in"].new],
+                "pos": [{"x": r["x"]} for r in inputs["in"]],
+                "neg": [{"x": -r["x"]} for r in inputs["in"]],
             },
             inputs={"in": "i"},
             outputs={"pos": "o", "neg": "o"},
@@ -192,6 +213,26 @@ class TestStep:
             (0, (1,)), (1, (2,)), (2, (-1,)), (3, (-2,)),
         ]
 
+    def test_int_beyond_float_range_fails_the_tick_naming_node_port_and_tick(self):
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("o", Category.OUTPUT, REAL)
+        b.node(
+            "A",
+            lambda inputs: {"out": [{"f": 2 ** (100 * r["x"])} for r in inputs["in"]]},
+            inputs={"in": "i"},
+            outputs={"out": "o"},
+        )
+        inst = start(b.build())
+        inst.inject("i", {"x": 1})
+        inst.step()
+        inst.inject("i", {"x": 2})
+        inst.inject("i", {"x": 11})
+        with pytest.raises(TransformError, match="node 'A' port 'out' at tick 1: .*wants float") as err:
+            inst.step()
+        assert isinstance(err.value.__cause__, SchemaMismatchError)
+        assert [r.values for r in inst.read("o")] == [(2.0**100,)]
+
     def test_non_mapping_row_fails_the_tick_and_appends_nothing(self):
         b = GraphBuilder()
         b.stream("i", Category.INPUT, POINT)
@@ -204,6 +245,7 @@ class TestStep:
             outputs={"good": "good", "bad": "bad"},
         )
         inst = start(b.build())
+        inst.inject("i", {"x": 1})  # a node runs only when an in-port gained records
         with pytest.raises(TransformError, match="node 'A' port 'bad' at tick 0") as err:
             inst.step()
         assert isinstance(err.value.__cause__, TypeError)
@@ -222,7 +264,7 @@ class TestStep:
         b = GraphBuilder()
         b.stream("i", Category.INPUT, POINT)
         b.stream("o", Category.OUTPUT, POINT)
-        b.node("A", lambda inputs: {"out": [{"x": r["x"] * 2} for r in inputs["in"].new]},
+        b.node("A", lambda inputs: {"out": [{"x": r["x"] * 2} for r in inputs["in"]]},
                inputs={"in": "i"}, outputs={"out": "o"})
         inst = start(b.build())
         inst.inject("i", {"x": 1})
@@ -243,6 +285,7 @@ class TestStep:
             outputs={"out": "o"},
         )
         inst = start(b.build())
+        inst.inject("i", {"x": 1})
         with pytest.raises(TransformError) as err:
             inst.step()
         assert str(err.value) == "node 'A' at tick 0 emitted to undeclared ports ['nope', 'zz']"
@@ -266,15 +309,15 @@ def _failing_graph(second):
 
 
 def _divide(inputs):
-    return {"out": [{"x": 1 // r["x"]} for r in inputs["in"].new]}
+    return {"out": [{"x": 1 // r["x"]} for r in inputs["in"]]}
 
 
 def _bad_schema(inputs):
-    return {"out": [{"x": r["x"]} if r["x"] else {"y": 0} for r in inputs["in"].new]}
+    return {"out": [{"x": r["x"]} if r["x"] else {"y": 0} for r in inputs["in"]]}
 
 
 def _bad_port(inputs):
-    if any(r["x"] == 0 for r in inputs["in"].new):
+    if any(r["x"] == 0 for r in inputs["in"]):
         return {"nope": [{"x": 0}]}
     return {}
 
@@ -377,17 +420,17 @@ TOTAL = Schema("total", (("k", "int"), ("total", "int")))
 
 def _sum_fold(inputs, totals):
     out = []
-    for rec in inputs["in"].new:
+    for rec in inputs["in"]:
         totals[rec["k"]] = totals.get(rec["k"], 0) + rec["v"]
         out.append({"k": rec["k"], "total": totals[rec["k"]]})
     return {"out": out}
 
 
 def _sum_recompute(inputs, seen):
-    """Oracle: the same running sums, recomputed every tick from the node's
+    """Oracle: the same running sums, recomputed on every call from the node's
     own copy of every record it has been shown."""
     new_from = len(seen)
-    seen.extend(inputs["in"].new)
+    seen.extend(inputs["in"])
     totals: dict[int, int] = {}
     out = []
     for i, rec in enumerate(seen):
@@ -437,7 +480,7 @@ class TestFold:
 
         def step(inputs, state):
             seen.append(state)
-            return {"out": [{"k": r["k"], "total": r["v"]} for r in inputs["in"].new]}
+            return {"out": [{"k": r["k"], "total": r["v"]} for r in inputs["in"]]}
 
         b = GraphBuilder()
         b.stream("i", Category.INPUT, KV)
@@ -497,10 +540,100 @@ class TestRunProperties:
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=25, deadline=None)
-    def test_every_node_runs_exactly_once_per_tick(self, seed):
+    def test_a_node_runs_once_per_tick_at_which_an_in_port_gained_records(self, seed):
         graph = random_dag(seed)
-        _, inst = _drive(graph, seed, ticks=6)
-        assert set(inst.invocations.values()) == {6}
+        logs, inst = _drive(graph, seed, ticks=6)
+        stream_of = {(e.node, e.port): e.stream for e in graph.in_edges}
+        for node in graph.nodes:
+            fed = {
+                rec_tick
+                for p in node.in_ports
+                for rec_tick, _, _ in logs[stream_of[(node.id, p.name)]]
+            }
+            assert inst.invocations[node.id] == len(fed), node.id
+
+
+class _EveryTickView(runtime.PortView):
+    """A port view that is never empty to `step`'s activation test, so a
+    run with it patched in calls every node on every tick."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return True
+
+
+def _spied(graph, calls):
+    """`graph` with each node's transform recording (node id, whether any
+    in-port holds a record) before it runs."""
+
+    def spy(nid, transform):
+        def spied(inputs):
+            calls.append((nid, any(map(len, inputs.values()))))
+            return transform(inputs)
+
+        return spied
+
+    return graph._replace(nodes=tuple(n._replace(transform=spy(n.id, n.transform)) for n in graph.nodes))
+
+
+class TestActivation:
+    @given(st.integers(min_value=0, max_value=5_000))
+    @settings(max_examples=40, deadline=None)
+    def test_no_idle_calls_and_same_logs_as_calling_every_node_every_tick(self, seed):
+        graph = random_dag(seed)
+        calls, every_tick_calls = [], []
+        logs, _ = _drive(_spied(graph, calls), seed, ticks=6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runtime, "PortView", _EveryTickView)
+            reference, _ = _drive(_spied(graph, every_tick_calls), seed, ticks=6)
+        assert all(fed for _, fed in calls)
+        assert len(every_tick_calls) == 6 * len(graph.nodes)
+        assert [c for c in every_tick_calls if c[1]] == calls
+        assert logs == reference
+
+    def test_a_fold_is_not_called_and_keeps_its_state_on_a_tick_without_input(self):
+        seen = []
+
+        def step(inputs, state):
+            state.append(len(inputs["in"]))
+            seen.append(list(state))
+            return {"out": [{"k": r["k"], "total": r["v"]} for r in inputs["in"]]}
+
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, KV)
+        b.stream("o", Category.OUTPUT, TOTAL)
+        b.fold("f", list, step, inputs={"in": "i"}, outputs={"out": "o"})
+        inst = start(b.build())
+        for n in (2, 0, 0, 1, 0):
+            for v in range(n):
+                inst.inject("i", {"k": 0, "v": v})
+            inst.step()
+        assert seen == [[2], [2, 1]]
+        assert inst.invocations == {"f": 2}
+        assert [r.tick for r in inst.read("o")] == [0, 0, 3]
+
+    def test_each_in_port_is_a_fresh_list_of_its_new_records(self):
+        got = []
+
+        def keep(inputs):
+            got.append(inputs["in"])
+            inputs["in"].append("junk")  # the node's own list, not the log
+            return {}
+
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("o", Category.OUTPUT, POINT)
+        b.node("A", keep, inputs={"in": "i"}, outputs={"out": "o"})
+        inst = start(b.build())
+        inst.inject("i", {"x": 1})
+        inst.inject("i", {"x": 2})
+        inst.step()
+        inst.inject("i", {"x": 3})
+        inst.step()
+        assert all(isinstance(port, list) for port in got)
+        assert [[r["x"] for r in port[:-1]] for port in got] == [[1, 2], [3]]
+        assert [r["x"] for r in inst.read("i")] == [1, 2, 3]
 
 
 # A schema's row checker is compiled the first time it checks a row, never

@@ -17,7 +17,7 @@ POINT = Schema("point", (("x", "int"),))
 
 def copy_transform(in_port: str, out_port: str):
     def transform(inputs):
-        return {out_port: [r.as_dict() for r in inputs[in_port].new]}
+        return {out_port: [r.as_dict() for r in inputs[in_port]]}
 
     return transform
 
@@ -44,8 +44,8 @@ def diamond_graph() -> FlowGraph:
     b.node(
         "A",
         lambda inputs: {
-            "l": [r.as_dict() for r in inputs["in"].new],
-            "r": [r.as_dict() for r in inputs["in"].new],
+            "l": [r.as_dict() for r in inputs["in"]],
+            "r": [r.as_dict() for r in inputs["in"]],
         },
         inputs={"in": "i"},
         outputs={"l": "s1", "r": "s2"},
@@ -94,7 +94,7 @@ def random_dag(seed: int, max_nodes: int = 20) -> FlowGraph:
         b.node(
             node_id,
             lambda inputs, _ports=ports, _outs=sorted(out_map): {
-                o: [r.as_dict() for r in inputs[_ports[0]].new] for o in _outs
+                o: [r.as_dict() for r in inputs[_ports[0]]] for o in _outs
             },
             inputs=in_map,
             outputs=out_map,
@@ -157,7 +157,7 @@ def recompute_from_copy(replay):
         for port, view in inputs.items():
             log = logs.setdefault(port, [])
             new_from[port] = len(log)
-            log.extend(view.new)
+            log.extend(view)
         return replay(logs, new_from)
 
     return step
