@@ -15,10 +15,8 @@ every lane and `steps` holds (i + 1) * _GAMMA mod 2**64 in lane i. Then
 in each lane) applied before each multiply, so no 64x64-bit product carries
 into the next lane; a lane's upper 64 bits only catch the products' high
 halves. `int.to_bytes` and one `struct` unpack of each lane's low 8 bytes
-turn the lanes into a tuple of draws. Batches grow 1 -> 4 -> 16 -> 64 ->
-128 lanes, so a generator that makes a handful of draws computes only a
-few; the one-lane first batch is plain `_mix64`, so a generator that draws
-once, as many per-request ones do, computes that one draw and no lanes.
+turn the lanes into a tuple of draws. Batches grow 4 -> 16 -> 64 -> 128
+lanes, so a generator that makes a handful of draws computes only a few.
 """
 
 from __future__ import annotations
@@ -103,7 +101,7 @@ class _Lanes:
         self.grown = self if grown is None else grown
 
 
-_FIRST_LANES = _Lanes(1, _Lanes(4, _Lanes(16, _Lanes(64, _Lanes(128)))))
+_FIRST_LANES = _Lanes(4, _Lanes(16, _Lanes(64, _Lanes(128))))
 _NO_DRAWS = iter(())
 
 
@@ -133,8 +131,6 @@ class SplitMix64:
         base = self._end
         self._end = (base + lanes.advance) & MASK64
         self._lanes = lanes.grown
-        if lanes is _FIRST_LANES:  # one lane: the scalar chain's next draw
-            return _mix64(self._end)
         m = lanes.mask
         z = (base * lanes.ones + lanes.steps) & m
         z = ((z ^ (z >> 30)) & m) * 0xBF58476D1CE4E5B9 & m
