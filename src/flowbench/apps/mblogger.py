@@ -284,25 +284,18 @@ def _timeline_service(stage: str, scenario: Scenario) -> ServiceSpec:
                 ctx.routine("put_interest", user, req["text"])
             return {"fanned_out": len(users)}
 
+        def put_interest(ctx, user, text):
+            texts = ctx.store_get("interests", user)
+            if texts is None:
+                ctx.store_put("interests", user, [text])
+            else:
+                texts.append(text)
+
         apis.append(ApiSpec("record_interest", record_interest, ("author", "text"), ("fanned_out",)))
         routines.extend(
             (
-                RoutineSpec(
-                    "put_interest",
-                    lambda ctx, user, text: ctx.store_put(
-                        "interests",
-                        str(len(ctx.store_table("interests"))),
-                        {"user_id": user, "text": text},
-                    ),
-                ),
-                RoutineSpec(
-                    "get_interests",
-                    lambda ctx, user: [
-                        doc["text"]
-                        for doc in ctx.store_table("interests").values()
-                        if doc["user_id"] == user
-                    ],
-                ),
+                RoutineSpec("put_interest", put_interest),
+                RoutineSpec("get_interests", lambda ctx, user: ctx.store_get("interests", user) or []),
             )
         )
     if stage == "ml":

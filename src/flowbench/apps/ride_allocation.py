@@ -15,7 +15,6 @@ the pickup wait for every new allocation.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 
 from ..collection import CollectionSpec, StreamSelect, join
 from ..graph import Category, GraphBuilder, Schema
@@ -85,8 +84,9 @@ def euclid(x1: float, y1: float, x2: float, y2: float) -> float:
 def allocate_ride(ride_id, rider_x, rider_y, request_tick, available) -> dict:
     """Pick the closest free driver; ties go to the lowest driver id.
 
-    `available` is an iterable of (driver_id, x, y), read once (distance as
-    in `euclid`). Returns the allocation context; driver_id -1: nobody free.
+    `available` is an iterable of (driver_id, x, y) in any order, read once
+    (distance as in `euclid`); every order picks the same driver. Returns
+    the allocation context; driver_id -1: nobody free.
     """
     n_available = 0
     for driver_id, x, y in available:
@@ -145,39 +145,33 @@ class _Fleet:
         self.ride_driver: dict[int, int] = {}
 
 
-_FLEET_UPDATE, _COMPLETION, _REQUEST = range(3)
-
-
 def _allocator(inputs, fleet: _Fleet):
     """Serve the delta in world order: fleet updates, completions, requests.
 
-    Within a tick, fleet updates land first, then completions free their
-    drivers, then requests are served in arrival order. Matches the call
-    order the service build sees.
+    Every record of the delta was appended at the tick being stepped (see
+    the `runtime` module docstring), so world order is port order: fleet
+    updates land first, then completions free their drivers, then requests
+    are served in arrival order. Matches the call order the service build
+    sees. `allocate_ride` breaks ties itself, so the fleet is read unsorted.
     """
-    delta = [(rec.tick, _FLEET_UPDATE, rec.seq, rec) for rec in inputs["drivers"]]
-    delta += [(rec.tick, _COMPLETION, rec.seq, rec) for rec in inputs["completions"]]
-    delta += [(rec.tick, _REQUEST, rec.seq, rec) for rec in inputs["requests"]]
-    delta.sort(key=itemgetter(0, 1, 2))
+    for rec in inputs["drivers"]:
+        fleet.positions[rec["driver_id"]] = (rec["x"], rec["y"])
+    for rec in inputs["completions"]:
+        driver = fleet.ride_driver.pop(rec["ride_id"], None)
+        if driver is not None:
+            fleet.busy.discard(driver)
     out = []
-    for tick, kind, _, rec in delta:
-        if kind == _FLEET_UPDATE:
-            fleet.positions[rec["driver_id"]] = (rec["x"], rec["y"])
-        elif kind == _COMPLETION:
-            driver = fleet.ride_driver.pop(rec["ride_id"], None)
-            if driver is not None:
-                fleet.busy.discard(driver)
-        else:
-            available = [
-                (driver_id, xy[0], xy[1])
-                for driver_id, xy in sorted(fleet.positions.items())
-                if driver_id not in fleet.busy
-            ]
-            alloc = allocate_ride(rec["ride_id"], rec["rider_x"], rec["rider_y"], tick, available)
-            if alloc["matched"]:
-                fleet.busy.add(alloc["driver_id"])
-                fleet.ride_driver[alloc["ride_id"]] = alloc["driver_id"]
-            out.append(alloc)
+    for rec in inputs["requests"]:
+        available = [
+            (driver_id, xy[0], xy[1])
+            for driver_id, xy in fleet.positions.items()
+            if driver_id not in fleet.busy
+        ]
+        alloc = allocate_ride(rec["ride_id"], rec["rider_x"], rec["rider_y"], rec.tick, available)
+        if alloc["matched"]:
+            fleet.busy.add(alloc["driver_id"])
+            fleet.ride_driver[alloc["ride_id"]] = alloc["driver_id"]
+        out.append(alloc)
     return {"allocations": out}
 
 
@@ -303,11 +297,7 @@ def _drivers_service() -> ServiceSpec:
 
     def list_available(req, ctx):
         drivers = ctx.routine("get_drivers")
-        free = [
-            [doc["driver_id"], doc["x"], doc["y"]]
-            for doc in sorted(drivers.values(), key=itemgetter("driver_id"))
-            if doc["available"]
-        ]
+        free = [[doc["driver_id"], doc["x"], doc["y"]] for doc in drivers.values() if doc["available"]]
         return {"drivers": free}
 
     return ServiceSpec(

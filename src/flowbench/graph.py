@@ -215,13 +215,14 @@ class NodeSpec(NamedTuple):
 
     The transform itself holds no state between calls. It is called only
     when one of its in-ports gained records, and each in-port is a list of
-    just the records new since its last call. A plain node (`init` None)
-    gets `transform(inputs)` and maps that delta. A fold node gets
-    `transform(inputs, state)`: the runtime calls `init()` once per instance
-    for a fresh state, passes that same object on every call, and the
-    transform updates it in place from the delta lists. Outputs stay pure
-    functions of the input logs because only the runtime creates and keeps
-    the state.
+    just the records new since its last call, all appended at the tick
+    being stepped (see the `runtime` module docstring). A plain node
+    (`init` None) gets `transform(inputs)` and maps that delta. A fold node
+    gets `transform(inputs, state)`: the runtime calls `init()` once per
+    instance for a fresh state, passes that same object on every call, and
+    the transform updates it in place from the delta lists. Outputs stay
+    pure functions of the input logs because only the runtime creates and
+    keeps the state.
     """
 
     id: str
@@ -265,17 +266,6 @@ class FlowGraph(NamedTuple):
 
     def consumers_of(self, stream_id: str) -> list[str]:
         return [e.node for e in self.in_edges if e.stream == stream_id]
-
-    def node_edges(self) -> set[tuple[str, str]]:
-        """Instantaneous node-to-node edges induced by shared streams."""
-        edges = set()
-        readers: dict[str, list[str]] = {}
-        for e in self.in_edges:
-            readers.setdefault(e.stream, []).append(e.node)
-        for e in self.out_edges:
-            for reader in readers.get(e.stream, ()):
-                edges.add((e.node, reader))
-        return edges
 
 
 class GraphBuilder:
@@ -356,9 +346,28 @@ def validate(graph: FlowGraph) -> list[Violation]:
 
     Violations are data, not exceptions: a report lists each broken rule
     with the offending element so callers can show all problems at once.
+    """
+    return _checked_order(graph)[0]
+
+
+def topological_order(graph: FlowGraph) -> list[str]:
+    """Node ids so every instantaneous edge goes forward; ties by ascending id.
+
+    An invalid graph raises `GraphValidationError`; a valid one is ordered
+    by the same Kahn pass `validate` checks acyclicity with.
+    """
+    violations, order = _checked_order(graph)
+    if violations:
+        raise GraphValidationError(violations)
+    return order
+
+
+def _checked_order(graph: FlowGraph) -> tuple[list[Violation], list[str]]:
+    """`validate`'s report and the order of `_kahn`'s one pass.
+
     The wiring is indexed in one pass over the edges, and acyclicity is
-    checked by the one order pass, `_kahn`, that `topological_order` runs:
-    the `cycle` subject is the nodes of one cycle among those it leaves out.
+    checked by the order pass: the `cycle` subject is the nodes of one
+    cycle among those it leaves out.
     """
     out: list[Violation] = []
     streams = graph.stream_map()
@@ -442,7 +451,8 @@ def validate(graph: FlowGraph) -> list[Violation]:
     # Acyclicity of the node-to-node relation (each writer of a stream ->
     # each reader of it): what the order pass leaves out lies on or after a cycle.
     edges = {(u, v) for sid, writers in producers.items() for u in writers for v in consumers.get(sid, ())}
-    left = set(nodes).difference(_kahn(nodes, edges))
+    order = _kahn(nodes, edges)
+    left = set(nodes).difference(order)
     if left:
         out.append(Violation("cycle", ",".join(sorted(_cycle(left, edges))), "instantaneous edges form a cycle"))
 
@@ -454,19 +464,7 @@ def validate(graph: FlowGraph) -> list[Violation]:
             if nid not in fed or nid not in feeding:
                 out.append(Violation("orphan-node", nid, "node is not on any input-to-output path"))
 
-    return out
-
-
-def topological_order(graph: FlowGraph) -> list[str]:
-    """Node ids so every instantaneous edge goes forward; ties by ascending id.
-
-    An invalid graph raises `GraphValidationError`; a valid one is ordered
-    by the same Kahn pass `validate` checks acyclicity with.
-    """
-    violations = validate(graph)
-    if violations:
-        raise GraphValidationError(violations)
-    return _kahn(graph.node_map(), graph.node_edges())
+    return out, order
 
 
 def _repeated(ids: list[str]) -> list[str]:

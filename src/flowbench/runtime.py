@@ -13,6 +13,8 @@ One `step()` walks the nodes in a frozen topological order, so records
 produced upstream are visible downstream within the same tick. A node
 runs at a tick only if at least one of its in-ports gained records since
 it last ran; otherwise it is not called, and a fold's state is untouched.
+So every record a node gets at a tick was appended at that tick: injected
+before the step, or produced upstream earlier in the same walk.
 A transform that must act without input is not supported. `invocations`
 counts each node's activations. A row that fails its schema's checks
 raises `TransformError` naming the node, port and tick. An exception

@@ -16,7 +16,7 @@ from flowbench.collection import collect, write_dataset
 from flowbench.graph import Category, topological_order, upstream_closure, downstream_closure, validate
 from flowbench.mlkit import predict_tree
 from flowbench.sim import execute, run_scenario
-from util_graphs import brute_force_closure, random_dag
+from util_graphs import brute_force_closure, node_edges, random_dag
 from util_runs import observed
 
 ALL_APPS = apps.APP_NAMES
@@ -174,7 +174,7 @@ def test_c06_traversal_matches_brute_force_on_random_dags():
         order = topological_order(graph)
         assert sorted(order) == sorted(n.id for n in graph.nodes)
         position = {nid: i for i, nid in enumerate(order)}
-        for u, v in graph.node_edges():
+        for u, v in node_edges(graph):
             assert position[u] < position[v]
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"traversal sweep took {elapsed:.2f}s"

@@ -249,6 +249,17 @@ class TestTimeline:
         assert ids[0] == 79 and ids[-1] == 30
 
 
+class TestSoaInterests:
+    def test_each_user_reads_their_texts_in_put_order(self):
+        scenario = apps.make_scenario("mblogger", 10, 1)
+        ctx = mblogger.build_soa("data", scenario).registry.context_for("timeline")
+        for user, text in (("u1", "a"), ("u2", "b"), ("u1", "c"), ("u2", "d"), ("u2", "e"), ("u1", "f")):
+            ctx.routine("put_interest", user, text)
+        assert ctx.routine("get_interests", "u1") == ["a", "c", "f"]
+        assert ctx.routine("get_interests", "u2") == ["b", "d", "e"]
+        assert ctx.routine("get_interests", "u3") == []
+
+
 class TestPlaylist:
     ACTION = [("m1", 10.0), ("m2", 20.0), ("m3", 30.0), ("m4", 40.0)]
 
@@ -396,6 +407,24 @@ class TestCrossParadigmDatasets:
         scenario = apps.make_scenario(app, 20, 4)
         result = execute(scenario, apps.app_version(app, "fbp", "data"))
         assert result.dataset_rows is None
+
+
+class TestCrossParadigmDigests:
+    """Ride assignments and pickup waits, mblogger timelines and bot posts:
+    the same digests from both paradigms at the data and ml stages."""
+
+    KINDS = {"ride_allocation": ("assignment", "pickup_wait"), "mblogger": ("timeline", "bot_post")}
+
+    @pytest.mark.parametrize("stage", ("data", "ml"))
+    @pytest.mark.parametrize("app", sorted(KINDS))
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=8, deadline=None)
+    def test_fbp_and_soa_digests_agree(self, app, stage, seed):
+        scenario = apps.make_scenario(app, 120, seed)
+        fbp = execute(scenario, apps.app_version(app, "fbp", stage)).digests
+        soa = execute(scenario, apps.app_version(app, "soa", stage)).digests
+        kinds = [k for k in self.KINDS[app] if k != "bot_post" or stage == "ml"]
+        assert {k: fbp[k] for k in kinds} == {k: soa[k] for k in kinds}
 
 
 class TestFeatureDiscoverability:

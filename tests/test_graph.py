@@ -1,5 +1,6 @@
 """Graph model: schemas and records, validation, ordering, traversal, DOT export."""
 
+from collections import Counter
 from itertools import permutations
 from types import MappingProxyType
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowbench import apps
 from flowbench.graph import (
     FIELD_TYPES,
     Category,
@@ -30,7 +32,7 @@ from flowbench.graph import (
     validate,
 )
 from flowbench.runtime import start
-from util_graphs import POINT, brute_force_closure, chain_graph, copy_transform, diamond_graph, random_dag
+from util_graphs import POINT, brute_force_closure, chain_graph, copy_transform, diamond_graph, node_edges, random_dag
 
 
 def _noop(inputs):
@@ -514,7 +516,7 @@ class TestTopologicalOrder:
 
         # Independent Kahn's algorithm over the node relation.
         nodes = sorted(n.id for n in graph.nodes)
-        edges = graph.node_edges()
+        edges = node_edges(graph)
         indeg = {n: 0 for n in nodes}
         for _, v in edges:
             indeg[v] += 1
@@ -646,6 +648,45 @@ class TestDotExport:
         assert len(set(declared)) == len(declared)
 
 
+def _app_graphs():
+    """Every fbp build's graph, as its app module wires it by hand."""
+    return [
+        apps.build_structure(apps.app_version(app, "fbp", stage), apps.make_scenario(app, 1, 0)).graph
+        for app in apps.APP_NAMES
+        for stage in apps.APP_STAGES
+    ]
+
+
+HAND_BUILT = [chain_graph(), diamond_graph(), *_app_graphs()]
+
+
+class TestClosureIds:
+    @given(
+        st.one_of(st.integers(min_value=0, max_value=10_000).map(random_dag), st.sampled_from(HAND_BUILT)),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_valid_graph_closes_over_ids_of_one_element_each(self, graph, data):
+        # A node renamed to a stream's id makes one id name two elements;
+        # `validate` refuses such a graph, and only graphs it passes are checked.
+        if data.draw(st.booleans()):
+            nid = data.draw(st.sampled_from(sorted(n.id for n in graph.nodes)))
+            new = data.draw(st.sampled_from(sorted(s.id for s in graph.streams)))
+            graph = graph._replace(
+                nodes=tuple(n._replace(id=new) if n.id == nid else n for n in graph.nodes),
+                in_edges=tuple(e._replace(node=new) if e.node == nid else e for e in graph.in_edges),
+                out_edges=tuple(e._replace(node=new) if e.node == nid else e for e in graph.out_edges),
+            )
+        if validate(graph):
+            return
+        named = Counter([s.id for s in graph.streams] + [n.id for n in graph.nodes])
+        for element in named:
+            for forward, closure in ((False, upstream_closure), (True, downstream_closure)):
+                reached = closure(graph, element)
+                assert all(named[eid] == 1 for eid in reached)
+                assert reached == brute_force_closure(graph, element, forward=forward)
+
+
 class TestRandomDagProperties:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -672,7 +713,7 @@ class TestRandomDagProperties:
         order = topological_order(graph)
         assert sorted(order) == sorted(n.id for n in graph.nodes)
         pos = {n: i for i, n in enumerate(order)}
-        for u, v in graph.node_edges():
+        for u, v in node_edges(graph):
             assert pos[u] < pos[v]
 
     @given(st.integers(min_value=0, max_value=10_000))

@@ -62,6 +62,17 @@ class TestStart:
         assert [r["total"] for r in one.read("o")] == [5]
         assert [r["total"] for r in two.read("o")] == [1]
 
+    def test_start_orders_the_graph_with_one_kahn_pass(self, monkeypatch):
+        real, calls = flowbench.graph._kahn, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(flowbench.graph, "_kahn", counted)
+        start(chain_graph())
+        assert len(calls) == 1
+
 
 class TestInject:
     def test_first_record_gets_tick0_seq0(self):
@@ -577,6 +588,19 @@ def _spied(graph, calls):
     return graph._replace(nodes=tuple(n._replace(transform=spy(n.id, n.transform)) for n in graph.nodes))
 
 
+def _ticks_seen(graph, ticks):
+    """`graph` with each node's transform recording the tick of every record it gets."""
+
+    def spy(transform):
+        def spied(inputs):
+            ticks.extend(r.tick for port in inputs.values() for r in port)
+            return transform(inputs)
+
+        return spied
+
+    return graph._replace(nodes=tuple(n._replace(transform=spy(n.transform)) for n in graph.nodes))
+
+
 class TestActivation:
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=40, deadline=None)
@@ -591,6 +615,24 @@ class TestActivation:
         assert len(every_tick_calls) == 6 * len(graph.nodes)
         assert [c for c in every_tick_calls if c[1]] == calls
         assert logs == reference
+
+    @given(st.integers(min_value=0, max_value=5_000), st.lists(st.booleans(), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_every_record_a_node_gets_was_appended_at_the_stepped_tick(self, seed, inject_on):
+        graph = random_dag(seed)
+        ticks = []
+        inst = start(_ticks_seen(graph, ticks))
+        rng = SplitMix64(seed)
+        inputs = [s.id for s in graph.streams if s.category is Category.INPUT]
+        for tick, inject in enumerate(inject_on):
+            if inject:
+                for sid in inputs:
+                    for _ in range(1 + rng.randrange(2)):
+                        inst.inject(sid, {"x": rng.randrange(100)})
+            del ticks[:]
+            inst.step()
+            assert ticks == [tick] * len(ticks)
+            assert bool(ticks) is inject
 
     def test_a_fold_is_not_called_and_keeps_its_state_on_a_tick_without_input(self):
         seen = []

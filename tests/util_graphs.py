@@ -116,6 +116,14 @@ def element_edges(graph: FlowGraph) -> set[tuple[str, str]]:
     return edges
 
 
+def node_edges(graph: FlowGraph) -> set[tuple[str, str]]:
+    """Instantaneous node-to-node edges: each writer of a stream -> each
+    reader of it, from the raw edge lists."""
+    return {
+        (w.node, r.node) for w in graph.out_edges for r in graph.in_edges if w.stream == r.stream
+    }
+
+
 def brute_force_closure(graph: FlowGraph, start: str, forward: bool) -> set[str]:
     """Transitive closure by fixpoint iteration over the raw edge list."""
     edges = element_edges(graph)
