@@ -1,12 +1,13 @@
 """Dataflow graph model: typed streams, processing nodes, external wiring.
 
 A program is a bipartite graph of named streams (typed, append-only logs)
-and processing nodes (deterministic transforms with named ports, plain or
-folding over runtime-owned state). Wiring lives in the graph, not in the
-nodes, so the whole program is a traversable data structure:
-`upstream_closure` / `downstream_closure` answer provenance and impact
-questions, `topological_order` schedules execution, `export_dot` renders
-the program as a picture.
+and processing nodes (deterministic transforms, plain or folding over
+runtime-owned state). Wiring lives in the graph, not in the nodes: the
+edges are its one record, a node's ports are the port names its edges
+use, and a port's schema is that of its stream. So the whole program is a
+traversable data structure: `upstream_closure` / `downstream_closure`
+answer provenance and impact questions, `topological_order` schedules
+execution, `export_dot` renders the program as a picture.
 
 Construction never fails on a malformed graph; `validate` reports every
 broken invariant as data so callers can decide what to do.
@@ -200,18 +201,13 @@ class StreamDecl(NamedTuple):
     schema: Schema
 
 
-class PortDecl(NamedTuple):
-    name: str
-    schema: Schema
-
-
 # Transforms map {in-port: list of its new records} -> {out-port: [field->value
 # mapping, ...]}; a fold's transform also takes its state: (inputs, state).
 Transform = Callable[..., dict]
 
 
 class NodeSpec(NamedTuple):
-    """Deterministic transform with named ports.
+    """Deterministic transform. Its ports are the port names its edges use.
 
     The transform itself holds no state between calls. It is called only
     when one of its in-ports gained records, and each in-port is a list of
@@ -226,8 +222,6 @@ class NodeSpec(NamedTuple):
     """
 
     id: str
-    in_ports: tuple[PortDecl, ...]
-    out_ports: tuple[PortDecl, ...]
     transform: Transform
     logic_version: str = "v1"
     init: Callable[[], Any] | None = None
@@ -269,23 +263,18 @@ class FlowGraph(NamedTuple):
 
 
 class GraphBuilder:
-    """Happy-path construction helper.
-
-    Port schemas are taken from the streams a port is wired to, so a graph
-    built this way cannot have port/stream schema mismatches. Tests that
-    need broken graphs assemble FlowGraph pieces directly.
-    """
+    """Happy-path construction helper: each port in `inputs`/`outputs`
+    becomes one edge. Tests that need broken graphs assemble FlowGraph
+    pieces directly."""
 
     def __init__(self):
         self._streams: list[StreamDecl] = []
-        self._schemas: dict[str, Schema] = {}  # stream id -> schema, for port declarations
         self._nodes: list[NodeSpec] = []
         self._in_edges: list[InEdge] = []
         self._out_edges: list[OutEdge] = []
 
     def stream(self, stream_id: str, category: Category, schema: Schema) -> "GraphBuilder":
         self._streams.append(StreamDecl(stream_id, category, schema))
-        self._schemas[stream_id] = schema
         return self
 
     def node(
@@ -296,17 +285,9 @@ class GraphBuilder:
         outputs: Mapping[str, str],
         logic_version: str = "v1",
     ) -> "GraphBuilder":
-        in_ports = []
-        for port, stream_id in inputs.items():
-            in_ports.append(PortDecl(port, self._schemas[stream_id]))
-            self._in_edges.append(InEdge(stream_id, node_id, port))
-        out_ports = []
-        for port, stream_id in outputs.items():
-            out_ports.append(PortDecl(port, self._schemas[stream_id]))
-            self._out_edges.append(OutEdge(node_id, port, stream_id))
-        self._nodes.append(
-            NodeSpec(node_id, tuple(in_ports), tuple(out_ports), transform, logic_version)
-        )
+        self._in_edges.extend(InEdge(stream_id, node_id, port) for port, stream_id in inputs.items())
+        self._out_edges.extend(OutEdge(node_id, port, stream_id) for port, stream_id in outputs.items())
+        self._nodes.append(NodeSpec(node_id, transform, logic_version))
         return self
 
     def fold(
@@ -380,17 +361,6 @@ def _checked_order(graph: FlowGraph) -> tuple[list[Violation], list[str]]:
     for eid in sorted(streams.keys() & nodes.keys()):
         out.append(Violation("shared-id", eid, "id names both a stream and a node"))
 
-    for node in graph.nodes:
-        for ports, direction in ((node.in_ports, "in"), (node.out_ports, "out")):
-            for pname in _repeated([p.name for p in ports]):
-                out.append(
-                    Violation(
-                        "duplicate-port",
-                        f"{node.id}.{pname}",
-                        f"{direction}-port name repeated on node {node.id!r}",
-                    )
-                )
-
     # The wiring, indexed once: (direction, node, port) -> streams, and the
     # nodes reading and writing each stream, all in edge order.
     wired: dict[tuple[str, str, str], list[str]] = {}
@@ -411,18 +381,10 @@ def _checked_order(graph: FlowGraph) -> tuple[list[Violation], list[str]]:
         wired.setdefault(("out", e.node, e.port), []).append(e.stream)
         producers.setdefault(e.stream, []).append(e.node)
 
-    # Every port wired to exactly one stream, with matching schema.
-    for node in graph.nodes:
-        for ports, direction in ((node.in_ports, "in"), (node.out_ports, "out")):
-            for port in ports:
-                to = wired.get((direction, node.id, port.name), ())
-                subject = f"{node.id}.{port.name}"
-                if not to:
-                    out.append(Violation("unwired-port", subject, f"{direction}-port is not wired to any stream"))
-                elif len(to) > 1:
-                    out.append(Violation("multi-wired-port", subject, f"{direction}-port wired to more than one stream"))
-                elif to[0] in streams and streams[to[0]].schema != port.schema:
-                    out.append(Violation("schema-mismatch", subject, f"port schema differs from stream {to[0]!r}"))
+    # A port exists where edges name it, and those edges must name one stream.
+    for (direction, nid, port), to in wired.items():
+        if len(to) > 1:
+            out.append(Violation("multi-wired-port", f"{nid}.{port}", f"{direction}-port wired to more than one stream"))
 
     # Stream category rules.
     for s in graph.streams:

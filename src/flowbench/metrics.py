@@ -44,31 +44,25 @@ def _schema_doc(schema) -> dict:
 
 
 def fbp_manifest(graph, version_key: str) -> ComponentManifest:
+    """Inventory a graph whose edges name only its own streams and nodes
+    (as in any graph `validate` passes)."""
     components: dict[str, str] = {}
+    schemas: dict[str, dict] = {}  # stream id -> schema doc
     for s in graph.streams:
+        schemas[s.id] = _schema_doc(s.schema)
         components[f"stream/{s.id}"] = fingerprint(
-            {"category": s.category.value, "kind": "stream", "schema": _schema_doc(s.schema)}
+            {"category": s.category.value, "kind": "stream", "schema": schemas[s.id]}
         )
-    in_wiring: dict[str, dict] = {}
-    out_wiring: dict[str, dict] = {}
+    # A node's ports are its edges' ports, each with its stream's schema.
+    ins: dict[str, dict] = {n.id: {} for n in graph.nodes}
+    outs: dict[str, dict] = {n.id: {} for n in graph.nodes}
     for e in graph.in_edges:
-        in_wiring.setdefault(e.node, {})[e.port] = e.stream
+        ins[e.node][e.port] = {"schema": schemas[e.stream], "stream": e.stream}
     for e in graph.out_edges:
-        out_wiring.setdefault(e.node, {})[e.port] = e.stream
+        outs[e.node][e.port] = {"schema": schemas[e.stream], "stream": e.stream}
     for n in graph.nodes:
         components[f"node/{n.id}"] = fingerprint(
-            {
-                "in": {
-                    p.name: {"schema": _schema_doc(p.schema), "stream": in_wiring.get(n.id, {}).get(p.name)}
-                    for p in n.in_ports
-                },
-                "kind": "node",
-                "logic_version": n.logic_version,
-                "out": {
-                    p.name: {"schema": _schema_doc(p.schema), "stream": out_wiring.get(n.id, {}).get(p.name)}
-                    for p in n.out_ports
-                },
-            }
+            {"in": ins[n.id], "kind": "node", "logic_version": n.logic_version, "out": outs[n.id]}
         )
     return ComponentManifest(version_key, components)
 

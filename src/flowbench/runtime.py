@@ -32,7 +32,9 @@ marked failed: any later `step`, `inject` or `append_collected` raises
 `start` builds a plan once, one entry per node in topological order with
 its id, transform, fold flag and state, its in-ports' logs and cursor keys
 and, per out-port, the port name, stream id, schema, bound
-`Schema.coerce_row` and log; `step` only walks that plan. Every write,
+`Schema.coerce_row` and log; `step` only walks that plan. A node's ports
+are exactly those its edges name, in edge order: the edges are the one
+record of the wiring (see `graph`). Every write,
 `inject`, `append_collected` or a node's output, is one `coerce_row` call
 per record (an exact row takes the schema's compiled fast path, see
 `graph`) and one `tuple.__new__` that stamps tick and seq; `start`
@@ -120,30 +122,27 @@ class RuntimeInstance:
             for s in graph.streams
             if s.category is Category.OUTPUT and s.id not in produced
         }
-        in_wiring = {(e.node, e.port): e.stream for e in graph.in_edges}
-        out_wiring = {(e.node, e.port): e.stream for e in graph.out_edges}
-        self._cursors: dict[tuple[str, str], int] = {key: 0 for key in in_wiring}
+        # Each node's ports, from the edges in edge order: per in-port (port,
+        # log, cursor key), per out-port (port, stream id, schema, coerce_row, log).
+        ins: dict[str, list] = {nid: [] for nid in order}
+        outs: dict[str, list] = {nid: [] for nid in order}
+        for e in graph.in_edges:
+            ins[e.node].append((e.port, self._logs[e.stream], (e.node, e.port)))
+        for e in graph.out_edges:
+            schema = self._streams[e.stream].schema
+            outs[e.node].append((e.port, e.stream, schema, schema.coerce_row, self._logs[e.stream]))
+        self._cursors: dict[tuple[str, str], int] = {(e.node, e.port): 0 for e in graph.in_edges}
         # One entry per node in topological order: (node id, transform, is a fold,
-        # fold state or None, ((port, log, cursor key), ...), ((port, stream id,
-        # schema, coerce_row, log), ...), out-port names). `step` walks it, looks
-        # nothing up.
+        # fold state or None, in-ports, out-ports, out-port names). `step` walks
+        # it, looks nothing up.
         nodes = graph.node_map()
         self._plan = []
         for nid in order:
             node = nodes[nid]
-            ins = tuple(
-                (p.name, self._logs[in_wiring[(nid, p.name)]], (nid, p.name))
-                for p in node.in_ports
-            )
-            outs = []
-            for p in node.out_ports:
-                sid = out_wiring[(nid, p.name)]
-                schema = self._streams[sid].schema
-                outs.append((p.name, sid, schema, schema.coerce_row, self._logs[sid]))
             fold = node.init is not None
             state = node.init() if fold else None
-            names = frozenset(p.name for p in node.out_ports)
-            self._plan.append((nid, node.transform, fold, state, ins, tuple(outs), names))
+            names = frozenset(port for port, *_ in outs[nid])
+            self._plan.append((nid, node.transform, fold, state, tuple(ins[nid]), tuple(outs[nid]), names))
         self._failure: str | None = None
         self.tick = 0
         self.invocations: dict[str, int] = {n.id: 0 for n in graph.nodes}

@@ -18,7 +18,6 @@ from flowbench.graph import (
     InEdge,
     NodeSpec,
     OutEdge,
-    PortDecl,
     Record,
     Schema,
     SchemaMismatchError,
@@ -301,46 +300,20 @@ class TestValidate:
     def test_minimal_valid_graph(self):
         assert validate(chain_graph()) == []
 
-    def test_unwired_in_port_reported(self):
-        node = NodeSpec("A", (PortDecl("in", POINT),), (PortDecl("out", POINT),), _noop)
-        graph = FlowGraph(
-            streams=(
-                StreamDecl("i", Category.INPUT, POINT),
-                StreamDecl("o", Category.OUTPUT, POINT),
-            ),
-            nodes=(node,),
-            in_edges=(),
-            out_edges=(OutEdge("A", "out", "o"),),
-        )
-        report = validate(graph)
-        unwired = [v for v in report if v.code == "unwired-port"]
-        assert len(unwired) == 1
-        assert unwired[0].subject == "A.in"
-
     @pytest.mark.parametrize(
-        "in_edges, out_edges, mismatched, expected",
+        "in_edges, out_edges, expected",
         [
-            ((), (("A", "out", "o"),), None,
-             ("unwired-port", "A.in", "in-port is not wired to any stream")),
-            ((("i", "A", "in"),), (), None,
-             ("unwired-port", "A.out", "out-port is not wired to any stream")),
-            ((("i", "A", "in"), ("j", "A", "in")), (("A", "out", "o"),), None,
+            ((("i", "A", "in"), ("j", "A", "in")), (("A", "out", "o"),),
              ("multi-wired-port", "A.in", "in-port wired to more than one stream")),
-            ((("i", "A", "in"),), (("A", "out", "o"), ("A", "out", "p")), None,
+            ((("i", "A", "in"),), (("A", "out", "o"), ("A", "out", "p")),
              ("multi-wired-port", "A.out", "out-port wired to more than one stream")),
-            ((("i", "A", "in"),), (("A", "out", "o"),), "i",
-             ("schema-mismatch", "A.in", "port schema differs from stream 'i'")),
-            ((("i", "A", "in"),), (("A", "out", "o"),), "o",
-             ("schema-mismatch", "A.out", "port schema differs from stream 'o'")),
         ],
-        ids=["unwired-in", "unwired-out", "multi-in", "multi-out", "mismatch-in", "mismatch-out"],
+        ids=["multi-in", "multi-out"],
     )
-    def test_port_wiring_violations(self, in_edges, out_edges, mismatched, expected):
-        other = Schema("other", (("y", "text"),))
-        node = NodeSpec("A", (PortDecl("in", POINT),), (PortDecl("out", POINT),), _noop)
+    def test_port_wiring_violations(self, in_edges, out_edges, expected):
         graph = FlowGraph(
             streams=tuple(
-                StreamDecl(sid, category, other if sid == mismatched else POINT)
+                StreamDecl(sid, category, POINT)
                 for sid, category in (
                     ("i", Category.INPUT),
                     ("j", Category.INPUT),
@@ -348,20 +321,30 @@ class TestValidate:
                     ("p", Category.OUTPUT),
                 )
             ),
-            nodes=(node,),
+            nodes=(NodeSpec("A", _noop),),
             in_edges=tuple(InEdge(*e) for e in in_edges),
             out_edges=tuple(OutEdge(*e) for e in out_edges),
         )
-        wiring = {"unwired-port", "multi-wired-port", "schema-mismatch"}
-        report = [(v.code, v.subject, v.message) for v in validate(graph) if v.code in wiring]
+        report = [(v.code, v.subject, v.message) for v in validate(graph) if v.code == "multi-wired-port"]
         assert report == [expected]
+
+    def test_builder_wired_to_an_undeclared_stream_builds_and_reports_it(self):
+        # A port takes nothing from its stream at build time, so a wrong
+        # stream id is a validation finding, not a `KeyError` in `node`.
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.node("A", _noop, inputs={"in": "i"}, outputs={"out": "o"})
+        graph = b.build()
+        assert graph.out_edges == (OutEdge("A", "out", "o"),)
+        unknown = [v for v in validate(graph) if v.code == "unknown-stream"]
+        assert [(v.subject, v.message) for v in unknown] == [("o", "out-edge from A.out names a missing stream")]
 
     def test_two_node_cycle_reported(self):
         # A -> s -> B and B -> t -> A: both nodes sit on the loop. The
         # oracle here is plain edge inspection: with edges {(A,B), (B,A)}
         # neither node ever has all its predecessors placed.
-        a = NodeSpec("A", (PortDecl("in", POINT),), (PortDecl("out", POINT),), _noop)
-        bnode = NodeSpec("B", (PortDecl("in", POINT),), (PortDecl("out", POINT),), _noop)
+        a = NodeSpec("A", _noop)
+        bnode = NodeSpec("B", _noop)
         graph = FlowGraph(
             streams=(
                 StreamDecl("s", Category.INTERNAL, POINT),
@@ -390,15 +373,7 @@ class TestValidate:
         # order of its nodes closes a loop along the node relation.
         k, pairs = case
         ids = [f"n{i}" for i in range(k)]
-        nodes = tuple(
-            NodeSpec(
-                nid,
-                tuple(PortDecl(f"from{i}", POINT) for i, j in pairs if ids[j] == nid),
-                (PortDecl("out", POINT),),
-                _noop,
-            )
-            for nid in ids
-        )
+        nodes = tuple(NodeSpec(nid, _noop) for nid in ids)
         graph = FlowGraph(
             streams=tuple(StreamDecl(f"s{i}", Category.INTERNAL, POINT) for i in range(k)),
             nodes=nodes,
@@ -422,7 +397,7 @@ class TestValidate:
         )
 
     def test_input_with_producer_flagged(self):
-        node = NodeSpec("A", (PortDecl("in", POINT),), (PortDecl("out", POINT),), _noop)
+        node = NodeSpec("A", _noop)
         graph = FlowGraph(
             streams=(
                 StreamDecl("i", Category.INPUT, POINT),
@@ -449,7 +424,7 @@ class TestValidate:
         # D consumes its own private input but writes nothing: cannot reach
         # an output stream.
         graph = chain_graph()
-        orphan = NodeSpec("D", (PortDecl("in", POINT),), (), _noop)
+        orphan = NodeSpec("D", _noop)
         extended = FlowGraph(
             graph.streams + (StreamDecl("i2", Category.INPUT, POINT),),
             graph.nodes + (orphan,),

@@ -1,8 +1,12 @@
 """Component manifests and the affected-components diff."""
 
+import hashlib
+import json
+
 import pytest
 
 from flowbench import apps, metrics
+from flowbench.graph import Schema
 from flowbench.metrics import ComponentManifest, diff, fbp_manifest, manifest, soa_manifest
 from flowbench.services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from util_graphs import chain_graph
@@ -46,6 +50,30 @@ class TestManifest:
         a = manifest(apps.app_version("insurance_claims", "soa", "min"))
         b = manifest(apps.app_version("insurance_claims", "soa", "min"))
         assert a == b
+
+    def test_manifest_bytes_of_all_versions_are_pinned(self):
+        # The same document the benchmark's manifest sweep hashes: every
+        # version's components under its key, as sorted-key JSON.
+        components = {}
+        for app in apps.APP_NAMES:
+            for paradigm in apps.PARADIGMS:
+                for stage in apps.APP_STAGES:
+                    m = manifest(apps.app_version(app, paradigm, stage))
+                    components[m.version_key] = m.components
+        assert len(components) == 24
+        digest = hashlib.sha256(json.dumps(components, sort_keys=True).encode("utf-8")).hexdigest()
+        assert digest == "88ce890a79aee6aa7074917dbd0911ee200c264070bf7c1cdef836b7e525d09f"
+
+    def test_a_port_has_its_streams_schema(self):
+        # Nodes declare no port schemas: retyping chain_graph's internal
+        # stream s moves s, its writer A and its reader B, and nothing else.
+        graph = chain_graph()
+        wide = Schema("point", (("x", "int"), ("y", "int")))
+        retyped = graph._replace(
+            streams=tuple(s._replace(schema=wide) if s.id == "s" else s for s in graph.streams)
+        )
+        d = diff(fbp_manifest(graph, "a"), fbp_manifest(retyped, "b"))
+        assert d.changed == frozenset({"stream/s", "node/A", "node/B"})
 
     def test_version_keys_follow_naming_scheme(self, ride_manifests):
         assert ride_manifests["min"].version_key == "fb_ride_allocation_min"

@@ -15,8 +15,10 @@ from flowbench.graph import (
     Category,
     GraphBuilder,
     GraphValidationError,
+    InEdge,
     Schema,
     SchemaMismatchError,
+    upstream_closure,
     validate,
 )
 from flowbench.runtime import (
@@ -554,12 +556,12 @@ class TestRunProperties:
     def test_a_node_runs_once_per_tick_at_which_an_in_port_gained_records(self, seed):
         graph = random_dag(seed)
         logs, inst = _drive(graph, seed, ticks=6)
-        stream_of = {(e.node, e.port): e.stream for e in graph.in_edges}
         for node in graph.nodes:
             fed = {
                 rec_tick
-                for p in node.in_ports
-                for rec_tick, _, _ in logs[stream_of[(node.id, p.name)]]
+                for e in graph.in_edges
+                if e.node == node.id
+                for rec_tick, _, _ in logs[e.stream]
             }
             assert inst.invocations[node.id] == len(fed), node.id
 
@@ -676,6 +678,61 @@ class TestActivation:
         assert all(isinstance(port, list) for port in got)
         assert [[r["x"] for r in port[:-1]] for port in got] == [[1, 2], [3]]
         assert [r["x"] for r in inst.read("i")] == [1, 2, 3]
+
+
+class TestPortsAreEdges:
+    """A node's ports are exactly the ports its edges name: the runtime
+    delivers what the closures and `validate` read."""
+
+    def test_a_port_only_an_edge_names_is_delivered_and_in_the_closure(self):
+        # i -> A -> o, plus an edge from input j to a port `extra` of A
+        # that the builder never saw.
+        got = []
+
+        def keep(inputs):
+            got.append({port: [r["x"] for r in recs] for port, recs in inputs.items()})
+            return {"out": [r.as_dict() for r in inputs["extra"]]}
+
+        b = GraphBuilder()
+        b.stream("i", Category.INPUT, POINT)
+        b.stream("j", Category.INPUT, POINT)
+        b.stream("o", Category.OUTPUT, POINT)
+        b.node("A", keep, inputs={"in": "i"}, outputs={"out": "o"})
+        graph = b.build()
+        graph = graph._replace(in_edges=graph.in_edges + (InEdge("j", "A", "extra"),))
+        assert validate(graph) == []
+        assert "j" in upstream_closure(graph, "o")
+        inst = start(graph)
+        inst.inject("j", {"x": 7})
+        inst.step()
+        assert got == [{"in": [], "extra": [7]}]
+        assert [r["x"] for r in inst.read("o")] == [7]
+
+    @given(st.integers(min_value=0, max_value=5_000))
+    @settings(max_examples=40, deadline=None)
+    def test_each_node_gets_exactly_the_in_ports_its_in_edges_name(self, seed):
+        graph = random_dag(seed)
+        calls = []
+
+        def spy(nid, transform):
+            def spied(inputs):
+                calls.append((nid, {port: list(recs) for port, recs in inputs.items()}))
+                return transform(inputs)
+
+            return spied
+
+        _, inst = _drive(
+            graph._replace(nodes=tuple(n._replace(transform=spy(n.id, n.transform)) for n in graph.nodes)),
+            seed,
+            ticks=4,
+        )
+        for nid, inputs in calls:
+            wired = {e.port: e.stream for e in graph.in_edges if e.node == nid}
+            assert set(inputs) == set(wired), nid
+            # Each port holds its own stream's records of the stepped tick.
+            tick = next(r.tick for recs in inputs.values() for r in recs)
+            for port, sid in wired.items():
+                assert inputs[port] == [r for r in inst.read(sid) if r.tick == tick], (nid, port)
 
 
 # A schema's row checker is compiled the first time it checks a row, never
