@@ -61,7 +61,10 @@ def build_app(version: AppVersion, scenario: Scenario):
     trains here, before building: a data-stage simulation plus a fit.
     Its build carries only the model, as `built.model`: `sim.training_rows`
     gives the rows again. A run that collects none raises `NoTrainingRowsError`.
+    A scenario of one app with a version of another raises `ValueError`.
     """
+    if version.app != scenario.app:
+        raise ValueError(f"a scenario of {scenario.app!r} cannot run a version of {version.app!r}")
     fit_model = getattr(_MODULES[version.app], "fit_model", None)
     if version.stage != "ml" or fit_model is None:
         return _builder(version)(version.stage, scenario)

@@ -89,25 +89,16 @@ def allocate_ride(ride_id, rider_x, rider_y, request_tick, available) -> dict:
     the allocation context; driver_id -1: nobody free.
     """
     n_available = 0
+    best_d, best_id = 0.0, -1
     for driver_id, x, y in available:
         d = math.sqrt((rider_x - x) ** 2 + (rider_y - y) ** 2)
         n_available += 1
         if n_available == 1 or d < best_d or (d == best_d and driver_id < best_id):
             best_d, best_id = d, driver_id
-    if not n_available:
-        return {
-            "ride_id": ride_id,
-            "driver_id": -1,
-            "matched": False,
-            "distance": 0.0,
-            "n_available": 0,
-            "request_tick": request_tick,
-            "tod": request_tick % 24,
-        }
     return {
         "ride_id": ride_id,
         "driver_id": best_id,
-        "matched": True,
+        "matched": n_available > 0,
         "distance": best_d,
         "n_available": n_available,
         "request_tick": request_tick,

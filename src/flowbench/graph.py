@@ -20,8 +20,8 @@ each value of exactly its field's Python type, becomes the values tuple
 with one subscript and one type test per field. Anything else, an int
 for a float, a subclass, a missing or extra key, takes the full checks
 with their messages. A `Record` is a tuple underneath (schema, values,
-tick, seq), so the runtime builds one with `tuple.__new__`: that sets no
-attributes and runs no Python `__new__`, and the record stays immutable.
+tick), built by the runtime with `tuple.__new__`: no attributes, no Python
+`__new__`, still immutable. Its place in its log is its only position.
 """
 
 from __future__ import annotations
@@ -147,11 +147,11 @@ class Schema:
         return tuple(row)
 
 
-class Record(namedtuple("Record", ("schema", "values", "tick", "seq"))):
+class Record(namedtuple("Record", ("schema", "values", "tick"))):
     """One immutable entry of a stream log.
 
-    `tick` is the simulation time at append, `seq` the position within the
-    owning stream. Field access goes through the schema so transform code
+    `tick` is the simulation time at append; the record's position in the
+    log identifies it. Field access goes through the schema so transform code
     can say `record["ride_id"]`. A tuple underneath: no per-instance dict,
     and assigning any attribute raises `AttributeError`.
     """

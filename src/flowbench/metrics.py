@@ -3,9 +3,10 @@
 A component is a node or stream (dataflow builds) or an API or data
 routine (service builds). Each gets a fingerprint over its structural
 signature (wiring and schemas, or wire field sets) combined with the
-author-declared logic_version tag, so pure logic edits are visible even
-when wiring is unchanged. Diffing two inventories yields added, removed,
-and changed sets; their total size is how intrusive a change was.
+author-declared logic_version tag of a node or API (a routine's reads
+"v1"), so pure logic edits are visible even when wiring is unchanged.
+Diffing two inventories yields added, removed, and changed sets; their
+total size is how intrusive a change was.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def soa_manifest(registry, version_key: str) -> ComponentManifest:
             components[f"routine/{spec.id}.{routine.name}"] = fingerprint(
                 {
                     "kind": "routine",
-                    "logic_version": routine.logic_version,
+                    "logic_version": "v1",
                     "name": routine.name,
                     "service": spec.id,
                 }

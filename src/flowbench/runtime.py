@@ -16,8 +16,10 @@ it last ran; otherwise it is not called, and a fold's state is untouched.
 So every record a node gets at a tick was appended at that tick: injected
 before the step, or produced upstream earlier in the same walk.
 A transform that must act without input is not supported. `invocations`
-counts each node's activations. A row that fails its schema's checks
-raises `TransformError` naming the node, port and tick. An exception
+counts each node's activations. A transform returns a dict of port ->
+rows, or anything falsy for no output; any other result raises
+`TransformError` naming the node and tick, and a row that fails its
+schema's checks raises one naming the node, port and tick. An exception
 raised inside a transform is re-raised as `NodeError`, naming the node and
 tick, with the original as its cause.
 
@@ -34,17 +36,17 @@ its id, transform, fold flag and state, its in-ports' logs and cursor keys
 and, per out-port, the port name, stream id, schema, bound
 `Schema.coerce_row` and log; `step` only walks that plan. A node's ports
 are exactly those its edges name, in edge order: the edges are the one
-record of the wiring (see `graph`). Every write,
-`inject`, `append_collected` or a node's output, is one `coerce_row` call
-per record (an exact row takes the schema's compiled fast path, see
-`graph`) and one `tuple.__new__` that stamps tick and seq; `start`
-resolves each stream's `coerce_row` once. A port's records are stamped
-with `seq` from the log's length and appended with one `extend` before
-the next port is checked, so two out-ports wired to one stream number its
-records in port order. The graph's records (`NodeSpec`, `StreamDecl`,
-...) are NamedTuples, whose field reads cost about twice an attribute
-read, so `step`, `inject` and `read` unpack what they need at start and
-read no record field per tick.
+record of the wiring (see `graph`). Every write, `inject`,
+`append_collected` or a node's output, is one `coerce_row` call per
+record (an exact row takes the schema's compiled fast path, see `graph`)
+and one `tuple.__new__` that stamps the tick; `start` resolves each
+stream's `coerce_row` once. A record's place in its log is its only
+position (`read` takes one). A port's records are appended with one
+`extend` before the next port is checked, so two out-ports wired to one
+stream hold them in port order. The graph's records (`NodeSpec`, ...) are
+NamedTuples, whose field reads cost about twice an attribute read, so
+`step`, `inject` and `read` unpack what they need at start and read no
+record field per tick.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .graph import (
     topological_order,
 )
 
-# Builds a `Record` from (schema, values, tick, seq) without its Python `__new__`.
+# Builds a `Record` from (schema, values, tick) without its Python `__new__`.
 _new = tuple.__new__
 
 
@@ -160,7 +162,7 @@ class RuntimeInstance:
             self._log(stream_id)  # an unknown id raises `UnknownElementError`
             raise StreamWriteError(f"{stream_id!r} is not an input stream")
         schema, coerce, log = target
-        rec = _new(Record, (schema, coerce(values), self.tick, len(log)))
+        rec = _new(Record, (schema, coerce(values), self.tick))
         log.append(rec)
         return rec
 
@@ -179,7 +181,7 @@ class RuntimeInstance:
                 raise StreamWriteError(f"{stream_id!r} is not an output stream")
             raise StreamWriteError(f"{stream_id!r} is produced by a node")
         schema, coerce, log = target
-        rec = _new(Record, (schema, coerce(values), self.tick, len(log)))
+        rec = _new(Record, (schema, coerce(values), self.tick))
         log.append(rec)
         return rec
 
@@ -210,19 +212,20 @@ class RuntimeInstance:
                 except Exception as exc:
                     raise NodeError(nid, tick, exc) from exc
                 if result:
+                    if not isinstance(result, dict):
+                        raise TransformError(
+                            f"node {nid!r} at tick {tick} returned a {type(result).__name__}, "
+                            f"not a dict of port -> rows"
+                        )
                     if not out_names.issuperset(result):
                         raise TransformError(
                             f"node {nid!r} at tick {tick} emitted to undeclared ports "
                             f"{sorted(set(result) - out_names)}"
                         )
-                    # Stamp from the log's length at append, port by port: two
-                    # out-ports may share a stream. `_fail` drops these on error.
+                    # Append port by port: two out-ports may share a stream. `_fail` drops these on error.
                     for name, sid, schema, coerce, log in outs:
                         try:
-                            recs = [
-                                _new(Record, (schema, coerce(row), tick, seq))
-                                for seq, row in enumerate(result.get(name, ()), len(log))
-                            ]
+                            recs = [_new(Record, (schema, coerce(row), tick)) for row in result.get(name, ())]
                         except (SchemaMismatchError, TypeError) as exc:
                             raise TransformError(
                                 f"node {nid!r} port {name!r} at tick {tick}: {exc}"
@@ -255,10 +258,11 @@ class RuntimeInstance:
     # Reads
     # ------------------------------------------------------------------
 
-    def read(self, stream_id: str, from_seq: int = 0) -> list[Record]:
-        if isinstance(from_seq, bool) or not isinstance(from_seq, int) or from_seq < 0:
-            raise ValueError(f"from_seq must be an int >= 0, got {from_seq!r}")
-        return self._log(stream_id)[from_seq:]  # a slice: already a fresh list
+    def read(self, stream_id: str, start: int = 0) -> list[Record]:
+        """The records of `stream_id` from log position `start` on."""
+        if isinstance(start, bool) or not isinstance(start, int) or start < 0:
+            raise ValueError(f"start must be an int >= 0, got {start!r}")
+        return self._log(stream_id)[start:]  # a slice: already a fresh list
 
     def length(self, stream_id: str) -> int:
         return len(self._log(stream_id))

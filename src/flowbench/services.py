@@ -62,7 +62,6 @@ class RoutineSpec(NamedTuple):
 
     name: str
     fn: Callable
-    logic_version: str = "v1"
 
 
 @dataclass(frozen=True)

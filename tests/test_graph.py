@@ -273,8 +273,9 @@ class TestRecord:
     SCHEMA = Schema("r", (("f", "int"), ("g", "text")))
 
     def test_fields_and_lookup_by_name(self):
-        rec = Record(self.SCHEMA, (4, "x"), 7, 2)
-        assert (rec.schema, rec.values, rec.tick, rec.seq) == (self.SCHEMA, (4, "x"), 7, 2)
+        rec = Record(self.SCHEMA, (4, "x"), 7)
+        assert Record._fields == ("schema", "values", "tick")
+        assert (rec.schema, rec.values, rec.tick) == (self.SCHEMA, (4, "x"), 7)
         assert (rec["f"], rec["g"]) == (4, "x")
         assert rec.as_dict() == {"f": 4, "g": "x"}
         with pytest.raises(KeyError):
@@ -282,18 +283,18 @@ class TestRecord:
 
     @pytest.mark.parametrize("attr", ["schema", "values", "tick", "seq", "other"])
     def test_is_immutable(self, attr):
-        rec = Record(self.SCHEMA, (4, "x"), 7, 2)
+        rec = Record(self.SCHEMA, (4, "x"), 7)
         with pytest.raises(AttributeError):
             setattr(rec, attr, 0)
         with pytest.raises(AttributeError):
             delattr(rec, attr)
-        assert (rec.tick, rec.seq, rec.values) == (7, 2, (4, "x"))
+        assert (rec.tick, rec.values) == (7, (4, "x"))
 
     def test_equal_records_compare_and_hash_equal(self):
-        a = Record(self.SCHEMA, (4, "x"), 7, 2)
-        assert a == Record(self.SCHEMA, (4, "x"), 7, 2)
-        assert hash(a) == hash(Record(self.SCHEMA, (4, "x"), 7, 2))
-        assert a != Record(self.SCHEMA, (4, "x"), 7, 3)
+        a = Record(self.SCHEMA, (4, "x"), 7)
+        assert a == Record(self.SCHEMA, (4, "x"), 7)
+        assert hash(a) == hash(Record(self.SCHEMA, (4, "x"), 7))
+        assert a != Record(self.SCHEMA, (4, "x"), 8)
 
 
 class TestValidate:

@@ -21,12 +21,12 @@ from util_graphs import with_oracles
 def _merged_replay(logs):
     """All registrations, completions and requests, in world order."""
     entries = []
-    for rec in logs["drivers"]:
-        entries.append((rec.tick, 0, rec.seq, "driver", rec))
-    for rec in logs["completions"]:
-        entries.append((rec.tick, 1, rec.seq, "completion", rec))
-    for rec in logs["requests"]:
-        entries.append((rec.tick, 2, rec.seq, "request", rec))
+    for pos, rec in enumerate(logs["drivers"]):
+        entries.append((rec.tick, 0, pos, "driver", rec))
+    for pos, rec in enumerate(logs["completions"]):
+        entries.append((rec.tick, 1, pos, "completion", rec))
+    for pos, rec in enumerate(logs["requests"]):
+        entries.append((rec.tick, 2, pos, "request", rec))
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
     return entries
 
@@ -37,7 +37,7 @@ def replay_allocator(logs, new_from):
     busy = set()
     ride_driver = {}
     out = []
-    for tick, _, seq, kind, rec in _merged_replay(logs):
+    for tick, _, pos, kind, rec in _merged_replay(logs):
         if kind == "driver":
             positions[rec["driver_id"]] = (rec["x"], rec["y"])
         elif kind == "completion":
@@ -56,7 +56,7 @@ def replay_allocator(logs, new_from):
             if alloc["matched"]:
                 busy.add(alloc["driver_id"])
                 ride_driver[alloc["ride_id"]] = alloc["driver_id"]
-            if seq >= first_new:
+            if pos >= first_new:
                 out.append(alloc)
     return {"allocations": out}
 

@@ -77,16 +77,19 @@ class TestStart:
 
 
 class TestInject:
-    def test_first_record_gets_tick0_seq0(self):
+    def test_first_record_gets_tick0_at_position0(self):
         inst = start(chain_graph())
         rec = inst.inject("i", {"x": 1})
-        assert (rec.tick, rec.seq) == (0, 0)
+        assert rec.tick == 0
+        assert inst.read("i") == [rec]
 
-    def test_second_inject_same_tick_increments_seq(self):
+    def test_second_inject_same_tick_takes_the_next_position(self):
         inst = start(chain_graph())
-        inst.inject("i", {"x": 1})
+        first = inst.inject("i", {"x": 1})
         rec = inst.inject("i", {"x": 2})
-        assert (rec.tick, rec.seq) == (0, 1)
+        assert rec.tick == 0
+        assert inst.read("i") == [first, rec]
+        assert inst.read("i", 1) == [rec]
 
     def test_inject_into_internal_stream_rejected(self):
         inst = start(chain_graph())
@@ -152,9 +155,7 @@ class TestStep:
         for x in range(3):
             inst.inject("i", {"x": x})
         inst.step()
-        out = inst.read("o", 0)
-        assert [r.seq for r in out] == [0, 1, 2]
-        assert [r["x"] for r in out] == [0, 1, 2]
+        assert [r["x"] for r in inst.read("o", 0)] == [0, 1, 2]
 
     def test_delta_is_not_reprocessed(self):
         inst = start(chain_graph())
@@ -203,7 +204,7 @@ class TestStep:
 
     def test_two_ports_on_one_stream_number_its_records_in_port_order(self):
         # Validation allows a node to wire two out-ports to one output
-        # stream; seq is the log position at append, port after port.
+        # stream; its records go into the log port after port.
         b = GraphBuilder()
         b.stream("i", Category.INPUT, POINT)
         b.stream("o", Category.OUTPUT, POINT)
@@ -222,7 +223,7 @@ class TestStep:
         inst.inject("i", {"x": 1})
         inst.inject("i", {"x": 2})
         assert inst.step().produced == {"o": 4}
-        assert [(r.seq, r.values) for r in inst.read("o")] == [
+        assert [(pos, r.values) for pos, r in enumerate(inst.read("o"))] == [
             (0, (1,)), (1, (2,)), (2, (-1,)), (3, (-2,)),
         ]
 
@@ -285,7 +286,7 @@ class TestStep:
         inst.step()
         name = POINT.name
         assert seen == [(name, {"x": 1}), (name, {"x": 2}), (name, {"x": 2}), (name, {"x": 4})]
-        assert [(r.tick, r.seq, r.values) for r in inst.read("o")] == [(0, 0, (2,)), (0, 1, (4,))]
+        assert [(r.tick, r.values) for r in inst.read("o")] == [(0, (2,)), (0, (4,))]
 
     def test_undeclared_port_message(self):
         b = GraphBuilder()
@@ -357,6 +358,30 @@ class TestFailedTick:
         assert _snapshot(inst) == before
         assert inst.tick == 1
 
+    @pytest.mark.parametrize("result", [["o"], "o", ("o",), 42], ids=["list", "str", "tuple", "int"])
+    def test_a_result_that_is_not_a_dict_fails_the_tick_naming_node_and_tick(self, result):
+        inst = start(_failing_graph(lambda inputs: {} if inputs["in"][0]["x"] else result))
+        inst.inject("i", {"x": 3})
+        inst.step()
+        inst.inject("i", {"x": 0})
+        before = _snapshot(inst)
+        message = f"node 'B' at tick 1 returned a {type(result).__name__}, not a dict of port -> rows"
+        with pytest.raises(TransformError) as err:
+            inst.step()
+        assert str(err.value) == message
+        assert _snapshot(inst) == before
+        assert inst.tick == 1
+        with pytest.raises(FailedInstanceError, match="node 'B' at tick 1 returned"):
+            inst.step()
+
+    @pytest.mark.parametrize("result", [None, {}, [], "", (), 0, False])
+    def test_a_falsy_result_means_no_output(self, result):
+        inst = start(_failing_graph(lambda inputs: result))
+        inst.inject("i", {"x": 3})
+        assert inst.step().produced == {"s": 1, "c": 1}
+        assert inst.length("o") == 0
+        assert inst.invocations == {"A": 1, "B": 1, "C": 1}
+
     def test_failed_instance_refuses_steps_and_writes(self):
         inst = start(_failing_graph(_divide))
         inst.inject("i", {"x": 0})
@@ -408,17 +433,25 @@ class TestRead:
 
     def test_mutating_what_read_returns_leaves_the_log_unchanged(self):
         inst = self._three_records()
-        for from_seq in (0, 1):
-            got = inst.read("o", from_seq)
+        before = inst.read("o")
+        for start_at in (0, 1):
+            got = inst.read("o", start_at)
             got.clear()
             got.append("junk")
-        assert inst.length("o") == 3
-        assert [r.seq for r in inst.read("o")] == [0, 1, 2]
+        assert inst.read("o") == before
+        assert [r["x"] for r in before] == [0, 1, 2]
 
-    @pytest.mark.parametrize("from_seq", [True, False, 1.5, 1.0, "1", None, -1])
-    def test_read_refuses_a_from_seq_that_is_not_a_non_negative_int(self, from_seq):
-        with pytest.raises(ValueError, match="from_seq must be an int >= 0"):
-            self._three_records().read("o", from_seq)
+    def test_read_starts_at_a_log_position(self):
+        inst = self._three_records()
+        log = inst.read("o")
+        for start_at in range(4):
+            assert inst.read("o", start_at) == log[start_at:]
+        assert inst.read("o", start=2) == log[2:]
+
+    @pytest.mark.parametrize("start_at", [True, False, 1.5, 1.0, "1", None, -1])
+    def test_read_refuses_a_start_that_is_not_a_non_negative_int(self, start_at):
+        with pytest.raises(ValueError, match="start must be an int >= 0"):
+            self._three_records().read("o", start_at)
 
     def test_read_unknown_stream_raises(self):
         from flowbench.graph import UnknownElementError
@@ -510,19 +543,22 @@ class TestFold:
 
 
 def _drive(graph, seed, ticks=5):
-    """Inject a random workload, return full logs as comparable tuples."""
+    """Inject a random workload, return full logs as comparable tuples of
+    (tick, values), one per record at its log position."""
     inst = start(graph)
     rng = SplitMix64(seed)
     inputs = [s.id for s in graph.streams if s.category is Category.INPUT]
+    appended = dict.fromkeys(inst.stream_ids(), 0)
     for _ in range(ticks):
         for sid in inputs:
             for _ in range(rng.randrange(3)):
                 inst.inject(sid, {"x": rng.randrange(100)})
-        inst.step()
-    return {
-        sid: tuple((r.tick, r.seq, r.values) for r in inst.read(sid, 0))
-        for sid in inst.stream_ids()
-    }, inst
+                appended[sid] += 1
+        for sid, n in inst.step().produced.items():
+            appended[sid] += n
+    # conservation: a log holds exactly the records injected or produced into it
+    assert appended == {sid: inst.length(sid) for sid in inst.stream_ids()}
+    return {sid: tuple((r.tick, r.values) for r in inst.read(sid, 0)) for sid in inst.stream_ids()}, inst
 
 
 class TestRunProperties:
@@ -544,10 +580,11 @@ class TestRunProperties:
         logs_a, inst_a = _drive(graph, seed, ticks=4)
         logs_b, _ = _drive(graph, seed, ticks=4)
         assert logs_a == logs_b
-        # conservation: gapless seq, non-decreasing ticks
+        # a log position's record is what the log holds there; ticks non-decreasing
         for sid in inst_a.stream_ids():
             records = inst_a.read(sid, 0)
-            assert [r.seq for r in records] == list(range(len(records)))
+            for pos, rec in enumerate(records):
+                assert inst_a.read(sid, pos)[0] is rec
             ticks = [r.tick for r in records]
             assert ticks == sorted(ticks)
 
@@ -561,7 +598,7 @@ class TestRunProperties:
                 rec_tick
                 for e in graph.in_edges
                 if e.node == node.id
-                for rec_tick, _, _ in logs[e.stream]
+                for rec_tick, _ in logs[e.stream]
             }
             assert inst.invocations[node.id] == len(fed), node.id
 

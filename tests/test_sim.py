@@ -166,6 +166,13 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="ticks"):
             Scenario("ride_allocation", ticks, 1)
 
+    @pytest.mark.parametrize("stage", apps.APP_STAGES)
+    def test_refuses_a_version_of_another_app(self, stage):
+        scenario = apps.make_scenario("ride_allocation", 20, 1)
+        version = apps.app_version("insurance_claims", "fbp", stage)
+        with pytest.raises(ValueError, match="'ride_allocation'.*'insurance_claims'"):
+            run_scenario(scenario, version)
+
 
 class TestRunningDigests:
     @pytest.mark.parametrize("seed", (4, 9))
