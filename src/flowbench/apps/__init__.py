@@ -49,7 +49,9 @@ def make_scenario(app: str, ticks: int, seed: int, overrides: dict | None = None
     return Scenario(app=app, ticks=ticks, seed=seed, params=params)
 
 
-def _builder(version: AppVersion):
+def _builder(version: AppVersion, scenario: Scenario):
+    if version.app != scenario.app:
+        raise ValueError(f"a scenario of {scenario.app!r} cannot run a version of {version.app!r}")
     module = _MODULES[version.app]
     return module.build_fbp if version.paradigm == "fbp" else module.build_soa
 
@@ -63,11 +65,10 @@ def build_app(version: AppVersion, scenario: Scenario):
     gives the rows again. A run that collects none raises `NoTrainingRowsError`.
     A scenario of one app with a version of another raises `ValueError`.
     """
-    if version.app != scenario.app:
-        raise ValueError(f"a scenario of {scenario.app!r} cannot run a version of {version.app!r}")
+    build = _builder(version, scenario)
     fit_model = getattr(_MODULES[version.app], "fit_model", None)
     if version.stage != "ml" or fit_model is None:
-        return _builder(version)(version.stage, scenario)
+        return build(version.stage, scenario)
     rows = sim.training_rows(version.app, version.paradigm, scenario)
     if not rows:
         raise NoTrainingRowsError(
@@ -75,7 +76,7 @@ def build_app(version: AppVersion, scenario: Scenario):
             f" (ticks={scenario.ticks}, seed={scenario.seed}); run more ticks to train"
         )
     model = fit_model(rows)
-    built = _builder(version)(version.stage, scenario, model)
+    built = build(version.stage, scenario, model)
     built.model = model
     return built
 
@@ -85,9 +86,10 @@ def build_structure(version: AppVersion, scenario: Scenario):
 
     Same graph or registry as `build_app`, but an ml stage that trains
     offline gets no model: its model-serving node or API raises
-    `UntrainedModelError` when run.
+    `UntrainedModelError` when run. A scenario of another app raises
+    `ValueError`, as in `build_app`.
     """
-    return _builder(version)(version.stage, scenario)
+    return _builder(version, scenario)(version.stage, scenario)
 
 
 def make_world(scenario: Scenario):

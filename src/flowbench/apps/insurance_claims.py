@@ -12,7 +12,7 @@ tree fitted on that dataset (`fit_model`); the output interface is untouched.
 from __future__ import annotations
 
 from ..collection import CollectionSpec, StreamSelect, join
-from ..graph import Category, GraphBuilder, Schema
+from ..graph import GraphBuilder, Schema
 from ..mlkit import TreeModel, fit_tree, predict_tree
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
@@ -165,9 +165,9 @@ def build_fbp(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
     """The dataflow build; the ml stage classifies with `model` (None: a
     structure-only build whose classifier refuses to run)."""
     b = GraphBuilder()
-    b.stream("claims", Category.INPUT, CLAIM)
-    b.stream("screened_kind", Category.INTERNAL, SCREENED)
-    b.stream("decisions", Category.OUTPUT, DECISION)
+    b.stream("claims", CLAIM)
+    b.stream("screened_kind", SCREENED)
+    b.stream("decisions", DECISION)
 
     if stage == "ml":
         b.node(
@@ -177,8 +177,8 @@ def build_fbp(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
             outputs={"screened": "screened_kind"},
         )
     else:
-        b.stream("screened_flag", Category.INTERNAL, SCREENED)
-        b.stream("screened_amount", Category.INTERNAL, SCREENED)
+        b.stream("screened_flag", SCREENED)
+        b.stream("screened_amount", SCREENED)
         b.node(
             "screen_flagged",
             _screen(rule_flagged),
@@ -206,7 +206,7 @@ def build_fbp(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
 
     collection = None
     if stage in ("data", "ml"):
-        b.stream("claims_dataset", Category.OUTPUT, CLAIMS_DATASET)
+        b.stream("claims_dataset", CLAIMS_DATASET)
         collection = COLLECTION
 
     return FbpBuild(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 
-from ..graph import Category, GraphBuilder, Schema
+from ..graph import GraphBuilder, Schema
 from ..mlkit import BigramModel, add_bigrams, fit_bigram, generate  # noqa: F401 (fit_bigram: bench/tracer.py)
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
@@ -141,10 +141,10 @@ def _bot_node(target: str, master_seed: int):
 
 def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
     b = GraphBuilder()
-    b.stream("follows", Category.INPUT, FOLLOW)
-    b.stream("posts", Category.INPUT, POST)
-    b.stream("timeline_requests", Category.INPUT, TIMELINE_REQUEST)
-    b.stream("timelines", Category.OUTPUT, TIMELINE)
+    b.stream("follows", FOLLOW)
+    b.stream("posts", POST)
+    b.stream("timeline_requests", TIMELINE_REQUEST)
+    b.stream("timelines", TIMELINE)
     b.fold(
         "timeline_builder",
         lambda: ({}, {}),
@@ -155,8 +155,8 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
 
     obs_kinds = {"timelines": "timeline"}
     if stage in ("data", "ml"):
-        b.stream("user_corpora", Category.INTERNAL, CORPUS_ROW)
-        b.stream("interest_corpora", Category.OUTPUT, CORPUS_ROW)
+        b.stream("user_corpora", CORPUS_ROW)
+        b.stream("interest_corpora", CORPUS_ROW)
         b.fold(
             "corpus_builder",
             dict,
@@ -172,7 +172,7 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
         )
         obs_kinds["interest_corpora"] = "corpus"
     if stage == "ml":
-        b.stream("bot_posts", Category.OUTPUT, BOT_POST)
+        b.stream("bot_posts", BOT_POST)
         b.fold(
             "bot",
             lambda: {"counts": {}, "seen": 0},

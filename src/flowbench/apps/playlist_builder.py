@@ -16,7 +16,7 @@ from bisect import insort
 from itertools import compress, repeat
 from operator import itemgetter, le
 
-from ..graph import Category, GraphBuilder, Schema
+from ..graph import GraphBuilder, Schema
 from ..mlkit import nearest_rank
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
@@ -109,14 +109,14 @@ def _stats_publisher(inputs):
 
 def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
     b = GraphBuilder()
-    b.stream("movies", Category.INPUT, MOVIE)
-    b.stream("playlist_requests", Category.INPUT, PLAYLIST_REQUEST)
-    b.stream("playlists", Category.OUTPUT, PLAYLIST)
+    b.stream("movies", MOVIE)
+    b.stream("playlist_requests", PLAYLIST_REQUEST)
+    b.stream("playlists", PLAYLIST)
 
     obs_kinds = {"playlists": "playlist"}
     if stage in ("data", "ml"):
-        b.stream("genre_quantiles", Category.INTERNAL, GENRE_QUANTILE)
-        b.stream("genre_stats", Category.OUTPUT, GENRE_QUANTILE)
+        b.stream("genre_quantiles", GENRE_QUANTILE)
+        b.stream("genre_stats", GENRE_QUANTILE)
         b.fold(
             "quantile_tracker",
             dict,

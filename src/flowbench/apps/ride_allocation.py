@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from ..collection import CollectionSpec, StreamSelect, join
-from ..graph import Category, GraphBuilder, Schema
+from ..graph import GraphBuilder, Schema
 from ..mlkit import LinearModel, predict_linear, fit_linear
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
@@ -214,13 +214,13 @@ def build_fbp(stage: str, scenario: Scenario, model: LinearModel | None = None) 
     """The dataflow build; the ml stage estimates waits with `model` (None:
     a structure-only build whose estimator refuses to run)."""
     b = GraphBuilder()
-    b.stream("ride_requests", Category.INPUT, RIDE_REQUEST)
-    b.stream("driver_events", Category.INPUT, DRIVER_EVENT)
-    b.stream("ride_completions", Category.INPUT, RIDE_COMPLETION)
-    b.stream("raw_pickups", Category.INPUT, RAW_PICKUP)
-    b.stream("allocations", Category.INTERNAL, ALLOCATION)
-    b.stream("assignments", Category.OUTPUT, ASSIGNMENT)
-    b.stream("pickup_waits", Category.OUTPUT, PICKUP_WAIT)
+    b.stream("ride_requests", RIDE_REQUEST)
+    b.stream("driver_events", DRIVER_EVENT)
+    b.stream("ride_completions", RIDE_COMPLETION)
+    b.stream("raw_pickups", RAW_PICKUP)
+    b.stream("allocations", ALLOCATION)
+    b.stream("assignments", ASSIGNMENT)
+    b.stream("pickup_waits", PICKUP_WAIT)
     b.fold(
         "allocator",
         _Fleet,
@@ -244,10 +244,10 @@ def build_fbp(stage: str, scenario: Scenario, model: LinearModel | None = None) 
 
     collection = None
     if stage in ("data", "ml"):
-        b.stream("wait_dataset", Category.OUTPUT, WAIT_DATASET)
+        b.stream("wait_dataset", WAIT_DATASET)
         collection = COLLECTION
     if stage == "ml":
-        b.stream("wait_estimates", Category.OUTPUT, WAIT_ESTIMATE)
+        b.stream("wait_estimates", WAIT_ESTIMATE)
         b.node(
             "wait_estimator",
             _estimator(model) if model is not None else untrained("ride_allocation", "fbp"),

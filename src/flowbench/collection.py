@@ -56,19 +56,13 @@ class CollectionSpec:
 
 
 def discover_sources(graph: FlowGraph, label_stream: str) -> list[str]:
-    """Candidate feature sources for a label: every input and internal
-    stream the label stream depends on, sorted by id."""
-    streams = graph.stream_map()
-    if label_stream not in streams:
+    """Candidate feature sources for a label: every stream the label stream
+    depends on that some node reads (an input or internal one), sorted by id."""
+    roles = graph.categories()
+    if label_stream not in roles:
         raise UnknownElementError(label_stream)
-    closure = upstream_closure(graph, label_stream)
-    return sorted(
-        sid
-        for sid in closure
-        if sid in streams
-        and sid != label_stream
-        and streams[sid].category in (Category.INPUT, Category.INTERNAL)
-    )
+    sources = upstream_closure(graph, label_stream) - {label_stream}
+    return sorted(sid for sid in sources if roles.get(sid) in (Category.INPUT, Category.INTERNAL))
 
 
 def _check_select(instance: RuntimeInstance, sel: StreamSelect) -> None:

@@ -4,10 +4,14 @@ A program is a bipartite graph of named streams (typed, append-only logs)
 and processing nodes (deterministic transforms, plain or folding over
 runtime-owned state). Wiring lives in the graph, not in the nodes: the
 edges are its one record, a node's ports are the port names its edges
-use, and a port's schema is that of its stream. So the whole program is a
-traversable data structure: `upstream_closure` / `downstream_closure`
-answer provenance and impact questions, `topological_order` schedules
-execution, `export_dot` renders the program as a picture.
+use, and a port's schema is that of its stream. A stream's role is read
+off its edges too (`FlowGraph.categories`): one that no node reads is an
+output, one that nodes read and none writes an input, fed from outside
+through `inject`, one that nodes read and write internal. So the whole
+program is a traversable data structure: `upstream_closure` /
+`downstream_closure` answer provenance and impact questions,
+`topological_order` schedules execution, `export_dot` renders the
+program as a picture.
 
 Construction never fails on a malformed graph; `validate` reports every
 broken invariant as data so callers can decide what to do.
@@ -28,9 +32,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 # Field type -> the Python type of its values. The compiled checker tests
 # `type(v) is` it; the full checks accept an instance of it, never a bool
@@ -40,7 +45,7 @@ FIELD_TYPES = tuple(_PY_TYPES)
 
 
 class Category(str, Enum):
-    """Stream role: where its records come from and who may read them."""
+    """Stream role, read off the edges by `FlowGraph.categories`."""
 
     INPUT = "input"
     INTERNAL = "internal"
@@ -119,6 +124,8 @@ class Schema:
 
     def _full_check(self, values: Mapping[str, Any]) -> tuple:
         """The checks behind `coerce_row` for rows off the compiled fast path."""
+        if not isinstance(values, Mapping):
+            raise SchemaMismatchError(f"schema {self.name!r}: row must be a mapping, got {type(values).__name__}")
         extra = set(values).difference(self._index)
         if extra:
             raise SchemaMismatchError(
@@ -197,7 +204,6 @@ def _compile_checker(schema: Schema) -> Callable[[Mapping[str, Any]], tuple]:
 
 class StreamDecl(NamedTuple):
     id: str
-    category: Category
     schema: Schema
 
 
@@ -261,6 +267,15 @@ class FlowGraph(NamedTuple):
     def consumers_of(self, stream_id: str) -> list[str]:
         return [e.node for e in self.in_edges if e.stream == stream_id]
 
+    def categories(self) -> dict[str, Category]:
+        """Each stream's role, read off the edges (see the module docstring)."""
+        read = {e.stream for e in self.in_edges}
+        written = {e.stream for e in self.out_edges}
+        return {
+            s.id: Category.OUTPUT if s.id not in read else Category.INTERNAL if s.id in written else Category.INPUT
+            for s in self.streams
+        }
+
 
 class GraphBuilder:
     """Happy-path construction helper: each port in `inputs`/`outputs`
@@ -273,8 +288,8 @@ class GraphBuilder:
         self._in_edges: list[InEdge] = []
         self._out_edges: list[OutEdge] = []
 
-    def stream(self, stream_id: str, category: Category, schema: Schema) -> "GraphBuilder":
-        self._streams.append(StreamDecl(stream_id, category, schema))
+    def stream(self, stream_id: str, schema: Schema) -> "GraphBuilder":
+        self._streams.append(StreamDecl(stream_id, schema))
         return self
 
     def node(
@@ -386,29 +401,11 @@ def _checked_order(graph: FlowGraph) -> tuple[list[Violation], list[str]]:
         if len(to) > 1:
             out.append(Violation("multi-wired-port", f"{nid}.{port}", f"{direction}-port wired to more than one stream"))
 
-    # Stream category rules.
+    # A stream that nodes read has one writer, or none: then the world writes it.
     for s in graph.streams:
-        writers = producers.get(s.id, [])
-        readers = consumers.get(s.id, [])
-        if s.category is Category.INPUT and writers:
-            out.append(
-                Violation("input-has-producer", s.id, f"input stream written by nodes {sorted(writers)}")
-            )
-        if s.category is Category.OUTPUT and readers:
-            out.append(
-                Violation("output-has-consumer", s.id, f"output stream read by nodes {sorted(readers)}")
-            )
-        if s.category is Category.INTERNAL:
-            if len(writers) != 1:
-                out.append(
-                    Violation(
-                        "internal-producers",
-                        s.id,
-                        f"internal stream needs exactly one producer, has {len(writers)}",
-                    )
-                )
-            if not readers:
-                out.append(Violation("internal-consumers", s.id, "internal stream has no consumer"))
+        writers = len(producers.get(s.id, ()))
+        if writers > 1 and s.id in consumers:
+            out.append(Violation("internal-producers", s.id, f"internal stream needs exactly one producer, has {writers}"))
 
     # Acyclicity of the node-to-node relation (each writer of a stream ->
     # each reader of it): what the order pass leaves out lies on or after a cycle.
@@ -420,8 +417,9 @@ def _checked_order(graph: FlowGraph) -> tuple[list[Violation], list[str]]:
 
     # Orphans: every node must lie on some input -> output path.
     if graph.nodes:
-        fed = _closure(graph, [s.id for s in graph.streams if s.category is Category.INPUT], forward=True)
-        feeding = _closure(graph, [s.id for s in graph.streams if s.category is Category.OUTPUT], forward=False)
+        roles = graph.categories()
+        fed = _closure(graph, [sid for sid, role in roles.items() if role is Category.INPUT], forward=True)
+        feeding = _closure(graph, [sid for sid, role in roles.items() if role is Category.OUTPUT], forward=False)
         for nid in sorted(n.id for n in graph.nodes):
             if nid not in fed or nid not in feeding:
                 out.append(Violation("orphan-node", nid, "node is not on any input-to-output path"))
@@ -537,10 +535,9 @@ def export_dot(graph: FlowGraph) -> str:
     """
     lines = ["digraph flow {"]
     elements: list[tuple[str, str]] = []
+    roles = graph.categories()
     for s in graph.streams:
-        elements.append(
-            (s.id, f'  "{s.id}" [shape=box, style=filled, fillcolor={_DOT_COLORS[s.category]}];')
-        )
+        elements.append((s.id, f'  "{s.id}" [shape=box, style=filled, fillcolor={_DOT_COLORS[roles[s.id]]}];'))
     for n in graph.nodes:
         elements.append((n.id, f'  "{n.id}" [shape=ellipse];'))
     lines.extend(stmt for _, stmt in sorted(elements))

@@ -49,10 +49,11 @@ def fbp_manifest(graph, version_key: str) -> ComponentManifest:
     (as in any graph `validate` passes)."""
     components: dict[str, str] = {}
     schemas: dict[str, dict] = {}  # stream id -> schema doc
+    roles = graph.categories()
     for s in graph.streams:
         schemas[s.id] = _schema_doc(s.schema)
         components[f"stream/{s.id}"] = fingerprint(
-            {"category": s.category.value, "kind": "stream", "schema": schemas[s.id]}
+            {"category": roles[s.id].value, "kind": "stream", "schema": schemas[s.id]}
         )
     # A node's ports are its edges' ports, each with its stream's schema.
     ins: dict[str, dict] = {n.id: {} for n in graph.nodes}

@@ -31,6 +31,11 @@ may already have advanced and is not rolled back, so the instance is then
 marked failed: any later `step`, `inject` or `append_collected` raises
 `FailedInstanceError` naming the original node and tick. Reads still work.
 
+`inject` writes an input stream and `append_collected` an output stream
+no node writes, each role read off the edges (`FlowGraph.categories`), so
+a stream no node reads or writes is an output: `append_collected` takes it
+and `inject` refuses it.
+
 `start` builds a plan once, one entry per node in topological order with
 its id, transform, fold flag and state, its in-ports' logs and cursor keys
 and, per out-port, the port name, stream id, schema, bound
@@ -111,19 +116,14 @@ class RuntimeInstance:
     def __init__(self, graph: FlowGraph):
         self.graph = graph
         order = topological_order(graph)  # validates; raises GraphValidationError
-        self._streams = graph.stream_map()
+        streams = graph.stream_map()
         self._logs: dict[str, list[Record]] = {s.id: [] for s in graph.streams}
-        self._inputs = {  # input stream id -> (schema, coerce_row, log), for `inject`
-            s.id: (s.schema, s.schema.coerce_row, self._logs[s.id])
-            for s in graph.streams
-            if s.category is Category.INPUT
-        }
-        produced = {e.stream for e in graph.out_edges}
-        self._collected = {  # producer-less output stream id -> (schema, coerce_row, log)
-            s.id: (s.schema, s.schema.coerce_row, self._logs[s.id])
-            for s in graph.streams
-            if s.category is Category.OUTPUT and s.id not in produced
-        }
+        # Stream id -> (schema, coerce_row, log): the inputs, for `inject`, and
+        # the producer-less outputs, for `append_collected`.
+        roles, produced = graph.categories(), {e.stream for e in graph.out_edges}
+        targets = {sid: (s.schema, s.schema.coerce_row, self._logs[sid]) for sid, s in streams.items()}
+        self._inputs = {sid: t for sid, t in targets.items() if roles[sid] is Category.INPUT}
+        self._collected = {sid: t for sid, t in targets.items() if roles[sid] is Category.OUTPUT and sid not in produced}
         # Each node's ports, from the edges in edge order: per in-port (port,
         # log, cursor key), per out-port (port, stream id, schema, coerce_row, log).
         ins: dict[str, list] = {nid: [] for nid in order}
@@ -131,7 +131,7 @@ class RuntimeInstance:
         for e in graph.in_edges:
             ins[e.node].append((e.port, self._logs[e.stream], (e.node, e.port)))
         for e in graph.out_edges:
-            schema = self._streams[e.stream].schema
+            schema = streams[e.stream].schema
             outs[e.node].append((e.port, e.stream, schema, schema.coerce_row, self._logs[e.stream]))
         self._cursors: dict[tuple[str, str], int] = {(e.node, e.port): 0 for e in graph.in_edges}
         # One entry per node in topological order: (node id, transform, is a fold,
@@ -170,14 +170,14 @@ class RuntimeInstance:
         """Runtime-owned write path for producer-less output streams.
 
         Used by the dataset-collection tooling to materialize derived rows
-        into a declared output stream. Refused for anything a node writes.
+        into an output stream. Refused for anything a node writes.
         """
         if self._failure is not None:
             raise FailedInstanceError(self._failure)
         target = self._collected.get(stream_id)
         if target is None:
             self._log(stream_id)  # an unknown id raises `UnknownElementError`
-            if self._streams[stream_id].category is not Category.OUTPUT:
+            if self.graph.categories()[stream_id] is not Category.OUTPUT:
                 raise StreamWriteError(f"{stream_id!r} is not an output stream")
             raise StreamWriteError(f"{stream_id!r} is produced by a node")
         schema, coerce, log = target

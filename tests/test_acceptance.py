@@ -299,12 +299,12 @@ def test_c11_every_dataflow_version_is_valid():
             built = apps.build_app(apps.app_version(app, "fbp", stage), scenario)
             graph = built.graph
             assert validate(graph) == [], f"{app}/{stage} has violations"
-            for stream in graph.streams:
-                producers = graph.producers_of(stream.id)
-                consumers = graph.consumers_of(stream.id)
-                if stream.category is Category.INPUT:
+            for sid, role in graph.categories().items():
+                producers = graph.producers_of(sid)
+                consumers = graph.consumers_of(sid)
+                if role is Category.INPUT:
                     assert producers == []
-                elif stream.category is Category.OUTPUT:
+                elif role is Category.OUTPUT:
                     assert consumers == []
                 else:
                     assert len(producers) == 1 and len(consumers) >= 1

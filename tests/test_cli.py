@@ -1,5 +1,7 @@
 """Command-line interface: grammar, outputs, exit codes."""
 
+import hashlib
+
 import pytest
 
 from flowbench import apps
@@ -88,6 +90,20 @@ class TestGraph:
         out = capsys.readouterr().out
         assert out.startswith("digraph flow {")
         assert '"claims" [shape=box, style=filled, fillcolor=red];' in out
+
+    def test_dot_bytes_of_all_fbp_versions_are_pinned(self, capsys):
+        # A stream's colour is its role, read off the edges: these bytes were
+        # recorded while each stream still declared its role, and they match.
+        text = ""
+        for app in apps.APP_NAMES:
+            for stage in apps.APP_STAGES:
+                assert main(["graph", app, stage]) == 0
+                text += capsys.readouterr().out
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "2cf0f32377148603a5055159d225d2d880a5b2833abd45cc1cd1d5092bc11d42"
+        )
+        colours = [text.count(f"fillcolor={c}];") for c in ("red", "yellow", "green")]
+        assert colours == [30, 14, 25]
 
     def test_writes_dot_file(self, tmp_path):
         path = tmp_path / "g.dot"

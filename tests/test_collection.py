@@ -16,9 +16,9 @@ from flowbench.collection import (
     join,
     write_dataset,
 )
-from flowbench.graph import Category, GraphBuilder, Schema, UnknownElementError
+from flowbench.graph import GraphBuilder, Schema, UnknownElementError
 from flowbench.runtime import start
-from util_graphs import chain_graph, diamond_graph
+from util_graphs import app_graphs, brute_force_closure, chain_graph, diamond_graph, random_dag
 
 RIDE = Schema("ride", (("ride", "int"), ("wait", "float")))
 FEAT = Schema("feat", (("ride", "int"), ("dist", "float")))
@@ -27,9 +27,9 @@ FEAT = Schema("feat", (("ride", "int"), ("dist", "float")))
 def _join_graph():
     """Two input streams; the label stream is derived so it sits downstream."""
     b = GraphBuilder()
-    b.stream("picks", Category.INPUT, RIDE)
-    b.stream("feats", Category.INPUT, FEAT)
-    b.stream("waits", Category.OUTPUT, RIDE)
+    b.stream("picks", RIDE)
+    b.stream("feats", FEAT)
+    b.stream("waits", RIDE)
     b.node(
         "track",
         lambda inputs: {"out": [r.as_dict() for r in inputs["p"]]},
@@ -53,6 +53,16 @@ class TestDiscoverSources:
     def test_unknown_label_raises(self):
         with pytest.raises(UnknownElementError):
             discover_sources(chain_graph(), "nope")
+
+    @given(st.one_of(st.integers(min_value=0, max_value=10_000).map(random_dag), st.sampled_from(app_graphs())))
+    @settings(max_examples=60, deadline=None)
+    def test_sources_are_the_read_streams_upstream_of_the_label(self, graph):
+        # Oracle: the brute-force upstream closure of the label, kept to the
+        # streams that some in-edge names, without the label itself.
+        read = {e.stream for e in graph.in_edges}
+        for s in graph.streams:
+            upstream = brute_force_closure(graph, s.id, forward=False)
+            assert discover_sources(graph, s.id) == sorted((upstream & read) - {s.id})
 
 
 def _spec():

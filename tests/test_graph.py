@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowbench import apps
 from flowbench.graph import (
     FIELD_TYPES,
     Category,
@@ -31,11 +30,23 @@ from flowbench.graph import (
     validate,
 )
 from flowbench.runtime import start
-from util_graphs import POINT, brute_force_closure, chain_graph, copy_transform, diamond_graph, node_edges, random_dag
+from util_graphs import (
+    POINT,
+    app_graphs,
+    brute_force_closure,
+    chain_graph,
+    copy_transform,
+    diamond_graph,
+    node_edges,
+    random_dag,
+)
 
 
 def _noop(inputs):
     return {}
+
+
+HAND_BUILT = [chain_graph(), diamond_graph(), *app_graphs()]
 
 
 class TestSchema:
@@ -206,6 +217,10 @@ class TestCoerceRowOracle:
             ({"n": 1, "f": 2**20000, "t": "x", "b": True}, "field 'f' wants float, got an int of 20001 bits"),
             ({"n": 1, "f": 2.0, "t": 3, "b": True}, "field 't' wants text, got 3"),
             ({"n": 1, "f": 2.0, "t": "x", "b": 1}, "field 'b' wants bool, got 1"),
+            (5, "row must be a mapping, got int"),
+            (None, "row must be a mapping, got NoneType"),
+            ("a", "row must be a mapping, got str"),
+            ([("n", 1), ("f", 2.0), ("t", "x"), ("b", True)], "row must be a mapping, got list"),
         ],
     )
     def test_each_check_still_runs(self, values, message):
@@ -313,15 +328,7 @@ class TestValidate:
     )
     def test_port_wiring_violations(self, in_edges, out_edges, expected):
         graph = FlowGraph(
-            streams=tuple(
-                StreamDecl(sid, category, POINT)
-                for sid, category in (
-                    ("i", Category.INPUT),
-                    ("j", Category.INPUT),
-                    ("o", Category.OUTPUT),
-                    ("p", Category.OUTPUT),
-                )
-            ),
+            streams=tuple(StreamDecl(sid, POINT) for sid in ("i", "j", "o", "p")),
             nodes=(NodeSpec("A", _noop),),
             in_edges=tuple(InEdge(*e) for e in in_edges),
             out_edges=tuple(OutEdge(*e) for e in out_edges),
@@ -333,7 +340,7 @@ class TestValidate:
         # A port takes nothing from its stream at build time, so a wrong
         # stream id is a validation finding, not a `KeyError` in `node`.
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
+        b.stream("i", POINT)
         b.node("A", _noop, inputs={"in": "i"}, outputs={"out": "o"})
         graph = b.build()
         assert graph.out_edges == (OutEdge("A", "out", "o"),)
@@ -348,8 +355,8 @@ class TestValidate:
         bnode = NodeSpec("B", _noop)
         graph = FlowGraph(
             streams=(
-                StreamDecl("s", Category.INTERNAL, POINT),
-                StreamDecl("t", Category.INTERNAL, POINT),
+                StreamDecl("s", POINT),
+                StreamDecl("t", POINT),
             ),
             nodes=(a, bnode),
             in_edges=(InEdge("t", "A", "in"), InEdge("s", "B", "in")),
@@ -376,7 +383,7 @@ class TestValidate:
         ids = [f"n{i}" for i in range(k)]
         nodes = tuple(NodeSpec(nid, _noop) for nid in ids)
         graph = FlowGraph(
-            streams=tuple(StreamDecl(f"s{i}", Category.INTERNAL, POINT) for i in range(k)),
+            streams=tuple(StreamDecl(f"s{i}", POINT) for i in range(k)),
             nodes=nodes,
             in_edges=tuple(InEdge(f"s{i}", ids[j], f"from{i}") for i, j in pairs),
             out_edges=tuple(OutEdge(nid, "out", f"s{i}") for i, nid in enumerate(ids)),
@@ -397,29 +404,24 @@ class TestValidate:
             for loop in permutations(rest)
         )
 
-    def test_input_with_producer_flagged(self):
-        node = NodeSpec("A", _noop)
+    def test_internal_stream_with_two_producers_flagged(self):
+        # A and B both write s, which C reads; o, which both A and C write
+        # and no node reads, is an output and may have any number of writers.
         graph = FlowGraph(
-            streams=(
-                StreamDecl("i", Category.INPUT, POINT),
-                StreamDecl("j", Category.INPUT, POINT),
-            ),
-            nodes=(node,),
-            in_edges=(InEdge("i", "A", "in"),),
-            out_edges=(OutEdge("A", "out", "j"),),
+            streams=tuple(StreamDecl(sid, POINT) for sid in ("i", "s", "o")),
+            nodes=(NodeSpec("A", _noop), NodeSpec("B", _noop), NodeSpec("C", _noop)),
+            in_edges=(InEdge("i", "A", "in"), InEdge("i", "B", "in"), InEdge("s", "C", "in")),
+            out_edges=(OutEdge("A", "out", "s"), OutEdge("B", "out", "s"), OutEdge("C", "out", "o"),
+                       OutEdge("A", "copy", "o")),
         )
-        codes = {v.code for v in validate(graph)}
-        assert "input-has-producer" in codes
+        assert validate(graph) == [
+            Violation("internal-producers", "s", "internal stream needs exactly one producer, has 2")
+        ]
 
-    def test_internal_needs_producer_and_consumer(self):
-        graph = FlowGraph(
-            streams=(StreamDecl("s", Category.INTERNAL, POINT),),
-            nodes=(),
-            in_edges=(),
-            out_edges=(),
-        )
-        codes = sorted(v.code for v in validate(graph))
-        assert codes == ["internal-consumers", "internal-producers"]
+    def test_a_stream_no_node_touches_is_a_valid_output(self):
+        graph = FlowGraph(streams=(StreamDecl("s", POINT),), nodes=(), in_edges=(), out_edges=())
+        assert graph.categories() == {"s": Category.OUTPUT}
+        assert validate(graph) == []
 
     def test_orphan_node_flagged(self):
         # D consumes its own private input but writes nothing: cannot reach
@@ -427,7 +429,7 @@ class TestValidate:
         graph = chain_graph()
         orphan = NodeSpec("D", _noop)
         extended = FlowGraph(
-            graph.streams + (StreamDecl("i2", Category.INPUT, POINT),),
+            graph.streams + (StreamDecl("i2", POINT),),
             graph.nodes + (orphan,),
             graph.in_edges + (InEdge("i2", "D", "in"),),
             graph.out_edges,
@@ -437,8 +439,8 @@ class TestValidate:
     def test_duplicate_ids_reported(self):
         graph = FlowGraph(
             streams=(
-                StreamDecl("i", Category.INPUT, POINT),
-                StreamDecl("i", Category.INPUT, POINT),
+                StreamDecl("i", POINT),
+                StreamDecl("i", POINT),
             ),
             nodes=(),
             in_edges=(),
@@ -450,9 +452,9 @@ class TestValidate:
         # i -> A -> (stream A) -> B -> o: without the check this validates
         # and its DOT text declares "A" twice, with an "A" -> "A" edge.
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("A", Category.INTERNAL, POINT)
-        b.stream("o", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("A", POINT)
+        b.stream("o", POINT)
         b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "A"})
         b.node("B", copy_transform("in", "out"), inputs={"in": "A"}, outputs={"out": "o"})
         graph = b.build()
@@ -467,16 +469,56 @@ class TestValidate:
         assert first == second == []
 
 
+def _roles_by_definition(graph: FlowGraph) -> dict:
+    """Each stream's role from its in- and out-edges, by the definition."""
+    roles = {}
+    for s in graph.streams:
+        readers = [e for e in graph.in_edges if e.stream == s.id]
+        writers = [e for e in graph.out_edges if e.stream == s.id]
+        roles[s.id] = "output" if not readers else "internal" if writers else "input"
+    return roles
+
+
+class TestCategories:
+    def test_chain_and_diamond(self):
+        assert chain_graph().categories() == {"i": Category.INPUT, "s": Category.INTERNAL, "o": Category.OUTPUT}
+        assert diamond_graph().categories() == {
+            "i": Category.INPUT, "s1": Category.INTERNAL, "s2": Category.INTERNAL,
+            "o1": Category.OUTPUT, "o2": Category.OUTPUT,
+        }
+
+    def test_broken_graphs_get_roles_too(self):
+        # s is written by two nodes and read, t is read and written by one
+        # node in a loop, u is written but never read, v is never touched.
+        graph = FlowGraph(
+            streams=tuple(StreamDecl(sid, POINT) for sid in ("s", "t", "u", "v")),
+            nodes=(NodeSpec("A", _noop), NodeSpec("B", _noop)),
+            in_edges=(InEdge("s", "A", "in"), InEdge("t", "B", "in")),
+            out_edges=(OutEdge("A", "out", "s"), OutEdge("B", "out", "s"), OutEdge("B", "loop", "t"),
+                       OutEdge("A", "u", "u")),
+        )
+        assert graph.categories() == {
+            "s": Category.INTERNAL, "t": Category.INTERNAL, "u": Category.OUTPUT, "v": Category.OUTPUT,
+        }
+
+    @given(st.one_of(st.integers(min_value=0, max_value=10_000).map(random_dag), st.sampled_from(HAND_BUILT)))
+    @settings(max_examples=80, deadline=None)
+    def test_each_role_is_its_definition_from_the_edges(self, graph):
+        roles = graph.categories()
+        assert list(roles) == [s.id for s in graph.streams]
+        assert {sid: role.value for sid, role in roles.items()} == _roles_by_definition(graph)
+
+
 class TestTopologicalOrder:
     def test_chain(self):
         assert topological_order(chain_graph()) == ["A", "B"]
 
     def test_tie_break_by_node_id(self):
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("s1", Category.INTERNAL, POINT)
-        b.stream("s2", Category.INTERNAL, POINT)
-        b.stream("o", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("s1", POINT)
+        b.stream("s2", POINT)
+        b.stream("o", POINT)
         b.node("B", _noop, inputs={"in": "i"}, outputs={"out": "s2"})
         b.node("A", _noop, inputs={"in": "i"}, outputs={"out": "s1"})
         b.node(
@@ -515,9 +557,9 @@ class TestTopologicalOrder:
         # interpreter's recursion limit, so no ordering step may recurse.
         n = 5000
         b = GraphBuilder()
-        b.stream("s0000", Category.INPUT, POINT)
+        b.stream("s0000", POINT)
         for i in range(n):
-            b.stream(f"s{i + 1:04d}", Category.OUTPUT if i == n - 1 else Category.INTERNAL, POINT)
+            b.stream(f"s{i + 1:04d}", POINT)
             b.node(
                 f"n{i:04d}",
                 copy_transform("in", "out"),
@@ -534,12 +576,12 @@ class TestTopologicalOrder:
 
     def test_rejects_invalid_graph(self):
         graph = FlowGraph(
-            streams=(StreamDecl("s", Category.INTERNAL, POINT),),
+            streams=(StreamDecl("s", POINT), StreamDecl("s", POINT)),
             nodes=(),
             in_edges=(),
             out_edges=(),
         )
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(GraphValidationError, match="duplicate-stream"):
             topological_order(graph)
 
 
@@ -583,8 +625,8 @@ class TestDotExport:
 
     def test_statement_counts(self):
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("o", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("o", POINT)
         b.node("A", _noop, inputs={"in": "i"}, outputs={"out": "o"})
         text = export_dot(b.build())
         vertex_stmts = [l for l in text.splitlines() if "shape=" in l]
@@ -622,18 +664,6 @@ class TestDotExport:
         declared = [line.split('"')[1] for line in export_dot(graph).splitlines() if "shape=" in line]
         assert sorted(declared) == sorted(stream_ids + [n.id for n in graph.nodes])
         assert len(set(declared)) == len(declared)
-
-
-def _app_graphs():
-    """Every fbp build's graph, as its app module wires it by hand."""
-    return [
-        apps.build_structure(apps.app_version(app, "fbp", stage), apps.make_scenario(app, 1, 0)).graph
-        for app in apps.APP_NAMES
-        for stage in apps.APP_STAGES
-    ]
-
-
-HAND_BUILT = [chain_graph(), diamond_graph(), *_app_graphs()]
 
 
 class TestClosureIds:
@@ -698,9 +728,9 @@ class TestRandomDagProperties:
         graph = random_dag(seed)
         everything = {s.id for s in graph.streams} | {n.id for n in graph.nodes}
         covered = set()
-        for s in graph.streams:
-            if s.category is Category.OUTPUT:
-                covered |= upstream_closure(graph, s.id)
+        for sid, role in graph.categories().items():
+            if role is Category.OUTPUT:
+                covered |= upstream_closure(graph, sid)
         # Outputs pull in every node; only never-consumed input streams may
         # fall outside, and this generator wires every stream it creates.
         assert covered == everything

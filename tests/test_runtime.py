@@ -18,6 +18,7 @@ from flowbench.graph import (
     InEdge,
     Schema,
     SchemaMismatchError,
+    UnknownElementError,
     upstream_closure,
     validate,
 )
@@ -40,8 +41,14 @@ class TestStart:
         assert all(inst.length(sid) == 0 for sid in inst.stream_ids())
 
     def test_invalid_graph_rejected_with_first_violation(self):
+        # Two nodes write s, which C reads: an internal stream with two producers.
         b = GraphBuilder()
-        b.stream("s", Category.INTERNAL, POINT)
+        b.stream("i", POINT)
+        b.stream("s", POINT)
+        b.stream("o", POINT)
+        b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "s"})
+        b.node("B", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "s"})
+        b.node("C", copy_transform("in", "out"), inputs={"in": "s"}, outputs={"out": "o"})
         graph = b.build()
         with pytest.raises(GraphValidationError) as err:
             start(graph)
@@ -103,8 +110,8 @@ class TestInject:
 
     def test_int_beyond_float_range_is_a_schema_mismatch(self):
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, REAL)
-        b.stream("o", Category.OUTPUT, REAL)
+        b.stream("i", REAL)
+        b.stream("o", REAL)
         b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "o"})
         inst = start(b.build())
         with pytest.raises(SchemaMismatchError, match="field 'f' wants float, got 1358298529"):
@@ -113,12 +120,44 @@ class TestInject:
         assert inst.length("i") == 1
 
 
+class TestWriteRoles:
+    """`inject` writes inputs and `append_collected` producer-less outputs,
+    each role read off the edges."""
+
+    @staticmethod
+    def _start():
+        # The chain i -> A -> s -> B -> o, plus d, which no node reads or writes.
+        graph = chain_graph()
+        return start(graph._replace(streams=graph.streams + (graph.streams[0]._replace(id="d"),)))
+
+    def test_inject_writes_only_a_stream_that_nodes_read_and_none_writes(self):
+        inst = self._start()
+        assert inst.inject("i", {"x": 1}).values == (1,)
+        for sid in ("s", "o", "d"):  # d is an output: no node reads it
+            with pytest.raises(StreamWriteError, match=f"'{sid}' is not an input stream"):
+                inst.inject(sid, {"x": 1})
+        with pytest.raises(UnknownElementError):
+            inst.inject("nope", {"x": 1})
+
+    def test_append_collected_writes_only_an_output_that_no_node_writes(self):
+        inst = self._start()
+        assert inst.append_collected("d", {"x": 1}).values == (1,)
+        with pytest.raises(StreamWriteError, match="'o' is produced by a node"):
+            inst.append_collected("o", {"x": 1})
+        for sid in ("i", "s"):
+            with pytest.raises(StreamWriteError, match=f"'{sid}' is not an output stream"):
+                inst.append_collected(sid, {"x": 1})
+        with pytest.raises(UnknownElementError):
+            inst.append_collected("nope", {"x": 1})
+        assert [inst.length(sid) for sid in ("i", "s", "o", "d")] == [0, 0, 0, 1]
+
+
 class TestStep:
     def test_raising_transform_names_node_and_tick(self):
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("s", Category.INTERNAL, POINT)
-        b.stream("o", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("s", POINT)
+        b.stream("o", POINT)
         b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "s"})
         b.node(
             "B",
@@ -166,8 +205,8 @@ class TestStep:
 
     def test_bad_transform_output_aborts_with_context(self):
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("o", Category.OUTPUT, Schema("other", (("y", "int"),)))
+        b.stream("i", POINT)
+        b.stream("o", Schema("other", (("y", "int"),)))
         b.node(
             "A",
             lambda inputs: {"out": [{"x": r["x"]} for r in inputs["in"]]},
@@ -181,9 +220,9 @@ class TestStep:
 
     def test_bad_port_leaves_no_rows_from_earlier_ports(self):
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("good", Category.OUTPUT, POINT)
-        b.stream("bad", Category.OUTPUT, Schema("other", (("y", "int"),)))
+        b.stream("i", POINT)
+        b.stream("good", POINT)
+        b.stream("bad", Schema("other", (("y", "int"),)))
         b.node(
             "A",
             lambda inputs: {
@@ -206,8 +245,8 @@ class TestStep:
         # Validation allows a node to wire two out-ports to one output
         # stream; its records go into the log port after port.
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("o", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("o", POINT)
         b.node(
             "A",
             lambda inputs: {
@@ -229,8 +268,8 @@ class TestStep:
 
     def test_int_beyond_float_range_fails_the_tick_naming_node_port_and_tick(self):
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("o", Category.OUTPUT, REAL)
+        b.stream("i", POINT)
+        b.stream("o", REAL)
         b.node(
             "A",
             lambda inputs: {"out": [{"f": 2 ** (100 * r["x"])} for r in inputs["in"]]},
@@ -249,9 +288,9 @@ class TestStep:
 
     def test_non_mapping_row_fails_the_tick_and_appends_nothing(self):
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("good", Category.OUTPUT, POINT)
-        b.stream("bad", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("good", POINT)
+        b.stream("bad", POINT)
         b.node(
             "A",
             lambda inputs: {"good": [{"x": 1}], "bad": [None]},
@@ -260,9 +299,11 @@ class TestStep:
         )
         inst = start(b.build())
         inst.inject("i", {"x": 1})  # a node runs only when an in-port gained records
-        with pytest.raises(TransformError, match="node 'A' port 'bad' at tick 0") as err:
+        with pytest.raises(
+            TransformError, match="node 'A' port 'bad' at tick 0: schema 'point': row must be a mapping, got NoneType"
+        ) as err:
             inst.step()
-        assert isinstance(err.value.__cause__, TypeError)
+        assert isinstance(err.value.__cause__, SchemaMismatchError)
         assert inst.length("good") == 0
         with pytest.raises(FailedInstanceError, match="node 'A' port 'bad' at tick 0"):
             inst.step()
@@ -276,8 +317,8 @@ class TestStep:
             Schema, "coerce_row", lambda self, v: seen.append((self.name, dict(v))) or real(self, v)
         )
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("o", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("o", POINT)
         b.node("A", lambda inputs: {"out": [{"x": r["x"] * 2} for r in inputs["in"]]},
                inputs={"in": "i"}, outputs={"out": "o"})
         inst = start(b.build())
@@ -290,8 +331,8 @@ class TestStep:
 
     def test_undeclared_port_message(self):
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("o", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("o", POINT)
         b.node(
             "A",
             lambda inputs: {"zz": [], "out": [], "nope": [{"x": 1}]},
@@ -311,11 +352,11 @@ def _failing_graph(second):
     Topological order is A, B, C, so when B fails A has appended and C has
     not run."""
     b = GraphBuilder()
-    b.stream("i", Category.INPUT, POINT)
-    b.stream("s", Category.INTERNAL, POINT)
-    b.stream("o", Category.OUTPUT, POINT)
-    b.stream("c", Category.OUTPUT, POINT)
-    b.stream("d", Category.OUTPUT, POINT)
+    b.stream("i", POINT)
+    b.stream("s", POINT)
+    b.stream("o", POINT)
+    b.stream("c", POINT)
+    b.stream("d", POINT)
     b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "s"})
     b.node("B", second, inputs={"in": "s"}, outputs={"out": "o"})
     b.node("C", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "c"})
@@ -401,8 +442,8 @@ class TestFailedTick:
 
     def test_first_node_failing_appends_nothing(self):
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("o", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("o", POINT)
         b.node("A", _divide, inputs={"in": "i"}, outputs={"out": "o"})
         inst = start(b.build())
         inst.inject("i", {"x": 2})
@@ -489,8 +530,8 @@ def _sum_recompute(inputs, seen):
 def running_sum_graph(fold: bool):
     """i -> sum -> o: per-key running totals, as a fold or as a recompute."""
     b = GraphBuilder()
-    b.stream("i", Category.INPUT, KV)
-    b.stream("o", Category.OUTPUT, TOTAL)
+    b.stream("i", KV)
+    b.stream("o", TOTAL)
     wiring = {"inputs": {"in": "i"}, "outputs": {"out": "o"}}
     if fold:
         b.fold("sum", dict, _sum_fold, **wiring)
@@ -529,8 +570,8 @@ class TestFold:
             return {"out": [{"k": r["k"], "total": r["v"]} for r in inputs["in"]]}
 
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, KV)
-        b.stream("o", Category.OUTPUT, TOTAL)
+        b.stream("i", KV)
+        b.stream("o", TOTAL)
         b.fold("f", init, step, inputs={"in": "i"}, outputs={"out": "o"})
         inst = start(b.build())
         for t in range(3):
@@ -547,7 +588,7 @@ def _drive(graph, seed, ticks=5):
     (tick, values), one per record at its log position."""
     inst = start(graph)
     rng = SplitMix64(seed)
-    inputs = [s.id for s in graph.streams if s.category is Category.INPUT]
+    inputs = [sid for sid, role in graph.categories().items() if role is Category.INPUT]
     appended = dict.fromkeys(inst.stream_ids(), 0)
     for _ in range(ticks):
         for sid in inputs:
@@ -662,7 +703,7 @@ class TestActivation:
         ticks = []
         inst = start(_ticks_seen(graph, ticks))
         rng = SplitMix64(seed)
-        inputs = [s.id for s in graph.streams if s.category is Category.INPUT]
+        inputs = [sid for sid, role in graph.categories().items() if role is Category.INPUT]
         for tick, inject in enumerate(inject_on):
             if inject:
                 for sid in inputs:
@@ -682,8 +723,8 @@ class TestActivation:
             return {"out": [{"k": r["k"], "total": r["v"]} for r in inputs["in"]]}
 
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, KV)
-        b.stream("o", Category.OUTPUT, TOTAL)
+        b.stream("i", KV)
+        b.stream("o", TOTAL)
         b.fold("f", list, step, inputs={"in": "i"}, outputs={"out": "o"})
         inst = start(b.build())
         for n in (2, 0, 0, 1, 0):
@@ -703,8 +744,8 @@ class TestActivation:
             return {}
 
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("o", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("o", POINT)
         b.node("A", keep, inputs={"in": "i"}, outputs={"out": "o"})
         inst = start(b.build())
         inst.inject("i", {"x": 1})
@@ -731,9 +772,9 @@ class TestPortsAreEdges:
             return {"out": [r.as_dict() for r in inputs["extra"]]}
 
         b = GraphBuilder()
-        b.stream("i", Category.INPUT, POINT)
-        b.stream("j", Category.INPUT, POINT)
-        b.stream("o", Category.OUTPUT, POINT)
+        b.stream("i", POINT)
+        b.stream("j", POINT)
+        b.stream("o", POINT)
         b.node("A", keep, inputs={"in": "i"}, outputs={"out": "o"})
         graph = b.build()
         graph = graph._replace(in_edges=graph.in_edges + (InEdge("j", "A", "extra"),))
@@ -800,7 +841,8 @@ after_manifests = list(compiled)
 version = apps.app_version("insurance_claims", "fbp", "min")
 inst = runtime.start(apps.build_structure(version, apps.make_scenario(version.app, 10, 1)).graph)
 assert compiled == []
-stream = next(s for s in inst.graph.streams if s.category is graph.Category.INPUT)
+roles = inst.graph.categories()
+stream = next(s for s in inst.graph.streams if roles[s.id] is graph.Category.INPUT)
 inst.inject(stream.id, {n: {"int": 0, "float": 0.0, "text": "", "bool": False}[t]
                         for n, t in stream.schema.fields})
 print(json.dumps([len(versions), after_manifests, len(compiled)]))

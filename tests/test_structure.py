@@ -94,3 +94,26 @@ class TestTraining:
         with pytest.raises(wrapper, match=f"{app} {paradigm} ml was built for structure only") as err:
             sim.run_scenario(scenario, apps.app_version(app, paradigm, "ml"))
         assert isinstance(err.value.cause, UntrainedModelError)
+
+
+class TestAppMismatch:
+    # A scenario of one app builds no version of another, on any path, and
+    # the check comes before anything trains.
+    CASES = [
+        (("insurance_claims", "fbp", "min"), "ride_allocation"),
+        (("mblogger", "fbp", "ml"), "ride_allocation"),
+        (("ride_allocation", "soa", "ml"), "insurance_claims"),
+    ]
+
+    @pytest.mark.parametrize("version,other", CASES)
+    def test_manifest_refuses(self, monkeypatch, version, other):
+        _forbid_simulation(monkeypatch)
+        with pytest.raises(ValueError, match=f"a scenario of '{other}' cannot run a version of '{version[0]}'"):
+            metrics.manifest(apps.app_version(*version), apps.make_scenario(other, 20, 1))
+
+    @pytest.mark.parametrize("build", ["build_app", "build_structure"])
+    @pytest.mark.parametrize("version,other", CASES)
+    def test_builds_refuse_before_training(self, monkeypatch, build, version, other):
+        _forbid_simulation(monkeypatch)
+        with pytest.raises(ValueError, match=f"a scenario of '{other}' cannot run a version of '{version[0]}'"):
+            getattr(apps, build)(apps.app_version(*version), apps.make_scenario(other, 20, 1))

@@ -4,8 +4,8 @@ recompute-from-copy fold that stands in for a fold node in oracle graphs."""
 
 from __future__ import annotations
 
+from flowbench import apps
 from flowbench.graph import (
-    Category,
     FlowGraph,
     GraphBuilder,
     Schema,
@@ -25,9 +25,9 @@ def copy_transform(in_port: str, out_port: str):
 def chain_graph() -> FlowGraph:
     """i -> A -> s -> B -> o, all copies."""
     b = GraphBuilder()
-    b.stream("i", Category.INPUT, POINT)
-    b.stream("s", Category.INTERNAL, POINT)
-    b.stream("o", Category.OUTPUT, POINT)
+    b.stream("i", POINT)
+    b.stream("s", POINT)
+    b.stream("o", POINT)
     b.node("A", copy_transform("in", "out"), inputs={"in": "i"}, outputs={"out": "s"})
     b.node("B", copy_transform("in", "out"), inputs={"in": "s"}, outputs={"out": "o"})
     return b.build()
@@ -36,11 +36,11 @@ def chain_graph() -> FlowGraph:
 def diamond_graph() -> FlowGraph:
     """i -> A -> {s1, s2}; s1 -> B -> o1; s2 -> C -> o2."""
     b = GraphBuilder()
-    b.stream("i", Category.INPUT, POINT)
-    b.stream("s1", Category.INTERNAL, POINT)
-    b.stream("s2", Category.INTERNAL, POINT)
-    b.stream("o1", Category.OUTPUT, POINT)
-    b.stream("o2", Category.OUTPUT, POINT)
+    b.stream("i", POINT)
+    b.stream("s1", POINT)
+    b.stream("s2", POINT)
+    b.stream("o1", POINT)
+    b.stream("o2", POINT)
     b.node(
         "A",
         lambda inputs: {
@@ -77,7 +77,7 @@ def random_dag(seed: int, max_nodes: int = 20) -> FlowGraph:
             else:
                 sid = f"in{n_inputs:02d}"
                 n_inputs += 1
-                b.stream(sid, Category.INPUT, POINT)
+                b.stream(sid, POINT)
             if sid in in_map.values():
                 continue
             in_map[f"p{p}"] = sid
@@ -87,7 +87,7 @@ def random_dag(seed: int, max_nodes: int = 20) -> FlowGraph:
         for p in range(n_out):
             sid = f"s{n_streams:02d}"
             n_streams += 1
-            b.stream(sid, Category.INTERNAL, POINT)
+            b.stream(sid, POINT)
             out_map[f"q{p}"] = sid
             internal_pool.append(sid)
         ports = sorted(in_map)
@@ -99,15 +99,16 @@ def random_dag(seed: int, max_nodes: int = 20) -> FlowGraph:
             inputs=in_map,
             outputs=out_map,
         )
-    graph = b.build()
-    # Re-categorize produced streams: consumed -> internal, dead ends -> output.
-    streams = tuple(
-        s
-        if s.category is Category.INPUT
-        else type(s)(s.id, Category.INTERNAL if s.id in consumed else Category.OUTPUT, s.schema)
-        for s in graph.streams
-    )
-    return FlowGraph(streams, graph.nodes, graph.in_edges, graph.out_edges)
+    return b.build()
+
+
+def app_graphs() -> list[FlowGraph]:
+    """Every fbp build's graph, as its app module wires it by hand."""
+    return [
+        apps.build_structure(apps.app_version(app, "fbp", stage), apps.make_scenario(app, 1, 0)).graph
+        for app in apps.APP_NAMES
+        for stage in apps.APP_STAGES
+    ]
 
 
 def element_edges(graph: FlowGraph) -> set[tuple[str, str]]:
