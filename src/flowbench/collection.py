@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .canon import canonical_json
-from .graph import Category, FlowGraph, UnknownElementError, upstream_closure
+from .graph import FlowGraph, UnknownElementError, upstream_closure
 from .runtime import RuntimeInstance
 
 
@@ -57,12 +57,12 @@ class CollectionSpec:
 
 def discover_sources(graph: FlowGraph, label_stream: str) -> list[str]:
     """Candidate feature sources for a label: every stream the label stream
-    depends on that some node reads (an input or internal one), sorted by id."""
-    roles = graph.categories()
-    if label_stream not in roles:
+    depends on, sorted by id. Each feeds a node upstream of the label, so
+    some node reads it: it is an input or internal one."""
+    streams = graph.stream_map()
+    if label_stream not in streams:
         raise UnknownElementError(label_stream)
-    sources = upstream_closure(graph, label_stream) - {label_stream}
-    return sorted(sid for sid in sources if roles.get(sid) in (Category.INPUT, Category.INTERNAL))
+    return sorted(streams.keys() & upstream_closure(graph, label_stream) - {label_stream})
 
 
 def _check_select(instance: RuntimeInstance, sel: StreamSelect) -> None:

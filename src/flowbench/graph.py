@@ -5,13 +5,17 @@ and processing nodes (deterministic transforms, plain or folding over
 runtime-owned state). Wiring lives in the graph, not in the nodes: the
 edges are its one record, a node's ports are the port names its edges
 use, and a port's schema is that of its stream. A stream's role is read
-off its edges too (`FlowGraph.categories`): one that no node reads is an
-output, one that nodes read and none writes an input, fed from outside
-through `inject`, one that nodes read and write internal. So the whole
-program is a traversable data structure: `upstream_closure` /
-`downstream_closure` answer provenance and impact questions,
-`topological_order` schedules execution, `export_dot` renders the
-program as a picture.
+off its edges too: one that no node reads is an output, one that nodes
+read and none writes an input, fed from outside through `inject`, one
+that nodes read and write internal. So the whole program is a traversable
+data structure: `upstream_closure` / `downstream_closure` answer
+provenance and impact questions, `topological_order` schedules execution,
+`export_dot` renders the program as a picture.
+
+One index serves every reader of the edges: `FlowGraph.wiring()` groups
+them in one pass (see `Wiring`), and `validate`, the closures, the
+runtime, the manifests and the DOT export read that. Nothing caches it:
+each caller builds it once per call, the runtime once at start.
 
 Construction never fails on a malformed graph; `validate` reports every
 broken invariant as data so callers can decide what to do.
@@ -45,7 +49,7 @@ FIELD_TYPES = tuple(_PY_TYPES)
 
 
 class Category(str, Enum):
-    """Stream role, read off the edges by `FlowGraph.categories`."""
+    """Stream role, read off the edges into `Wiring.roles`."""
 
     INPUT = "input"
     INTERNAL = "internal"
@@ -128,8 +132,9 @@ class Schema:
             raise SchemaMismatchError(f"schema {self.name!r}: row must be a mapping, got {type(values).__name__}")
         extra = set(values).difference(self._index)
         if extra:
+            # By `repr`: the keys need not be of one type, or even comparable.
             raise SchemaMismatchError(
-                f"schema {self.name!r}: unexpected fields {sorted(extra)}"
+                f"schema {self.name!r}: unexpected fields {sorted(extra, key=repr)}"
             )
         row = []
         for fname, ftype in self.fields:
@@ -249,6 +254,20 @@ class OutEdge(NamedTuple):
     stream: str
 
 
+class Wiring(NamedTuple):
+    """The edges grouped by element, each list in edge order: per node id its
+    in-/out-edges (`ins`/`outs`), per stream id the ids of its reader/writer
+    nodes. Each is keyed by every declared element of its kind and every one
+    its edges name. `roles` holds each declared stream's role: no reader,
+    output; readers and a writer, internal; readers only, input."""
+
+    ins: dict[str, list[InEdge]]
+    outs: dict[str, list[OutEdge]]
+    readers: dict[str, list[str]]
+    writers: dict[str, list[str]]
+    roles: dict[str, Category]
+
+
 class FlowGraph(NamedTuple):
     streams: tuple[StreamDecl, ...]
     nodes: tuple[NodeSpec, ...]
@@ -261,20 +280,21 @@ class FlowGraph(NamedTuple):
     def node_map(self) -> dict[str, NodeSpec]:
         return {n.id: n for n in self.nodes}
 
-    def producers_of(self, stream_id: str) -> list[str]:
-        return [e.node for e in self.out_edges if e.stream == stream_id]
-
-    def consumers_of(self, stream_id: str) -> list[str]:
-        return [e.node for e in self.in_edges if e.stream == stream_id]
-
-    def categories(self) -> dict[str, Category]:
-        """Each stream's role, read off the edges (see the module docstring)."""
-        read = {e.stream for e in self.in_edges}
-        written = {e.stream for e in self.out_edges}
-        return {
-            s.id: Category.OUTPUT if s.id not in read else Category.INTERNAL if s.id in written else Category.INPUT
+    def wiring(self) -> Wiring:
+        """Index the edges in one pass (see `Wiring`)."""
+        ins, outs = {n.id: [] for n in self.nodes}, {n.id: [] for n in self.nodes}
+        readers, writers = {s.id: [] for s in self.streams}, {s.id: [] for s in self.streams}
+        for e in self.in_edges:
+            ins.setdefault(e.node, []).append(e)
+            readers.setdefault(e.stream, []).append(e.node)
+        for e in self.out_edges:
+            outs.setdefault(e.node, []).append(e)
+            writers.setdefault(e.stream, []).append(e.node)
+        roles = {
+            s.id: Category.OUTPUT if not readers[s.id] else Category.INTERNAL if writers[s.id] else Category.INPUT
             for s in self.streams
         }
+        return Wiring(ins, outs, readers, writers, roles)
 
 
 class GraphBuilder:
@@ -361,9 +381,9 @@ def topological_order(graph: FlowGraph) -> list[str]:
 def _checked_order(graph: FlowGraph) -> tuple[list[Violation], list[str]]:
     """`validate`'s report and the order of `_kahn`'s one pass.
 
-    The wiring is indexed in one pass over the edges, and acyclicity is
-    checked by the order pass: the `cycle` subject is the nodes of one
-    cycle among those it leaves out.
+    The rules read the wiring index, and acyclicity is checked by the order
+    pass: the `cycle` subject is the nodes of one cycle among those it
+    leaves out.
     """
     out: list[Violation] = []
     streams = graph.stream_map()
@@ -376,40 +396,36 @@ def _checked_order(graph: FlowGraph) -> tuple[list[Violation], list[str]]:
     for eid in sorted(streams.keys() & nodes.keys()):
         out.append(Violation("shared-id", eid, "id names both a stream and a node"))
 
-    # The wiring, indexed once: (direction, node, port) -> streams, and the
-    # nodes reading and writing each stream, all in edge order.
-    wired: dict[tuple[str, str, str], list[str]] = {}
-    consumers: dict[str, list[str]] = {}
-    producers: dict[str, list[str]] = {}
     for e in graph.in_edges:
         if e.stream not in streams:
             out.append(Violation("unknown-stream", e.stream, f"in-edge to {e.node}.{e.port} names a missing stream"))
         if e.node not in nodes:
             out.append(Violation("unknown-node", e.node, f"in-edge from {e.stream} names a missing node"))
-        wired.setdefault(("in", e.node, e.port), []).append(e.stream)
-        consumers.setdefault(e.stream, []).append(e.node)
     for e in graph.out_edges:
         if e.stream not in streams:
             out.append(Violation("unknown-stream", e.stream, f"out-edge from {e.node}.{e.port} names a missing stream"))
         if e.node not in nodes:
             out.append(Violation("unknown-node", e.node, f"out-edge to {e.stream} names a missing node"))
-        wired.setdefault(("out", e.node, e.port), []).append(e.stream)
-        producers.setdefault(e.stream, []).append(e.node)
 
+    wiring = graph.wiring()
     # A port exists where edges name it, and those edges must name one stream.
-    for (direction, nid, port), to in wired.items():
-        if len(to) > 1:
-            out.append(Violation("multi-wired-port", f"{nid}.{port}", f"{direction}-port wired to more than one stream"))
+    for direction, by_node in (("in", wiring.ins), ("out", wiring.outs)):
+        for nid, node_edges in by_node.items():
+            for port in _repeated([e.port for e in node_edges]):
+                message = f"{direction}-port wired to more than one stream"
+                out.append(Violation("multi-wired-port", f"{nid}.{port}", message))
 
     # A stream that nodes read has one writer, or none: then the world writes it.
     for s in graph.streams:
-        writers = len(producers.get(s.id, ()))
-        if writers > 1 and s.id in consumers:
+        writers = len(wiring.writers[s.id])
+        if writers > 1 and wiring.readers[s.id]:
             out.append(Violation("internal-producers", s.id, f"internal stream needs exactly one producer, has {writers}"))
 
     # Acyclicity of the node-to-node relation (each writer of a stream ->
     # each reader of it): what the order pass leaves out lies on or after a cycle.
-    edges = {(u, v) for sid, writers in producers.items() for u in writers for v in consumers.get(sid, ())}
+    edges = {
+        (u, v) for sid, writers in wiring.writers.items() for u in writers for v in wiring.readers.get(sid, ())
+    }
     order = _kahn(nodes, edges)
     left = set(nodes).difference(order)
     if left:
@@ -417,9 +433,9 @@ def _checked_order(graph: FlowGraph) -> tuple[list[Violation], list[str]]:
 
     # Orphans: every node must lie on some input -> output path.
     if graph.nodes:
-        roles = graph.categories()
-        fed = _closure(graph, [sid for sid, role in roles.items() if role is Category.INPUT], forward=True)
-        feeding = _closure(graph, [sid for sid, role in roles.items() if role is Category.OUTPUT], forward=False)
+        inputs = [sid for sid, role in wiring.roles.items() if role is Category.INPUT]
+        outputs = [sid for sid, role in wiring.roles.items() if role is Category.OUTPUT]
+        fed, feeding = _closure(graph, wiring, inputs, forward=True), _closure(graph, wiring, outputs, forward=False)
         for nid in sorted(n.id for n in graph.nodes):
             if nid not in fed or nid not in feeding:
                 out.append(Violation("orphan-node", nid, "node is not on any input-to-output path"))
@@ -473,50 +489,33 @@ def _cycle(left: set[str], edges: set[tuple[str, str]]) -> list[str]:
     return list(walk)[walk[nid]:]
 
 
-def _links(graph: FlowGraph) -> list[tuple[str, str]]:
-    """Every edge as (src, dst): stream feeds node, node feeds stream."""
-    return [(e.stream, e.node) for e in graph.in_edges] + [(e.node, e.stream) for e in graph.out_edges]
-
-
-def _neighbors(graph: FlowGraph, forward: bool) -> dict[str, set[str]]:
+def _closure(graph: FlowGraph, wiring: Wiring, starts: list[str], forward: bool) -> set[str]:
+    """Every declared element reachable from any of `starts` along edges
+    between two of them, plus the starts. Forward, a stream leads to its
+    readers and a node to the streams it writes; backward, the reverse."""
     known = {s.id for s in graph.streams} | {n.id for n in graph.nodes}
-    nbrs: dict[str, set[str]] = {k: set() for k in known}
-    for src, dst in _links(graph):
-        if src in known and dst in known:
-            if forward:
-                nbrs[src].add(dst)
-            else:
-                nbrs[dst].add(src)
-    return nbrs
-
-
-def _closure(graph: FlowGraph, starts: list[str], forward: bool) -> set[str]:
-    """Every element reachable from any of `starts`, plus the starts."""
-    nbrs = _neighbors(graph, forward)
+    to_nodes, to_streams = (wiring.readers, wiring.outs) if forward else (wiring.writers, wiring.ins)
     for start in starts:
-        if start not in nbrs:
+        if start not in known:
             raise UnknownElementError(start)
-    seen = set(starts)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in nbrs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    seen, todo = set(starts), list(starts)
+    while todo:
+        x = todo.pop()
+        for y in (*to_nodes.get(x, ()), *(e.stream for e in to_streams.get(x, ()))):
+            if y in known and y not in seen:
+                seen.add(y)
+                todo.append(y)
     return seen
 
 
 def upstream_closure(graph: FlowGraph, target: str) -> set[str]:
     """All streams and nodes from which `target` is reachable, plus itself."""
-    return _closure(graph, [target], forward=False)
+    return _closure(graph, graph.wiring(), [target], forward=False)
 
 
 def downstream_closure(graph: FlowGraph, source: str) -> set[str]:
     """All streams and nodes reachable from `source`, plus itself."""
-    return _closure(graph, [source], forward=True)
+    return _closure(graph, graph.wiring(), [source], forward=True)
 
 
 _DOT_COLORS = {
@@ -535,12 +534,14 @@ def export_dot(graph: FlowGraph) -> str:
     """
     lines = ["digraph flow {"]
     elements: list[tuple[str, str]] = []
-    roles = graph.categories()
+    wiring = graph.wiring()
     for s in graph.streams:
-        elements.append((s.id, f'  "{s.id}" [shape=box, style=filled, fillcolor={_DOT_COLORS[roles[s.id]]}];'))
+        elements.append((s.id, f'  "{s.id}" [shape=box, style=filled, fillcolor={_DOT_COLORS[wiring.roles[s.id]]}];'))
     for n in graph.nodes:
         elements.append((n.id, f'  "{n.id}" [shape=ellipse];'))
     lines.extend(stmt for _, stmt in sorted(elements))
-    lines.extend(f'  "{src}" -> "{dst}";' for src, dst in sorted(_links(graph)))
+    links = [(sid, nid) for sid, readers in wiring.readers.items() for nid in readers]
+    links += [(nid, sid) for sid, writers in wiring.writers.items() for nid in writers]
+    lines.extend(f'  "{src}" -> "{dst}";' for src, dst in sorted(links))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -49,22 +49,18 @@ def fbp_manifest(graph, version_key: str) -> ComponentManifest:
     (as in any graph `validate` passes)."""
     components: dict[str, str] = {}
     schemas: dict[str, dict] = {}  # stream id -> schema doc
-    roles = graph.categories()
+    wiring = graph.wiring()
     for s in graph.streams:
         schemas[s.id] = _schema_doc(s.schema)
         components[f"stream/{s.id}"] = fingerprint(
-            {"category": roles[s.id].value, "kind": "stream", "schema": schemas[s.id]}
+            {"category": wiring.roles[s.id].value, "kind": "stream", "schema": schemas[s.id]}
         )
     # A node's ports are its edges' ports, each with its stream's schema.
-    ins: dict[str, dict] = {n.id: {} for n in graph.nodes}
-    outs: dict[str, dict] = {n.id: {} for n in graph.nodes}
-    for e in graph.in_edges:
-        ins[e.node][e.port] = {"schema": schemas[e.stream], "stream": e.stream}
-    for e in graph.out_edges:
-        outs[e.node][e.port] = {"schema": schemas[e.stream], "stream": e.stream}
     for n in graph.nodes:
+        ins = {e.port: {"schema": schemas[e.stream], "stream": e.stream} for e in wiring.ins[n.id]}
+        outs = {e.port: {"schema": schemas[e.stream], "stream": e.stream} for e in wiring.outs[n.id]}
         components[f"node/{n.id}"] = fingerprint(
-            {"in": ins[n.id], "kind": "node", "logic_version": n.logic_version, "out": outs[n.id]}
+            {"in": ins, "kind": "node", "logic_version": n.logic_version, "out": outs}
         )
     return ComponentManifest(version_key, components)
 

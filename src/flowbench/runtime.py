@@ -32,23 +32,25 @@ marked failed: any later `step`, `inject` or `append_collected` raises
 `FailedInstanceError` naming the original node and tick. Reads still work.
 
 `inject` writes an input stream and `append_collected` an output stream
-no node writes, each role read off the edges (`FlowGraph.categories`), so
-a stream no node reads or writes is an output: `append_collected` takes it
+no node writes, each role read off the edges (`Wiring.roles`), so a
+stream no node reads or writes is an output: `append_collected` takes it
 and `inject` refuses it.
 
-`start` builds a plan once, one entry per node in topological order with
-its id, transform, fold flag and state, its in-ports' logs and cursor keys
-and, per out-port, the port name, stream id, schema, bound
+`start` builds a plan once from the graph's wiring index (see `graph`),
+the one reader of the edges here: one entry per node in topological order
+with its id, transform, fold flag and state, its in-ports' logs and cursor
+keys and, per out-port, the port name, stream id, schema, bound
 `Schema.coerce_row` and log; `step` only walks that plan. A node's ports
-are exactly those its edges name, in edge order: the edges are the one
-record of the wiring (see `graph`). Every write, `inject`,
+are exactly those its edges name, in edge order. Every write, `inject`,
 `append_collected` or a node's output, is one `coerce_row` call per
 record (an exact row takes the schema's compiled fast path, see `graph`)
 and one `tuple.__new__` that stamps the tick; `start` resolves each
 stream's `coerce_row` once. A record's place in its log is its only
 position (`read` takes one). A port's records are appended with one
 `extend` before the next port is checked, so two out-ports wired to one
-stream hold them in port order. The graph's records (`NodeSpec`, ...) are
+stream hold them in port order. Two out-ports may share a stream only when
+no node reads it; otherwise `validate` flags it as `internal-producers`,
+and `start` refuses the graph. The graph's records (`NodeSpec`, ...) are
 NamedTuples, whose field reads cost about twice an attribute read, so
 `step`, `inject` and `read` unpack what they need at start and read no
 record field per tick.
@@ -116,35 +118,30 @@ class RuntimeInstance:
     def __init__(self, graph: FlowGraph):
         self.graph = graph
         order = topological_order(graph)  # validates; raises GraphValidationError
+        wiring = graph.wiring()
         streams = graph.stream_map()
         self._logs: dict[str, list[Record]] = {s.id: [] for s in graph.streams}
-        # Stream id -> (schema, coerce_row, log): the inputs, for `inject`, and
-        # the producer-less outputs, for `append_collected`.
-        roles, produced = graph.categories(), {e.stream for e in graph.out_edges}
+        # Stream id -> (schema, coerce_row, log) for every write path: `inject` to
+        # the inputs, `append_collected` to the producer-less outputs, the out-ports.
         targets = {sid: (s.schema, s.schema.coerce_row, self._logs[sid]) for sid, s in streams.items()}
-        self._inputs = {sid: t for sid, t in targets.items() if roles[sid] is Category.INPUT}
-        self._collected = {sid: t for sid, t in targets.items() if roles[sid] is Category.OUTPUT and sid not in produced}
-        # Each node's ports, from the edges in edge order: per in-port (port,
-        # log, cursor key), per out-port (port, stream id, schema, coerce_row, log).
-        ins: dict[str, list] = {nid: [] for nid in order}
-        outs: dict[str, list] = {nid: [] for nid in order}
-        for e in graph.in_edges:
-            ins[e.node].append((e.port, self._logs[e.stream], (e.node, e.port)))
-        for e in graph.out_edges:
-            schema = streams[e.stream].schema
-            outs[e.node].append((e.port, e.stream, schema, schema.coerce_row, self._logs[e.stream]))
-        self._cursors: dict[tuple[str, str], int] = {(e.node, e.port): 0 for e in graph.in_edges}
+        self._inputs = {sid: t for sid, t in targets.items() if wiring.roles[sid] is Category.INPUT}
+        self._collected = {sid: t for sid, t in targets.items() if not wiring.readers[sid] and not wiring.writers[sid]}
         # One entry per node in topological order: (node id, transform, is a fold,
-        # fold state or None, in-ports, out-ports, out-port names). `step` walks
-        # it, looks nothing up.
+        # fold state or None, in-ports, out-ports, out-port names), each node's
+        # ports in edge order: per in-port (port, log, cursor key), per out-port
+        # (port, stream id, schema, coerce_row, log). `step` walks it, looks nothing up.
         nodes = graph.node_map()
+        self._cursors: dict[tuple[str, str], int] = {}
         self._plan = []
         for nid in order:
             node = nodes[nid]
             fold = node.init is not None
             state = node.init() if fold else None
-            names = frozenset(port for port, *_ in outs[nid])
-            self._plan.append((nid, node.transform, fold, state, tuple(ins[nid]), tuple(outs[nid]), names))
+            ins = tuple((e.port, self._logs[e.stream], (nid, e.port)) for e in wiring.ins[nid])
+            outs = tuple((e.port, e.stream, *targets[e.stream]) for e in wiring.outs[nid])
+            self._cursors.update((key, 0) for *_, key in ins)
+            names = frozenset(port for port, *_ in outs)
+            self._plan.append((nid, node.transform, fold, state, ins, outs, names))
         self._failure: str | None = None
         self.tick = 0
         self.invocations: dict[str, int] = {n.id: 0 for n in graph.nodes}
@@ -177,7 +174,7 @@ class RuntimeInstance:
         target = self._collected.get(stream_id)
         if target is None:
             self._log(stream_id)  # an unknown id raises `UnknownElementError`
-            if self.graph.categories()[stream_id] is not Category.OUTPUT:
+            if self.graph.wiring().roles[stream_id] is not Category.OUTPUT:
                 raise StreamWriteError(f"{stream_id!r} is not an output stream")
             raise StreamWriteError(f"{stream_id!r} is produced by a node")
         schema, coerce, log = target

@@ -365,7 +365,7 @@ class TestStageSurfaceMonotonicity:
         for stage in ("min", "data", "ml"):
             built = apps.build_app(apps.app_version(app, "fbp", stage), scenario)
             outputs[stage] = {
-                sid for sid, role in built.graph.categories().items() if role.value == "output"
+                sid for sid, role in built.graph.wiring().roles.items() if role.value == "output"
             }
         assert outputs["min"] <= outputs["data"] <= outputs["ml"]
 

@@ -31,14 +31,19 @@ from flowbench.graph import (
 )
 from flowbench.runtime import start
 from util_graphs import (
+    ANY_CYCLE,
+    MUTATIONS,
     POINT,
     app_graphs,
     brute_force_closure,
     chain_graph,
     copy_transform,
     diamond_graph,
+    is_node_cycle,
+    mutate,
     node_edges,
     random_dag,
+    reference_validate,
 )
 
 
@@ -47,6 +52,15 @@ def _noop(inputs):
 
 
 HAND_BUILT = [chain_graph(), diamond_graph(), *app_graphs()]
+
+
+@st.composite
+def broken_dags(draw):
+    """A `random_dag` broken by 1-4 mutations drawn from `MUTATIONS`."""
+    graph = random_dag(draw(st.integers(min_value=0, max_value=10_000)))
+    for kind in draw(st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=4)):
+        graph = mutate(graph, kind, lambda items: draw(st.sampled_from(items)))
+    return graph
 
 
 class TestSchema:
@@ -103,11 +117,12 @@ FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def reference_coerce_row(schema: Schema, values) -> tuple:
-    """Oracle: `Schema.coerce_row` as it was before its one-loop pass, and
-    refusing an int for a float field when it lies beyond float range."""
+    """Oracle: `Schema.coerce_row` as it was before its one-loop pass,
+    refusing an int for a float field when it lies beyond float range, and
+    listing unexpected keys sorted by `repr`, which any mix of types allows."""
     extra = set(values).difference(schema.field_names)
     if extra:
-        raise SchemaMismatchError(f"schema {schema.name!r}: unexpected fields {sorted(extra)}")
+        raise SchemaMismatchError(f"schema {schema.name!r}: unexpected fields {sorted(extra, key=repr)}")
     row = []
     for fname, ftype in schema.fields:
         if fname not in values:
@@ -174,7 +189,7 @@ EXACT = {"int": st.integers(-(2**70), 2**70), "float": st.floats(allow_nan=False
 @st.composite
 def schema_and_values(draw, field_names=FIELD_NAMES):
     """A schema, then a mapping that is often exactly right and otherwise off
-    by a missing or extra key or a value of a near-miss type."""
+    by a missing or extra key (of any type) or a value of a near-miss type."""
     names = draw(st.lists(st.sampled_from(field_names), min_size=1, max_size=4, unique=True))
     fields = tuple((n, draw(st.sampled_from(("int", "float", "text", "bool")))) for n in names)
     schema = Schema("s", fields)
@@ -183,7 +198,7 @@ def schema_and_values(draw, field_names=FIELD_NAMES):
         if draw(st.integers(0, 9)) == 0:
             continue  # missing
         values[fname] = draw(EXACT[ftype] if draw(st.booleans()) else VALUES)
-    for extra in draw(st.lists(st.sampled_from(("x", "y") + field_names), max_size=2)):
+    for extra in draw(st.lists(st.sampled_from(("x", "y", 3, None) + field_names), max_size=2)):
         values.setdefault(extra, draw(VALUES))
     wrap = draw(st.sampled_from((dict, dict, SubDict, MappingProxyType)))
     return schema, wrap(values)
@@ -210,6 +225,8 @@ class TestCoerceRowOracle:
             ({"n": 1, "f": 2.0, "t": "x"}, "missing field 'b'"),
             ({"n": 1, "f": 2.0, "t": "x", "b": True, "z": 0}, "unexpected fields ['z']"),
             ({"n": 1, "f": 2.0, "t": "x", "z": True}, "unexpected fields ['z']"),
+            ({"n": 1, "f": 2.0, "t": "x", "b": True, "w": 2, 3: 4}, "unexpected fields ['w', 3]"),
+            ({"n": 1, "f": 2.0, "t": "x", "b": True, None: 0, ("k",): 1, 2.5: 2}, "unexpected fields [('k',), 2.5, None]"),
             ({"n": True, "f": 2.0, "t": "x", "b": True}, "field 'n' wants int, got True"),
             ({"n": 1, "f": False, "t": "x", "b": True}, "field 'f' wants float, got False"),
             ({"n": 1, "f": 2**1100, "t": "x", "b": True}, f"field 'f' wants float, got {2**1100}"),
@@ -420,7 +437,7 @@ class TestValidate:
 
     def test_a_stream_no_node_touches_is_a_valid_output(self):
         graph = FlowGraph(streams=(StreamDecl("s", POINT),), nodes=(), in_edges=(), out_edges=())
-        assert graph.categories() == {"s": Category.OUTPUT}
+        assert graph.wiring().roles == {"s": Category.OUTPUT}
         assert validate(graph) == []
 
     def test_orphan_node_flagged(self):
@@ -462,6 +479,28 @@ class TestValidate:
         with pytest.raises(GraphValidationError, match="shared-id"):
             start(graph)
 
+    def test_a_loop_through_an_undeclared_stream_is_a_cycle(self):
+        # A -> ghost -> B -> s -> A: the edges still wire A to B, so the loop
+        # is reported with the unknown stream. Mutations rarely build this.
+        graph = FlowGraph(
+            streams=(StreamDecl("s", POINT),),
+            nodes=(NodeSpec("A", _noop), NodeSpec("B", _noop)),
+            in_edges=(InEdge("s", "A", "in"), InEdge("ghost", "B", "in")),
+            out_edges=(OutEdge("A", "out", "ghost"), OutEdge("B", "out", "s")),
+        )
+        report = {(v.code, v.subject) for v in validate(graph)}
+        assert ("cycle", "A,B") in report
+        assert {(code, ANY_CYCLE if code == "cycle" else subject) for code, subject in report} == reference_validate(graph)
+
+    @given(broken_dags())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reference_on_broken_graphs(self, graph):
+        report = validate(graph)
+        cycles = [v.subject for v in report if v.code == "cycle"]
+        assert len(cycles) <= 1
+        assert all(is_node_cycle(graph, subject) for subject in cycles)
+        assert {(v.code, ANY_CYCLE if v.code == "cycle" else v.subject) for v in report} == reference_validate(graph)
+
     def test_validate_is_idempotent_and_pure(self):
         graph = chain_graph()
         first = validate(graph)
@@ -481,8 +520,8 @@ def _roles_by_definition(graph: FlowGraph) -> dict:
 
 class TestCategories:
     def test_chain_and_diamond(self):
-        assert chain_graph().categories() == {"i": Category.INPUT, "s": Category.INTERNAL, "o": Category.OUTPUT}
-        assert diamond_graph().categories() == {
+        assert chain_graph().wiring().roles == {"i": Category.INPUT, "s": Category.INTERNAL, "o": Category.OUTPUT}
+        assert diamond_graph().wiring().roles == {
             "i": Category.INPUT, "s1": Category.INTERNAL, "s2": Category.INTERNAL,
             "o1": Category.OUTPUT, "o2": Category.OUTPUT,
         }
@@ -497,16 +536,35 @@ class TestCategories:
             out_edges=(OutEdge("A", "out", "s"), OutEdge("B", "out", "s"), OutEdge("B", "loop", "t"),
                        OutEdge("A", "u", "u")),
         )
-        assert graph.categories() == {
+        assert graph.wiring().roles == {
             "s": Category.INTERNAL, "t": Category.INTERNAL, "u": Category.OUTPUT, "v": Category.OUTPUT,
         }
 
     @given(st.one_of(st.integers(min_value=0, max_value=10_000).map(random_dag), st.sampled_from(HAND_BUILT)))
     @settings(max_examples=80, deadline=None)
     def test_each_role_is_its_definition_from_the_edges(self, graph):
-        roles = graph.categories()
+        roles = graph.wiring().roles
         assert list(roles) == [s.id for s in graph.streams]
         assert {sid: role.value for sid, role in roles.items()} == _roles_by_definition(graph)
+
+
+class TestWiring:
+    @given(st.one_of(broken_dags(), st.sampled_from(HAND_BUILT)))
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_edges_grouped_by_element_in_edge_order(self, graph):
+        # Keyed by every declared element of its kind and every one its edges name.
+        wiring = graph.wiring()
+        node_ids, stream_ids = {n.id for n in graph.nodes}, {s.id for s in graph.streams}
+        ins, outs = graph.in_edges, graph.out_edges
+        assert wiring.ins == {nid: [e for e in ins if e.node == nid] for nid in node_ids | {e.node for e in ins}}
+        assert wiring.outs == {nid: [e for e in outs if e.node == nid] for nid in node_ids | {e.node for e in outs}}
+        assert wiring.readers == {
+            sid: [e.node for e in ins if e.stream == sid] for sid in stream_ids | {e.stream for e in ins}
+        }
+        assert wiring.writers == {
+            sid: [e.node for e in outs if e.stream == sid] for sid in stream_ids | {e.stream for e in outs}
+        }
+        assert {sid: role.value for sid, role in wiring.roles.items()} == _roles_by_definition(graph)
 
 
 class TestTopologicalOrder:
@@ -728,7 +786,7 @@ class TestRandomDagProperties:
         graph = random_dag(seed)
         everything = {s.id for s in graph.streams} | {n.id for n in graph.nodes}
         covered = set()
-        for sid, role in graph.categories().items():
+        for sid, role in graph.wiring().roles.items():
             if role is Category.OUTPUT:
                 covered |= upstream_closure(graph, sid)
         # Outputs pull in every node; only never-consumed input streams may

@@ -588,7 +588,7 @@ def _drive(graph, seed, ticks=5):
     (tick, values), one per record at its log position."""
     inst = start(graph)
     rng = SplitMix64(seed)
-    inputs = [sid for sid, role in graph.categories().items() if role is Category.INPUT]
+    inputs = [sid for sid, role in graph.wiring().roles.items() if role is Category.INPUT]
     appended = dict.fromkeys(inst.stream_ids(), 0)
     for _ in range(ticks):
         for sid in inputs:
@@ -703,7 +703,7 @@ class TestActivation:
         ticks = []
         inst = start(_ticks_seen(graph, ticks))
         rng = SplitMix64(seed)
-        inputs = [sid for sid, role in graph.categories().items() if role is Category.INPUT]
+        inputs = [sid for sid, role in graph.wiring().roles.items() if role is Category.INPUT]
         for tick, inject in enumerate(inject_on):
             if inject:
                 for sid in inputs:
@@ -841,7 +841,7 @@ after_manifests = list(compiled)
 version = apps.app_version("insurance_claims", "fbp", "min")
 inst = runtime.start(apps.build_structure(version, apps.make_scenario(version.app, 10, 1)).graph)
 assert compiled == []
-roles = inst.graph.categories()
+roles = inst.graph.wiring().roles
 stream = next(s for s in inst.graph.streams if roles[s.id] is graph.Category.INPUT)
 inst.inject(stream.id, {n: {"int": 0, "float": 0.0, "text": "", "bool": False}[t]
                         for n, t in stream.schema.fields})
