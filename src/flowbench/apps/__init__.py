@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .. import sim
 from ..sim import Scenario
 from . import insurance_claims, mblogger, playlist_builder, ride_allocation
 from .base import APP_STAGES, PARADIGMS, ApiRoute, AppVersion, FbpBuild, NoTrainingRowsError, SoaBuild, UntrainedModelError
@@ -49,47 +48,31 @@ def make_scenario(app: str, ticks: int, seed: int, overrides: dict | None = None
     return Scenario(app=app, ticks=ticks, seed=seed, params=params)
 
 
-def _builder(version: AppVersion, scenario: Scenario):
+def _module(version: AppVersion, scenario: Scenario):
     if version.app != scenario.app:
         raise ValueError(f"a scenario of {scenario.app!r} cannot run a version of {version.app!r}")
-    module = _MODULES[version.app]
-    return module.build_fbp if version.paradigm == "fbp" else module.build_soa
+    return _MODULES[version.app]
 
 
-def build_app(version: AppVersion, scenario: Scenario):
-    """A runnable build of one version under `scenario`.
+def build_app(version: AppVersion, scenario: Scenario, model=None):
+    """A build of one version under `scenario`; never simulates.
 
-    The ml stage of an app that trains offline (one with a `fit_model`)
-    trains here, before building: a data-stage simulation plus a fit.
-    Its build carries only the model, as `built.model`: `sim.training_rows`
-    gives the rows again. A run that collects none raises `NoTrainingRowsError`.
-    A scenario of one app with a version of another raises `ValueError`.
+    The ml stage of an app that trains offline serves `model` (see
+    `sim.train`). Given none, its model-serving node or API is `untrained`
+    and raises `UntrainedModelError` when run. A scenario of one app with a
+    version of another raises `ValueError`.
     """
-    build = _builder(version, scenario)
-    fit_model = getattr(_MODULES[version.app], "fit_model", None)
-    if version.stage != "ml" or fit_model is None:
-        return build(version.stage, scenario)
-    rows = sim.training_rows(version.app, version.paradigm, scenario)
-    if not rows:
-        raise NoTrainingRowsError(
-            f"{version.app} {version.paradigm} ml: the training run collected no rows"
-            f" (ticks={scenario.ticks}, seed={scenario.seed}); run more ticks to train"
-        )
-    model = fit_model(rows)
-    built = build(version.stage, scenario, model)
-    built.model = model
-    return built
+    module = _module(version, scenario)
+    build = module.build_fbp if version.paradigm == "fbp" else module.build_soa
+    return build(version.stage, scenario) if model is None else build(version.stage, scenario, model)
 
 
-def build_structure(version: AppVersion, scenario: Scenario):
-    """The build of one version for inspection only; never simulates.
-
-    Same graph or registry as `build_app`, but an ml stage that trains
-    offline gets no model: its model-serving node or API raises
-    `UntrainedModelError` when run. A scenario of another app raises
-    `ValueError`, as in `build_app`.
-    """
-    return _builder(version, scenario)(version.stage, scenario)
+def trainer(version: AppVersion, scenario: Scenario):
+    """The app's `fit_model` if `version` is the ml stage of an app that
+    trains offline, else None. A scenario of another app raises
+    `ValueError`, as in `build_app`."""
+    fit_model = getattr(_module(version, scenario), "fit_model", None)
+    return fit_model if version.stage == "ml" else None
 
 
 def make_world(scenario: Scenario):
@@ -108,8 +91,8 @@ __all__ = [
     "UntrainedModelError",
     "app_version",
     "build_app",
-    "build_structure",
     "default_params",
     "make_scenario",
     "make_world",
+    "trainer",
 ]

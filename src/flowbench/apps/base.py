@@ -9,9 +9,9 @@ the rows (soa). Business logic lives in per-app shared functions so the
 two paradigms differ only in architecture.
 
 The model stage of an app that trains offline takes its fitted model as a
-build argument. Built without one (for structure only: manifests, diffs,
-graph export), the model-serving node or API is `untrained` and refuses
-to run. Worlds check their count and scale params at construction with
+build argument; `sim.train` fits it as a step of the run. Built without
+one (set-up, manifests, diffs, graph export), the model-serving node or
+API is `untrained` and refuses to run. Worlds check their count and scale params at construction with
 `checked_count` and `checked_scale`; neither converts what it is given.
 """
 
@@ -28,7 +28,7 @@ _KEY_PREFIX = {"fbp": "fb", "soa": "soa"}
 
 
 class UntrainedModelError(RuntimeError):
-    """A structure-only build of a model stage was asked to serve."""
+    """A model stage built without a model was asked to serve."""
 
 
 class NoTrainingRowsError(ValueError):
@@ -42,8 +42,8 @@ def untrained(app: str, paradigm: str) -> Callable:
 
     def refuse(*args):
         raise UntrainedModelError(
-            f"{app} {paradigm} ml was built for structure only and has no trained model;"
-            " build it with apps.build_app to run it"
+            f"{app} {paradigm} ml was built without a model;"
+            " run it with sim.execute or sim.run_scenario, which train it first"
         )
 
     return refuse
@@ -101,7 +101,6 @@ class FbpBuild:
         self.routes = routes  # event kind -> the input stream id it is injected into
         self.obs_kinds = obs_kinds  # output stream id -> observation kind
         self.collection = collection
-        self.model = None  # the fitted model, if `apps.build_app` trained one
 
 
 class SoaBuild:
@@ -109,4 +108,3 @@ class SoaBuild:
         self.registry = registry
         self.routes = routes
         self.dataset_service = dataset_service  # service with an `export_dataset` API
-        self.model = None  # the fitted model, if `apps.build_app` trained one

@@ -163,7 +163,7 @@ def _classifier(model: TreeModel):
 
 def build_fbp(stage: str, scenario: Scenario, model: TreeModel | None = None) -> FbpBuild:
     """The dataflow build; the ml stage classifies with `model` (None: a
-    structure-only build whose classifier refuses to run)."""
+    build whose classifier refuses to run)."""
     b = GraphBuilder()
     b.stream("claims", CLAIM)
     b.stream("screened_kind", SCREENED)
@@ -329,7 +329,7 @@ def _intake_service(stage: str) -> ServiceSpec:
 
 def build_soa(stage: str, scenario: Scenario, model: TreeModel | None = None) -> SoaBuild:
     """The service build; the ml stage seeds `model` into the rules store
-    (None: a structure-only build whose `predict` refuses to run)."""
+    (None: a build whose `predict` refuses to run)."""
     registry = ServiceRegistry()
     registry.register(_rules_service(stage, model is not None))
     registry.register(_payout_service(stage))

@@ -212,7 +212,7 @@ def _estimator(model: LinearModel):
 
 def build_fbp(stage: str, scenario: Scenario, model: LinearModel | None = None) -> FbpBuild:
     """The dataflow build; the ml stage estimates waits with `model` (None:
-    a structure-only build whose estimator refuses to run)."""
+    a build whose estimator refuses to run)."""
     b = GraphBuilder()
     b.stream("ride_requests", RIDE_REQUEST)
     b.stream("driver_events", DRIVER_EVENT)
@@ -415,7 +415,7 @@ def _rides_service(stage: str) -> ServiceSpec:
 
 def build_soa(stage: str, scenario: Scenario, model: LinearModel | None = None) -> SoaBuild:
     """The service build; the ml stage seeds `model` into the allocator
-    store (None: a structure-only build whose `estimate_wait` refuses to run)."""
+    store (None: a build whose `estimate_wait` refuses to run)."""
     registry = ServiceRegistry()
     registry.register(_drivers_service())
     registry.register(_allocator_service(stage, model is not None))

@@ -23,7 +23,7 @@ broken invariant as data so callers can decide what to do.
 Every record is checked on its way into a log by `Schema.coerce_row`.
 Its fast path is Python source generated for that schema and compiled
 with `exec` the first time the schema checks a row, never at import or
-for a structure-only build: a dict holding exactly the declared fields,
+for a build that never runs: a dict holding exactly the declared fields,
 each value of exactly its field's Python type, becomes the values tuple
 with one subscript and one type test per field. Anything else, an int
 for a float, a subclass, a missing or extra key, takes the full checks
@@ -363,7 +363,7 @@ def validate(graph: FlowGraph) -> list[Violation]:
     Violations are data, not exceptions: a report lists each broken rule
     with the offending element so callers can show all problems at once.
     """
-    return _checked_order(graph)[0]
+    return _checked_order(graph, graph.wiring())[0]
 
 
 def topological_order(graph: FlowGraph) -> list[str]:
@@ -372,18 +372,18 @@ def topological_order(graph: FlowGraph) -> list[str]:
     An invalid graph raises `GraphValidationError`; a valid one is ordered
     by the same Kahn pass `validate` checks acyclicity with.
     """
-    violations, order = _checked_order(graph)
+    violations, order = _checked_order(graph, graph.wiring())
     if violations:
         raise GraphValidationError(violations)
     return order
 
 
-def _checked_order(graph: FlowGraph) -> tuple[list[Violation], list[str]]:
+def _checked_order(graph: FlowGraph, wiring: Wiring) -> tuple[list[Violation], list[str]]:
     """`validate`'s report and the order of `_kahn`'s one pass.
 
-    The rules read the wiring index, and acyclicity is checked by the order
-    pass: the `cycle` subject is the nodes of one cycle among those it
-    leaves out.
+    The rules read `wiring`, the caller's `graph.wiring()`, and acyclicity
+    is checked by the order pass: the `cycle` subject is the nodes of one
+    cycle among those it leaves out.
     """
     out: list[Violation] = []
     streams = graph.stream_map()
@@ -407,7 +407,6 @@ def _checked_order(graph: FlowGraph) -> tuple[list[Violation], list[str]]:
         if e.node not in nodes:
             out.append(Violation("unknown-node", e.node, f"out-edge to {e.stream} names a missing node"))
 
-    wiring = graph.wiring()
     # A port exists where edges name it, and those edges must name one stream.
     for direction, by_node in (("in", wiring.ins), ("out", wiring.outs)):
         for nid, node_edges in by_node.items():

@@ -63,10 +63,11 @@ from typing import NamedTuple
 from .graph import (
     Category,
     FlowGraph,
+    GraphValidationError,
     Record,
     SchemaMismatchError,
     UnknownElementError,
-    topological_order,
+    _checked_order,
 )
 
 # Builds a `Record` from (schema, values, tick) without its Python `__new__`.
@@ -117,8 +118,10 @@ class RuntimeInstance:
 
     def __init__(self, graph: FlowGraph):
         self.graph = graph
-        order = topological_order(graph)  # validates; raises GraphValidationError
         wiring = graph.wiring()
+        violations, order = _checked_order(graph, wiring)
+        if violations:
+            raise GraphValidationError(violations)
         streams = graph.stream_map()
         self._logs: dict[str, list[Record]] = {s.id: [] for s in graph.streams}
         # Stream id -> (schema, coerce_row, log) for every write path: `inject` to

@@ -23,10 +23,11 @@ Every doc is `{"data": ..., "kind": ..., "tick": ...}`, keys already in
 canonical order, so only its `data` is encoded; the rest is an envelope
 made once per kind (`_Envelope`) and once per tick.
 
-A training run (`training_rows`) needs only the dataset rows, so it runs
-the same loop rows-only: the drivers make docs only of the kinds the world
-reacts to (`World.observes`), nothing is hashed, and `finish` collects or
-exports the rows without counting or publishing them.
+A run of an ml version that trains offline first fits its model (`train`)
+to the rows of a data-stage run (`training_rows`). That run needs only the
+rows, so it runs the same loop rows-only: the drivers make docs only of
+the kinds the world reacts to (`World.observes`), nothing is hashed, and
+`finish` collects or exports the rows without counting or publishing them.
 
 The world is deliberately stage-blind: it always reports everything that
 "happens" (pickups, polls, ...), and events whose kind has no route in
@@ -110,13 +111,14 @@ class RunReport(NamedTuple):
 
 
 class ExecutionResult(NamedTuple):
-    """A run's live app, rows, counts and digests: no observation documents."""
+    """A run's live app, rows, counts, digests and model: no observation documents."""
 
     built: object
     instance: object | None  # RuntimeInstance for dataflow builds
     dataset_rows: list[dict] | None  # `collection` row documents
     counts: dict  # the report counts: stream lengths or per-API calls; empty rows-only
     digests: dict[str, str]  # per observation kind, see `observation_digests`; empty rows-only
+    model: object | None  # what `train` fitted, None for a version that trains nothing
 
 
 class _FbpDriver:
@@ -241,7 +243,7 @@ class _Envelope(dict):
 
 
 def execute(scenario: Scenario, version, *, rows_only: bool = False) -> ExecutionResult:
-    """Run the full tick loop and keep the live app around for inspection.
+    """Train (`train`), build and run the full tick loop; keep the live app for inspection.
 
     Per tick, each observation is encoded once: its `data` is encoded and
     wrapped in its kind's and tick's envelope (`_Envelope`), which gives
@@ -258,7 +260,8 @@ def execute(scenario: Scenario, version, *, rows_only: bool = False) -> Executio
     """
     from . import apps  # local import: the apps import this module
 
-    built = apps.build_app(version, scenario)
+    model = train(scenario, version)
+    built = apps.build_app(version, scenario, model)
     world = apps.make_world(scenario)
     keep = frozenset(world.observes) if rows_only else None
     driver = _FbpDriver(built, keep) if version.paradigm == "fbp" else _SoaDriver(built, keep)
@@ -276,7 +279,7 @@ def execute(scenario: Scenario, version, *, rows_only: bool = False) -> Executio
                     running.update(b"\n" + text.encode())
         world.observe(tick, [doc for _, doc in encoded])
     rows, counts = driver.finish(rows_only)
-    return ExecutionResult(built, driver.instance, rows, counts, observation_digests(hashes))
+    return ExecutionResult(built, driver.instance, rows, counts, observation_digests(hashes), model)
 
 
 def observation_digests(hashes: dict[str, hashlib._Hash]) -> dict[str, str]:
@@ -309,16 +312,29 @@ def training_rows(app: str, paradigm: str, scenario: Scenario) -> list[dict]:
     not replay the exact serving workload. The run is rows-only (see
     `execute`): it returns the rows the full run would collect, without
     the digests, counts and published dataset stream of a serving run.
-    `apps.build_app` calls it, and fits the app's `fit_model` to the rows,
-    before building a model stage; structure-only builds never call it.
+    `train` is its one caller outside tests.
     """
     from . import apps
 
-    train = Scenario(
-        app=app,
-        ticks=scenario.ticks,
-        seed=derive_seed(scenario.seed, "train"),
-        params=dict(scenario.params),
-    )
-    result = execute(train, apps.app_version(app, paradigm, "data"), rows_only=True)
+    sibling = Scenario(app, scenario.ticks, derive_seed(scenario.seed, "train"), dict(scenario.params))
+    result = execute(sibling, apps.app_version(app, paradigm, "data"), rows_only=True)
     return result.dataset_rows or []
+
+
+def train(scenario: Scenario, version):
+    """The model `version` serves under `scenario`: the app's `fit_model`
+    over `training_rows`, or None for a version that trains nothing. A run
+    that collects no rows raises `NoTrainingRowsError`; a scenario of
+    another app raises `ValueError` before anything runs."""
+    from . import apps
+
+    fit_model = apps.trainer(version, scenario)
+    if fit_model is None:
+        return None
+    rows = training_rows(version.app, version.paradigm, scenario)
+    if not rows:
+        raise apps.NoTrainingRowsError(
+            f"{version.app} {version.paradigm} ml: the training run collected no rows"
+            f" (ticks={scenario.ticks}, seed={scenario.seed}); run more ticks to train"
+        )
+    return fit_model(rows)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowbench import apps
+from flowbench import apps, sim
 from flowbench.apps import insurance_claims, mblogger, playlist_builder, ride_allocation
 from flowbench.canon import canonical_json
 from flowbench.graph import upstream_closure, validate
@@ -324,8 +324,10 @@ class TestSoaServedModel:
     @pytest.mark.parametrize("app,service", (("ride_allocation", "allocator"), ("insurance_claims", "rules")))
     def test_store_serves_the_fitted_model_itself(self, app, service):
         scenario = apps.make_scenario(app, 40, 3)
-        built = apps.build_app(apps.app_version(app, "soa", "ml"), scenario)
-        assert built.registry.context_for(service).routine("get_model") is built.model
+        version = apps.app_version(app, "soa", "ml")
+        model = sim.train(scenario, version)
+        built = apps.build_app(version, scenario, model)
+        assert built.registry.context_for(service).routine("get_model") is model
 
 
 def _bot_state():

@@ -85,8 +85,8 @@ def test_a_dropped_soa_run_frees_its_registry_at_once(app, stage, collector_off)
 
 
 @pytest.mark.parametrize("app", TRAINED_APPS)
-def test_an_ml_build_keeps_only_its_own_registry(app, collector_off, monkeypatch):
-    # The training run's registry is gone by the time build_app returns.
+def test_an_ml_run_keeps_only_its_serving_registry(app, collector_off, monkeypatch):
+    # The training run's registry is gone by the time the run returns.
     made: list[weakref.ref] = []
     register = ServiceRegistry.register
 
@@ -96,10 +96,10 @@ def test_an_ml_build_keeps_only_its_own_registry(app, collector_off, monkeypatch
         register(self, spec)
 
     monkeypatch.setattr(ServiceRegistry, "register", recorded)
-    built = apps.build_app(apps.app_version(app, "soa", "ml"), apps.make_scenario(app, TICKS, SEED))
+    result = sim.execute(apps.make_scenario(app, TICKS, SEED), apps.app_version(app, "soa", "ml"))
     alive = [ref() for ref in made if ref() is not None]
     assert len(made) == 2
-    assert len(alive) == 1 and alive[0] is built.registry
+    assert len(alive) == 1 and alive[0] is result.built.registry
 
 
 def test_a_context_without_its_registry_keeps_its_store_but_cannot_call(collector_off):

@@ -65,4 +65,4 @@ def test_a_fresh_build_has_no_model():
     for paradigm in apps.PARADIGMS:
         for stage in apps.APP_STAGES:
             version = apps.app_version("ride_allocation", paradigm, stage)
-            assert apps.build_structure(version, scenario).model is None
+            assert not hasattr(apps.build_app(version, scenario), "model")

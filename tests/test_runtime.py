@@ -82,6 +82,18 @@ class TestStart:
         start(chain_graph())
         assert len(calls) == 1
 
+    def test_start_indexes_the_wiring_once(self, monkeypatch):
+        real, calls = flowbench.graph.FlowGraph.wiring, []
+
+        def counted(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(flowbench.graph.FlowGraph, "wiring", counted)
+        graph = chain_graph()
+        start(graph)
+        assert calls == [graph]
+
 
 class TestInject:
     def test_first_record_gets_tick0_at_position0(self):
@@ -814,7 +826,7 @@ class TestPortsAreEdges:
 
 
 # A schema's row checker is compiled the first time it checks a row, never
-# at import or for the structure-only builds that manifests inventory (the
+# at import or for the builds that manifests inventory, which never run (the
 # `flowbench diff` path). The spy wraps the compiler before the apps are
 # imported; the last `inject` shows it sees compiles at all.
 _COUNT_CHECKER_COMPILES = """
@@ -839,7 +851,7 @@ for version in versions:
     metrics.manifest(version)
 after_manifests = list(compiled)
 version = apps.app_version("insurance_claims", "fbp", "min")
-inst = runtime.start(apps.build_structure(version, apps.make_scenario(version.app, 10, 1)).graph)
+inst = runtime.start(apps.build_app(version, apps.make_scenario(version.app, 10, 1)).graph)
 assert compiled == []
 roles = inst.graph.wiring().roles
 stream = next(s for s in inst.graph.streams if roles[s.id] is graph.Category.INPUT)

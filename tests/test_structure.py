@@ -1,9 +1,9 @@
-"""Structure-only builds: manifests, diffs and graph export never train.
+"""Building never simulates; training is a step of the run.
 
-`apps.build_structure` gives the graph or registry of a version without
-running any simulation; the ml stage of an app that trains offline gets
-no model and refuses to run. `apps.build_app` trains first and is the
-oracle for the structure.
+`apps.build_app` gives the graph or registry of a version without running
+any simulation; the ml stage of an app that trains offline serves the
+model it is given, and without one refuses to run. `sim.train` fits that
+model, and `sim.execute` trains, then builds, once per run.
 """
 
 import pytest
@@ -25,7 +25,7 @@ VERSIONS = [
 
 def _forbid_simulation(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a structure-only path simulated")
+        raise AssertionError("a build-only path simulated")
 
     monkeypatch.setattr(sim, "training_rows", refuse)
     monkeypatch.setattr(sim, "execute", refuse)
@@ -35,7 +35,7 @@ def _forbid_simulation(monkeypatch):
 def test_structure_manifest_equals_trained_build_manifest(app, paradigm, stage):
     version = apps.app_version(app, paradigm, stage)
     scenario = apps.make_scenario(app, metrics.MANIFEST_TICKS, metrics.MANIFEST_SEED)
-    built = apps.build_app(version, scenario)
+    built = apps.build_app(version, scenario, sim.train(scenario, version))
     if paradigm == "fbp":
         trained = metrics.fbp_manifest(built.graph, version.key)
     else:
@@ -44,6 +44,12 @@ def test_structure_manifest_equals_trained_build_manifest(app, paradigm, stage):
 
 
 class TestNoSimulation:
+    @pytest.mark.parametrize("app,paradigm,stage", VERSIONS)
+    def test_build_app(self, monkeypatch, app, paradigm, stage):
+        _forbid_simulation(monkeypatch)
+        built = apps.build_app(apps.app_version(app, paradigm, stage), apps.make_scenario(app, 30, 5))
+        assert built.routes
+
     @pytest.mark.parametrize("app,paradigm,stage", VERSIONS)
     def test_manifest(self, monkeypatch, app, paradigm, stage):
         _forbid_simulation(monkeypatch)
@@ -64,9 +70,10 @@ class TestNoSimulation:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("stage", apps.APP_STAGES)
     @pytest.mark.parametrize("app", OFFLINE_APPS)
     @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
-    def test_build_app_trains_once(self, monkeypatch, app, paradigm):
+    def test_execute_trains_an_ml_run_once(self, monkeypatch, app, paradigm, stage):
         calls, returned = [], []
         training_rows = sim.training_rows
 
@@ -77,33 +84,42 @@ class TestTraining:
 
         monkeypatch.setattr(sim, "training_rows", counted)
         scenario = apps.make_scenario(app, 30, 5)
-        built = apps.build_app(apps.app_version(app, paradigm, "ml"), scenario)
+        result = sim.execute(scenario, apps.app_version(app, paradigm, stage))
+        if stage != "ml":
+            assert calls == [] and result.model is None
+            return
         assert calls == [(app, paradigm, scenario)]
         assert returned[0]
-        # The build carries the model, not the rows it was fitted to.
-        assert built.model is not None
-        assert all(value is not returned[0] for value in vars(built).values())
+        # The run keeps the model, not the rows it was fitted to.
+        assert result.model is not None
+        assert all(value is not returned[0] for value in (*result, *vars(result.built).values()))
 
     @pytest.mark.parametrize("app", OFFLINE_APPS)
     @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
-    def test_running_a_structure_only_build_refuses(self, monkeypatch, app, paradigm):
-        # Drive the structure-only build through the ordinary tick loop.
-        monkeypatch.setattr(apps, "build_app", apps.build_structure)
+    def test_running_a_build_without_a_model_refuses(self, monkeypatch, app, paradigm):
+        # Drive the model-less build through the ordinary tick loop.
+        monkeypatch.setattr(sim, "train", lambda scenario, version: None)
         scenario = apps.make_scenario(app, 20, 5)
         wrapper = NodeError if paradigm == "fbp" else HandlerError
-        with pytest.raises(wrapper, match=f"{app} {paradigm} ml was built for structure only") as err:
+        with pytest.raises(wrapper, match=f"{app} {paradigm} ml was built without a model") as err:
             sim.run_scenario(scenario, apps.app_version(app, paradigm, "ml"))
         assert isinstance(err.value.cause, UntrainedModelError)
+        assert "sim.run_scenario" in str(err.value.cause)
 
 
 class TestAppMismatch:
-    # A scenario of one app builds no version of another, on any path, and
-    # the check comes before anything trains.
+    # A scenario of one app builds or trains no version of another, on any
+    # path, and the check comes before anything trains.
     CASES = [
         (("insurance_claims", "fbp", "min"), "ride_allocation"),
         (("mblogger", "fbp", "ml"), "ride_allocation"),
         (("ride_allocation", "soa", "ml"), "insurance_claims"),
     ]
+    CALLS = {
+        "build_app": apps.build_app,
+        "trainer": apps.trainer,
+        "train": lambda version, scenario: sim.train(scenario, version),
+    }
 
     @pytest.mark.parametrize("version,other", CASES)
     def test_manifest_refuses(self, monkeypatch, version, other):
@@ -111,9 +127,9 @@ class TestAppMismatch:
         with pytest.raises(ValueError, match=f"a scenario of '{other}' cannot run a version of '{version[0]}'"):
             metrics.manifest(apps.app_version(*version), apps.make_scenario(other, 20, 1))
 
-    @pytest.mark.parametrize("build", ["build_app", "build_structure"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
     @pytest.mark.parametrize("version,other", CASES)
-    def test_builds_refuse_before_training(self, monkeypatch, build, version, other):
+    def test_builds_refuse_before_training(self, monkeypatch, call, version, other):
         _forbid_simulation(monkeypatch)
         with pytest.raises(ValueError, match=f"a scenario of '{other}' cannot run a version of '{version[0]}'"):
-            getattr(apps, build)(apps.app_version(*version), apps.make_scenario(other, 20, 1))
+            self.CALLS[call](apps.app_version(*version), apps.make_scenario(other, 20, 1))

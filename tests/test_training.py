@@ -1,10 +1,12 @@
-"""The rows-only training run against the full data-stage run it replaces.
+"""The rows-only training run against the full data-stage run it replaces,
+and the fit that `sim.train` makes of its rows.
 
 `sim.training_rows` runs the data stage rows-only: the world is shown only
 the observation kinds it declares in `World.observes`, and nothing is
 hashed, counted or published. Its rows must equal those of the full run
 on the same derived-seed scenario, which hashes and shows the world every
-observation.
+observation. Both paradigms collect the same rows, so they train the same
+model.
 """
 
 import pytest
@@ -105,7 +107,34 @@ def test_a_rows_only_claims_run_encodes_no_observation(paradigm, monkeypatch):
 def test_no_training_rows_is_a_value_error_naming_the_run(app, paradigm):
     scenario = apps.make_scenario(app, 0, 5)
     with pytest.raises(apps.NoTrainingRowsError, match="collected no rows") as info:
-        apps.build_app(apps.app_version(app, paradigm, "ml"), scenario)
+        sim.train(scenario, apps.app_version(app, paradigm, "ml"))
     assert isinstance(info.value, ValueError)
     for part in (app, paradigm, "ticks=0", "seed=5"):
         assert part in str(info.value)
+
+
+@pytest.mark.parametrize("paradigm", apps.PARADIGMS)
+@pytest.mark.parametrize("app", TRAINED_APPS)
+def test_a_run_with_no_training_rows_refuses(app, paradigm):
+    scenario = apps.make_scenario(app, 0, 5)
+    with pytest.raises(apps.NoTrainingRowsError, match="collected no rows"):
+        sim.run_scenario(scenario, apps.app_version(app, paradigm, "ml"))
+
+
+@pytest.mark.parametrize("seed", (1, 5, 9))
+@pytest.mark.parametrize("app", TRAINED_APPS)
+def test_both_paradigms_train_equal_models_from_equal_rows(app, seed):
+    scenario = apps.make_scenario(app, 200, seed)
+    rows = {p: sim.training_rows(app, p, scenario) for p in apps.PARADIGMS}
+    models = {p: sim.train(scenario, apps.app_version(app, p, "ml")) for p in apps.PARADIGMS}
+    assert rows["fbp"] and rows["fbp"] == rows["soa"]
+    assert models["fbp"] is not None and models["fbp"] == models["soa"]
+
+
+@pytest.mark.parametrize("app", apps.APP_NAMES)
+def test_only_the_ml_stage_of_an_offline_app_trains(app):
+    scenario = apps.make_scenario(app, 30, 5)
+    for paradigm in apps.PARADIGMS:
+        for stage in apps.APP_STAGES:
+            fit_model = apps.trainer(apps.app_version(app, paradigm, stage), scenario)
+            assert (fit_model is not None) == (stage == "ml" and app in TRAINED_APPS)

@@ -112,7 +112,7 @@ def random_dag(seed: int, max_nodes: int = 20) -> FlowGraph:
 def app_graphs() -> list[FlowGraph]:
     """Every fbp build's graph, as its app module wires it by hand."""
     return [
-        apps.build_structure(apps.app_version(app, "fbp", stage), apps.make_scenario(app, 1, 0)).graph
+        apps.build_app(apps.app_version(app, "fbp", stage), apps.make_scenario(app, 1, 0)).graph
         for app in apps.APP_NAMES
         for stage in apps.APP_STAGES
     ]

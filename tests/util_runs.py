@@ -22,8 +22,8 @@ def observed(scenario: Scenario, version) -> tuple[ExecutionResult, dict[str, li
     observation kind's documents in the order the world's `observe`
     received them.
 
-    Only the world built for `scenario` itself is recorded: an ml build
-    trains inside `build_app` on a world built for a sibling `Scenario`.
+    Only the world built for `scenario` itself is recorded: an ml run
+    trains first (`sim.train`) on a world built for a sibling `Scenario`.
     """
     docs: dict[str, list[dict]] = {}
     make_world = apps.make_world
