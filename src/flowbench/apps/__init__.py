@@ -58,11 +58,13 @@ def build_app(version: AppVersion, scenario: Scenario, model=None):
     """A build of one version under `scenario`; never simulates.
 
     The ml stage of an app that trains offline serves `model` (see
-    `sim.train`). Given none, its model-serving node or API is `untrained`
-    and raises `UntrainedModelError` when run. A scenario of one app with a
-    version of another raises `ValueError`.
+    `sim.train`); given none, its model-serving node or API is `untrained`
+    and raises `UntrainedModelError` when run. A `model` for any other
+    version, or a scenario of another app, raises `ValueError`.
     """
     module = _module(version, scenario)
+    if model is not None and trainer(version, scenario) is None:
+        raise ValueError(f"{version.key} trains no model and cannot be given one")
     build = module.build_fbp if version.paradigm == "fbp" else module.build_soa
     return build(version.stage, scenario) if model is None else build(version.stage, scenario, model)
 

@@ -7,10 +7,13 @@ each `(service, api)` but deliberately keeps no copy of any request or
 response document: whatever a handler does not explicitly persist is gone
 when the call returns.
 
-`register` indexes every API by `(service, api)` to its handler and the
-service's context, so a call finds both with one dict lookup. A context
-holds its registry weakly, so a dropped registry is freed at once with its
-contexts, stores and counts: a context lives as long as its registry.
+`register` gives every API one dispatch cell under `(service, api)`,
+`[handler, context, calls, in_flight]`: the registry's only per-call
+state, found with one dict lookup. A call is counted before its handler
+runs, so failed calls count too; `call_counts` is a view computed from the
+cells. Re-entrancy is checked per `(service, api)`. A context holds its
+registry weakly, so a dropped registry is freed at once with its contexts,
+stores and counts: a context lives as long as its registry.
 """
 
 from __future__ import annotations
@@ -93,12 +96,16 @@ class ServiceContext:
         return self._registry.tick
 
     def store_get(self, table: str, key: str):
-        return self._tables.get(table, {}).get(key)
+        rows = self._tables.get(table)
+        return None if rows is None else rows.get(key)
 
     def store_put(self, table: str, key: str, document: object) -> None:
         """Store one value: a document, or an immutable value such as a
         fitted model. The store keeps the object itself, not a copy."""
-        self._tables.setdefault(table, {})[key] = document
+        rows = self._tables.get(table)
+        if rows is None:
+            rows = self._tables[table] = {}
+        rows[key] = document
 
     def store_table(self, table: str) -> Mapping[str, dict]:
         """Live read-only view of one table, in insertion order.
@@ -108,12 +115,14 @@ class ServiceContext:
         while iterating its view. Reading a missing table gives an empty
         mapping and does not create the table.
         """
-        return MappingProxyType(self._tables.get(table, {}))
+        rows = self._tables.get(table)
+        return MappingProxyType({} if rows is None else rows)
 
     def routine(self, name: str, *args):
-        fn = self._routines.get(name)
-        if fn is None:
-            raise ServiceError(f"service {self.service_id!r} has no routine {name!r}")
+        try:
+            fn = self._routines[name]
+        except KeyError:
+            raise ServiceError(f"service {self.service_id!r} has no routine {name!r}") from None
         return fn(self, *args)
 
     def call(self, callee: str, api: str, request: dict) -> dict:
@@ -123,11 +132,9 @@ class ServiceContext:
 class ServiceRegistry:
     def __init__(self):
         self.tick = 0
-        self.call_counts: dict[tuple[str, str], int] = {}  # (callee, api) -> calls so far
         self._services: dict[str, ServiceSpec] = {}
-        self._apis: dict[tuple[str, str], tuple[Callable, ServiceContext]] = {}
+        self._apis: dict[tuple[str, str], list] = {}  # (service, api) -> its dispatch cell
         self._contexts: dict[str, ServiceContext] = {}
-        self._in_flight: set[tuple[str, str]] = set()
 
     def register(self, spec: ServiceSpec) -> None:
         if spec.id in self._services:
@@ -136,7 +143,12 @@ class ServiceRegistry:
         ctx = ServiceContext(spec.id, self, {r.name: r.fn for r in spec.routines})
         self._contexts[spec.id] = ctx
         for api in spec.apis:
-            self._apis[(spec.id, api.name)] = (api.handler, ctx)
+            self._apis[(spec.id, api.name)] = [api.handler, ctx, 0, False]
+
+    @property
+    def call_counts(self) -> dict[tuple[str, str], int]:
+        """`(callee, api) -> calls so far` for every API called at least once."""
+        return {key: cell[2] for key, cell in self._apis.items() if cell[2]}
 
     def service_specs(self) -> list[ServiceSpec]:
         return [self._services[sid] for sid in sorted(self._services)]
@@ -149,24 +161,20 @@ class ServiceRegistry:
         return self._contexts[service]
 
     def call(self, caller: str, callee: str, api: str, request: dict) -> dict:
-        key = (callee, api)
-        target = self._apis.get(key)
-        if target is None:
+        cell = self._apis.get((callee, api))
+        if cell is None:
             if callee not in self._services:
                 raise UnknownServiceError(f"unknown service {callee!r}")
             raise UnknownServiceError(f"service {callee!r} has no api {api!r}")
-        in_flight = self._in_flight
-        if key in in_flight:
+        if cell[3]:
             raise ReentrantCallError(f"re-entrant call to {callee}.{api}")
-        counts = self.call_counts
-        counts[key] = counts.get(key, 0) + 1
-        in_flight.add(key)
-        handler, ctx = target
+        cell[2] += 1
+        cell[3] = True
         try:
-            return handler(request, ctx)
+            return cell[0](request, cell[1])
         except ServiceError:
             raise
         except Exception as exc:
             raise HandlerError(callee, api, exc) from exc
         finally:
-            in_flight.discard(key)
+            cell[3] = False

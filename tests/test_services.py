@@ -1,10 +1,14 @@
-"""Service baseline: registry, calls, call counts, data hiding."""
+"""Service baseline: registry, calls, call counts, data hiding, and dispatch
+checked against a reference registry."""
 
 import dataclasses
 import json
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbench import apps
 from flowbench.canon import canonical_json
@@ -14,6 +18,8 @@ from flowbench.services import (
     HandlerError,
     ReentrantCallError,
     RoutineSpec,
+    ServiceContext,
+    ServiceError,
     ServiceRegistry,
     ServiceSpec,
     UnknownServiceError,
@@ -133,6 +139,20 @@ class TestCall:
         with pytest.raises(HandlerError, match="A.go"):
             reg.call("sim", "A", "go", {})
 
+    def test_call_counts_list_only_called_apis_and_count_failed_calls(self):
+        def boom(req, ctx):
+            raise RuntimeError("nope")
+
+        reg = ServiceRegistry()
+        reg.register(_echo_service())
+        reg.register(ServiceSpec("A", apis=(ApiSpec("go", boom, (), ()), ApiSpec("idle", boom, (), ()))))
+        assert reg.call_counts == {}
+        for _ in range(2):
+            with pytest.raises(HandlerError):
+                reg.call("sim", "A", "go", {})
+        reg.call("sim", "echo", "ping", {"x": 1})
+        assert reg.call_counts == {("A", "go"): 2, ("echo", "ping"): 1}
+
     def test_deterministic_given_same_call_sequence(self):
         def run():
             reg = ServiceRegistry()
@@ -190,8 +210,16 @@ class TestStores:
         assert view["a"] == {"v": 2}
         assert len(view) == 2
 
+    def test_put_into_an_existing_table_keeps_insertion_order(self):
+        ctx = self._ctx()
+        for key, value in (("b", 1), ("a", 2), ("c", 3), ("b", 4)):
+            ctx.store_put("t", key, {"v": value})
+        assert list(ctx.store_table("t").items()) == [("b", {"v": 4}), ("a", {"v": 2}), ("c", {"v": 3})]
+        assert list(ctx._tables) == ["t"]
+
     def test_reading_a_missing_table_creates_nothing(self):
         ctx = self._ctx()
+        assert ctx.store_get("t", "k") is None
         assert ctx.store_table("t") == {}
         assert len(ctx.store_table("t")) == 0
         assert "t" not in ctx._tables
@@ -237,6 +265,204 @@ class TestEphemerality:
             _containers(ctx._tables, held)
         assert id(marker) not in held and id(response) not in held
         assert reg.context_for("echo").store_table("anything") == {}
+
+
+class _ReferenceContext(ServiceContext):
+    """The store and routine paths as they were before the dispatch cells:
+    every read and write goes through a default `{}`."""
+
+    def store_get(self, table, key):
+        return self._tables.get(table, {}).get(key)
+
+    def store_put(self, table, key, document):
+        self._tables.setdefault(table, {})[key] = document
+
+    def store_table(self, table):
+        return MappingProxyType(self._tables.get(table, {}))
+
+    def routine(self, name, *args):
+        fn = self._routines.get(name)
+        if fn is None:
+            raise ServiceError(f"service {self.service_id!r} has no routine {name!r}")
+        return fn(self, *args)
+
+
+class _ReferenceRegistry:
+    """The oracle for `ServiceRegistry`: the dispatch it replaced, with a
+    `(handler, context)` index, a set of the APIs in flight and a dict of
+    call counts beside the call."""
+
+    def __init__(self):
+        self.tick = 0
+        self.call_counts: dict[tuple[str, str], int] = {}
+        self._services: dict[str, ServiceSpec] = {}
+        self._apis: dict[tuple[str, str], tuple] = {}
+        self._contexts: dict[str, ServiceContext] = {}
+        self._in_flight: set[tuple[str, str]] = set()
+
+    def register(self, spec):
+        self._services[spec.id] = spec
+        ctx = _ReferenceContext(spec.id, self, {r.name: r.fn for r in spec.routines})
+        self._contexts[spec.id] = ctx
+        for api in spec.apis:
+            self._apis[(spec.id, api.name)] = (api.handler, ctx)
+
+    def call(self, caller, callee, api, request):
+        key = (callee, api)
+        target = self._apis.get(key)
+        if target is None:
+            if callee not in self._services:
+                raise UnknownServiceError(f"unknown service {callee!r}")
+            raise UnknownServiceError(f"service {callee!r} has no api {api!r}")
+        in_flight = self._in_flight
+        if key in in_flight:
+            raise ReentrantCallError(f"re-entrant call to {callee}.{api}")
+        counts = self.call_counts
+        counts[key] = counts.get(key, 0) + 1
+        in_flight.add(key)
+        handler, ctx = target
+        try:
+            return handler(request, ctx)
+        except ServiceError:
+            raise
+        except Exception as exc:
+            raise HandlerError(callee, api, exc) from exc
+        finally:
+            in_flight.discard(key)
+
+
+# A plan step. `call` and `try` name a target API by indexes taken modulo
+# the graph's sizes, so any API may call any other, itself included; `try`
+# answers with the type and message of a service error instead of raising.
+_STEPS = st.one_of(
+    st.tuples(st.just("call"), st.integers(0, 4), st.integers(0, 2)),
+    st.tuples(st.just("try"), st.integers(0, 4), st.integers(0, 2)),
+    st.tuples(st.just("put"), st.sampled_from("tu"), st.sampled_from("ab")),
+    st.tuples(st.just("get"), st.sampled_from("tuv"), st.sampled_from("ab")),
+    st.tuples(st.just("table"), st.sampled_from("tuv")),
+    st.sampled_from((("raise",), ("no_routine",), ("no_api",))),
+)
+# Per service (2-5), per API (1-3): its plan.
+_GRAPHS = st.lists(st.lists(st.lists(_STEPS, max_size=4), min_size=1, max_size=3), min_size=2, max_size=5)
+# Top-level calls by service and API index, taken modulo the graph's sizes.
+_TOP_CALLS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1, max_size=6)
+_BUDGET = 60  # handler runs in one registry's life before each answers {}
+
+
+def _serve(registry_class, graph) -> tuple[object, dict]:
+    """A registry of `registry_class` where service `s<i>` has APIs
+    `a<j>`, each running `graph[i][j]` step by step, and the state its
+    handlers share: set `quiet` and every handler answers `{}` at once.
+    Every handler run spends one of `_BUDGET`; once it is spent, handlers
+    answer `{}` too, which bounds the calls of a cyclic plan."""
+    state = {"budget": _BUDGET, "quiet": False}
+
+    def target(step):
+        s = step[1] % len(graph)
+        return f"s{s}", f"a{step[2] % len(graph[s])}"
+
+    def handler(plan):
+        def run(request, ctx):
+            state["budget"] -= 1
+            if state["quiet"] or state["budget"] < 0:
+                return {}
+            out = {}
+            for i, step in enumerate(plan):
+                kind = step[0]
+                if kind == "call":
+                    out[i] = ctx.call(*target(step), {})
+                elif kind == "try":
+                    try:
+                        out[i] = ctx.call(*target(step), {})
+                    except ServiceError as exc:
+                        out[i] = (type(exc).__name__, str(exc))
+                elif kind == "put":
+                    ctx.routine("put", step[1], step[2], (ctx.tick, state["budget"]))
+                elif kind == "get":
+                    out[i] = ctx.routine("get", step[1], step[2])
+                elif kind == "table":
+                    out[i] = ctx.routine("table", step[1])
+                elif kind == "raise":
+                    raise ValueError(f"{ctx.service_id} fails at step {i}")
+                elif kind == "no_routine":
+                    ctx.routine("missing")
+                else:
+                    ctx.call(ctx.service_id, "ghost", {})
+            return out
+
+        return run
+
+    routines = (
+        RoutineSpec("put", lambda ctx, table, key, doc: ctx.store_put(table, key, doc)),
+        RoutineSpec("get", lambda ctx, table, key: ctx.store_get(table, key)),
+        RoutineSpec("table", lambda ctx, table: list(ctx.store_table(table).items())),
+    )
+    registry = registry_class()
+    for s, plans in enumerate(graph):
+        apis = tuple(ApiSpec(f"a{a}", handler(plan), (), ()) for a, plan in enumerate(plans))
+        registry.register(ServiceSpec(f"s{s}", apis, routines))
+    return registry, state
+
+
+def _run_top_calls(registry, graph, calls) -> list:
+    """Each top-level call's response, or its error's type and message,
+    then those of a call to an unknown service and to an unknown API; the
+    registry's tick is the call's index."""
+    names = [(f"s{s % len(graph)}", f"a{a % len(graph[s % len(graph)])}") for s, a in calls]
+    outcomes = []
+    for tick, (service, api) in enumerate([*names, ("ghost", "a0"), ("s0", "ghost")]):
+        registry.tick = tick
+        try:
+            outcomes.append(registry.call("sim", service, api, {}))
+        except ServiceError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+def _served(registry_class, graph, calls) -> tuple:
+    """Everything a run of `calls` shows: the outcomes, the call counts,
+    the recorded calls and every store, tables and rows in order."""
+    registry, state = _serve(registry_class, graph)
+    with recorded_calls(registry_class) as recorded:
+        outcomes = _run_top_calls(registry, graph, calls)
+    stores = {
+        sid: [(table, list(rows.items())) for table, rows in ctx._tables.items()]
+        for sid, ctx in registry._contexts.items()
+    }
+    served = (outcomes, dict(registry.call_counts), recorded[registry], stores)
+    # No API is left in flight, whatever failed: with every plan silenced,
+    # every API answers a top-level call.
+    state["quiet"] = True
+    for s, plans in enumerate(graph):
+        for a in range(len(plans)):
+            assert registry.call("sim", f"s{s}", f"a{a}", {}) == {}, (s, a)
+    return served
+
+
+class TestDispatchOracle:
+    @given(graph=_GRAPHS, calls=_TOP_CALLS)
+    @settings(max_examples=300, deadline=None)
+    def test_dispatch_equals_the_reference(self, graph, calls):
+        assert _served(ServiceRegistry, graph, calls) == _served(_ReferenceRegistry, graph, calls)
+
+    @pytest.mark.parametrize("mode,error", (("raise", HandlerError), ("reenter", ReentrantCallError)))
+    def test_no_api_is_left_in_flight_after_a_deep_failure(self, mode, error):
+        # A.go -> B.go -> C.go, and C.go fails or calls A.go again.
+        def last(req, ctx):
+            if req.get("mode") == "raise":
+                raise RuntimeError("deep")
+            return ctx.call("A", "go", req) if req.get("mode") == "reenter" else {}
+
+        reg = ServiceRegistry()
+        reg.register(ServiceSpec("C", apis=(ApiSpec("go", last, (), ()),)))
+        for caller, callee in (("B", "C"), ("A", "B")):
+            forward = ApiSpec("go", lambda req, ctx, c=callee: ctx.call(c, "go", req), (), ())
+            reg.register(ServiceSpec(caller, apis=(forward,)))
+        with pytest.raises(error):
+            reg.call("sim", "A", "go", {"mode": mode})
+        for service in ("A", "B", "C"):
+            assert reg.call("sim", service, "go", {}) == {}
+        assert reg.call_counts == {("A", "go"): 2, ("B", "go"): 3, ("C", "go"): 4}
 
 
 @pytest.mark.parametrize("stage", apps.APP_STAGES)

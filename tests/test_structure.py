@@ -69,6 +69,24 @@ class TestNoSimulation:
         assert capsys.readouterr().out.startswith("digraph flow {")
 
 
+class TestGivenModel:
+    # Only a version that trains offline is built with a given model; any
+    # other refuses it, naming itself, instead of failing in its builder or
+    # dropping the model.
+    @pytest.mark.parametrize("app,paradigm,stage", VERSIONS)
+    def test_build_app(self, monkeypatch, app, paradigm, stage):
+        _forbid_simulation(monkeypatch)
+        version, scenario = apps.app_version(app, paradigm, stage), apps.make_scenario(app, 30, 5)
+        trains = stage == "ml" and app in OFFLINE_APPS
+        assert (apps.trainer(version, scenario) is not None) == trains
+        model = object()
+        if trains:
+            assert apps.build_app(version, scenario, model).routes
+        else:
+            with pytest.raises(ValueError, match=f"^{version.key} trains no model and cannot be given one$"):
+                apps.build_app(version, scenario, model)
+
+
 class TestTraining:
     @pytest.mark.parametrize("stage", apps.APP_STAGES)
     @pytest.mark.parametrize("app", OFFLINE_APPS)

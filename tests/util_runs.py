@@ -51,24 +51,24 @@ def observed(scenario: Scenario, version) -> tuple[ExecutionResult, dict[str, li
 
 
 @contextmanager
-def recorded_calls():
-    """Within the block, record every `ServiceRegistry.call` as it starts:
-    per registry, `(caller, callee, api, tick)` in call order, so a call
-    comes before the calls its handler makes. The tick is the registry's
-    when the call starts.
+def recorded_calls(registry_class: type = ServiceRegistry):
+    """Within the block, record every `call` of `registry_class` as it
+    starts: per registry, `(caller, callee, api, tick)` in call order, so a
+    call comes before the calls its handler makes. The tick is the
+    registry's when the call starts.
 
     Yields the registry -> calls mapping; the registries in it stay alive
     until the block ends.
     """
-    calls: defaultdict[ServiceRegistry, list[tuple[str, str, str, int]]] = defaultdict(list)
-    call = ServiceRegistry.call
+    calls: defaultdict[object, list[tuple[str, str, str, int]]] = defaultdict(list)
+    call = registry_class.call
 
     def recording(self, caller, callee, api, request):
         calls[self].append((caller, callee, api, self.tick))
         return call(self, caller, callee, api, request)
 
-    ServiceRegistry.call = recording
+    registry_class.call = recording
     try:
         yield calls
     finally:
-        ServiceRegistry.call = call
+        registry_class.call = call
