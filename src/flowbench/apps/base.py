@@ -3,10 +3,13 @@
 Every application ships six builds (two paradigms, three stages). A build
 bundles the artifact itself (graph or service registry) with the routing
 tables the simulation needs: which event kinds it can deliver and which
-outputs are observable. A data or ml build also names its dataset: a
-`CollectionSpec` (fbp), or the service whose `export_dataset` API returns
-the rows (soa). Business logic lives in per-app shared functions so the
-two paradigms differ only in architecture.
+outputs are observable. A data or ml build also has its dataset. An fbp
+build names only its `CollectionSpec`: `FbpBuild` adds the dataset stream
+the spec derives (`collection.with_dataset`), and refuses a spec that
+does not fit the graph with a `CollectionError`. A soa build's exporter
+is the one service with an `export_dataset` API, which returns the rows.
+Business logic lives in per-app shared functions so the two paradigms
+differ only in architecture.
 
 The model stage of an app that trains offline takes its fitted model as a
 build argument; `sim.train` fits it as a step of the run. Built without
@@ -20,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+from ..collection import with_dataset
 
 APP_STAGES = ("min", "data", "ml")
 PARADIGMS = ("fbp", "soa")
@@ -97,14 +102,13 @@ class ApiRoute(NamedTuple):
 
 class FbpBuild:
     def __init__(self, graph, routes: dict[str, str], obs_kinds: dict[str, str], collection=None):
-        self.graph = graph
+        self.graph = graph if collection is None else with_dataset(graph, collection)
         self.routes = routes  # event kind -> the input stream id it is injected into
         self.obs_kinds = obs_kinds  # output stream id -> observation kind
         self.collection = collection
 
 
 class SoaBuild:
-    def __init__(self, registry, routes: dict[str, ApiRoute], dataset_service: str | None = None):
+    def __init__(self, registry, routes: dict[str, ApiRoute]):
         self.registry = registry
         self.routes = routes
-        self.dataset_service = dataset_service  # service with an `export_dataset` API

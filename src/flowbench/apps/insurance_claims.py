@@ -22,7 +22,6 @@ from .base import ApiRoute, FbpBuild, SoaBuild, untrained
 DEFAULT_PARAMS = {"claim_rate": 4.0}
 
 KINDS = ("auto", "home", "health")
-DECISIONS = ("fast_track", "manual_review", "reject", "standard")
 FEATURE_FIELDS = ("amount", "flagged", "kind", "prior_claims")
 TREE_DEPTH = 4
 
@@ -42,29 +41,8 @@ CLAIM = Schema(
         ("flagged", "bool"),
     ),
 )
-SCREENED = Schema(
-    "screened_claim",
-    (
-        ("claim_id", "int"),
-        ("kind", "text"),
-        ("amount", "float"),
-        ("prior_claims", "int"),
-        ("flagged", "bool"),
-        ("decision", "text"),
-    ),
-)
+SCREENED = Schema("screened_claim", (*CLAIM.fields, ("decision", "text")))
 DECISION = Schema("decision", (("claim_id", "int"), ("decision", "text")))
-CLAIMS_DATASET = Schema(
-    "claims_dataset",
-    (
-        ("claim_id", "int"),
-        ("amount", "float"),
-        ("flagged", "bool"),
-        ("kind", "text"),
-        ("prior_claims", "int"),
-        ("decision", "text"),
-    ),
-)
 
 
 # ----------------------------------------------------------------------
@@ -90,8 +68,6 @@ def rule_kind(claim) -> str:
 
 def claim_route(claim) -> str:
     """The full rule chain, evaluated in fixed order."""
-    if claim["kind"] not in KINDS:
-        raise ValueError(f"unknown claim kind {claim['kind']!r}")
     return rule_flagged(claim) or rule_amount(claim) or rule_kind(claim)
 
 
@@ -204,16 +180,11 @@ def build_fbp(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
         outputs={"decisions": "decisions"},
     )
 
-    collection = None
-    if stage in ("data", "ml"):
-        b.stream("claims_dataset", CLAIMS_DATASET)
-        collection = COLLECTION
-
     return FbpBuild(
         b.build(),
         routes={"claim": "claims"},
         obs_kinds={"decisions": "decision"},
-        collection=collection,
+        collection=COLLECTION if stage in ("data", "ml") else None,
     )
 
 
@@ -337,11 +308,7 @@ def build_soa(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
     if model is not None:
         registry.context_for("rules").routine("put_model", model)
 
-    return SoaBuild(
-        registry,
-        routes={"claim": ApiRoute("intake", "submit_claim", obs_kind="decision")},
-        dataset_service="intake" if stage in ("data", "ml") else None,
-    )
+    return SoaBuild(registry, routes={"claim": ApiRoute("intake", "submit_claim", obs_kind="decision")})
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ busy until the ride completes, and tracks realized pickup waits.
 
 Data stage: the realized waits become labels, the allocation context
 (distance, free-driver count, time of day) the features; the pairing is
-declared as a dataset output stream and assembled by the collection
-tooling. Model stage: a regression over that dataset (`fit_model`) estimates
+declared once, as the collection spec the dataset output stream is derived
+from, and assembled by the collection tooling. Model stage: a regression over that dataset (`fit_model`) estimates
 the pickup wait for every new allocation.
 """
 
@@ -59,16 +59,6 @@ ASSIGNMENT = Schema(
 PICKUP_WAIT = Schema("pickup_wait", (("ride_id", "int"), ("wait_time", "float")))
 WAIT_ESTIMATE = Schema(
     "wait_estimate", (("ride_id", "int"), ("estimated_wait", "float"))
-)
-WAIT_DATASET = Schema(
-    "wait_dataset",
-    (
-        ("ride_id", "int"),
-        ("distance", "float"),
-        ("n_available", "int"),
-        ("tod", "int"),
-        ("wait_time", "float"),
-    ),
 )
 
 
@@ -242,10 +232,6 @@ def build_fbp(stage: str, scenario: Scenario, model: LinearModel | None = None) 
         outputs={"waits": "pickup_waits"},
     )
 
-    collection = None
-    if stage in ("data", "ml"):
-        b.stream("wait_dataset", WAIT_DATASET)
-        collection = COLLECTION
     if stage == "ml":
         b.stream("wait_estimates", WAIT_ESTIMATE)
         b.node(
@@ -264,7 +250,7 @@ def build_fbp(stage: str, scenario: Scenario, model: LinearModel | None = None) 
         "raw_pickup": "raw_pickups",
         "ride_request": "ride_requests",
     }
-    return FbpBuild(b.build(), routes, obs_kinds, collection)
+    return FbpBuild(b.build(), routes, obs_kinds, COLLECTION if stage in ("data", "ml") else None)
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +418,7 @@ def build_soa(stage: str, scenario: Scenario, model: LinearModel | None = None) 
     if stage == "ml":
         routes["estimate_poll"] = ApiRoute("allocator", "estimate_wait", obs_kind="wait_estimate")
 
-    return SoaBuild(registry, routes, dataset_service="rides" if stage in ("data", "ml") else None)
+    return SoaBuild(registry, routes)
 
 
 # ----------------------------------------------------------------------

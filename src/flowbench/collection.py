@@ -14,6 +14,11 @@ A dataset row is one plain document, `{"features": {...}, "key": k,
 "label": {...}}`, from `join` to the model fit: the same dict is what an
 `export_dataset` response carries, what `publish_rows` flattens into the
 dataset stream and what `write_dataset` writes as one line.
+
+A `CollectionSpec` is the one record of a dataset. An fbp data stage
+names only its spec: `with_dataset` checks the spec against the graph
+when the app is built and declares the dataset stream, whose schema it
+reads off the selected streams in the order `publish_rows` writes a row.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .canon import canonical_json
-from .graph import FlowGraph, UnknownElementError, upstream_closure
+from .graph import FlowGraph, Schema, StreamDecl, UnknownElementError, upstream_closure
 from .runtime import RuntimeInstance
 
 
@@ -53,6 +58,10 @@ class CollectionSpec:
             raise CollectionError(
                 f"feature fields must be unique across the spec, repeated: {sorted(dupes)}"
             )
+        row = [self.label.key_field, *names, *self.label.fields]  # a dataset stream record
+        dupes = {n for n in row if row.count(n) > 1}
+        if dupes:
+            raise CollectionError(f"the key, feature and label fields must differ, repeated: {sorted(dupes)}")
 
 
 def discover_sources(graph: FlowGraph, label_stream: str) -> list[str]:
@@ -65,16 +74,42 @@ def discover_sources(graph: FlowGraph, label_stream: str) -> list[str]:
     return sorted(streams.keys() & upstream_closure(graph, label_stream) - {label_stream})
 
 
-def _check_select(instance: RuntimeInstance, sel: StreamSelect) -> None:
-    decl = instance.graph.stream_map().get(sel.stream_id)
-    if decl is None:
-        raise CollectionError(f"spec references missing stream {sel.stream_id!r}")
-    names = decl.schema.field_names
-    for f in sel.fields + (sel.key_field,):
-        if f not in names:
-            raise CollectionError(
-                f"stream {sel.stream_id!r} has no field {f!r} (wanted by the spec)"
-            )
+def _checked_schemas(graph: FlowGraph, spec: CollectionSpec) -> tuple[Schema, list[Schema]]:
+    """The schemas of the label stream and of each feature stream of `spec`.
+
+    Every selected stream and field must exist in `graph`, and each key
+    must be of the label key's type.
+    """
+    streams, schemas = graph.stream_map(), []
+    for sel in (spec.label, *spec.features):
+        decl = streams.get(sel.stream_id)
+        if decl is None:
+            raise CollectionError(f"spec references missing stream {sel.stream_id!r}")
+        for f in sel.fields + (sel.key_field,):
+            if f not in decl.schema.field_names:
+                raise CollectionError(f"stream {sel.stream_id!r} has no field {f!r} (wanted by the spec)")
+        key_type = (schemas[0] if schemas else decl.schema).field_type(spec.label.key_field)
+        if decl.schema.field_type(sel.key_field) != key_type:
+            raise CollectionError(f"key field {sel.key_field!r} of {sel.stream_id!r} is not of type {key_type!r}")
+        schemas.append(decl.schema)
+    return schemas[0], schemas[1:]
+
+
+def with_dataset(graph: FlowGraph, spec: CollectionSpec) -> FlowGraph:
+    """`graph` plus the dataset stream `publish_rows` fills, declared last.
+
+    Its schema is the row `publish_rows` writes: the key, typed as in the
+    label stream, then each feature select's fields in spec order, then the
+    label fields, each typed as in its stream. A spec that does not fit
+    `graph` raises `CollectionError`, as `collect` would.
+    """
+    label, features = _checked_schemas(graph, spec)
+    fields = [(spec.label.key_field, label.field_type(spec.label.key_field))]
+    for sel, schema in zip(spec.features, features):
+        fields += [(f, schema.field_type(f)) for f in sel.fields]
+    fields += [(f, label.field_type(f)) for f in spec.label.fields]
+    name = spec.dataset_name
+    return graph._replace(streams=graph.streams + (StreamDecl(name, Schema(name, tuple(fields))),))
 
 
 def _index(sel: StreamSelect, docs) -> dict:
@@ -122,15 +157,7 @@ def collect(instance: RuntimeInstance, spec: CollectionSpec) -> list[dict]:
     The selected streams and fields must exist, and key types must agree
     across the selected streams.
     """
-    _check_select(instance, spec.label)
-    streams = instance.graph.stream_map()
-    key_type = streams[spec.label.stream_id].schema.field_type(spec.label.key_field)
-    for sel in spec.features:
-        _check_select(instance, sel)
-        if streams[sel.stream_id].schema.field_type(sel.key_field) != key_type:
-            raise CollectionError(
-                f"key field {sel.key_field!r} of {sel.stream_id!r} is not of type {key_type!r}"
-            )
+    _checked_schemas(instance.graph, spec)
     return join(
         spec,
         instance.read(spec.label.stream_id),
@@ -139,7 +166,7 @@ def collect(instance: RuntimeInstance, spec: CollectionSpec) -> list[dict]:
 
 
 def publish_rows(instance: RuntimeInstance, spec: CollectionSpec, rows: list[dict]) -> int:
-    """Materialize collected rows into the declared dataset stream.
+    """Materialize collected rows into the dataset stream `with_dataset` declared.
 
     The dataset stream is an output stream with no producing node; the
     runtime owns its write path, so the rest of the graph is untouched.

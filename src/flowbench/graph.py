@@ -26,10 +26,12 @@ with `exec` the first time the schema checks a row, never at import or
 for a build that never runs: a dict holding exactly the declared fields,
 each value of exactly its field's Python type, becomes the values tuple
 with one subscript and one type test per field. Anything else, an int
-for a float, a subclass, a missing or extra key, takes the full checks
-with their messages. A `Record` is a tuple underneath (schema, values,
-tick), built by the runtime with `tuple.__new__`: no attributes, no Python
-`__new__`, still immutable. Its place in its log is its only position.
+for a float, a subclass, a missing or extra key, the checker answers
+None, and `coerce_row` takes the full checks with their messages. The
+checker holds nothing of its schema, so a schema is no reference cycle.
+A `Record` is a tuple underneath (schema, values, tick), built by the
+runtime with `tuple.__new__`: no attributes, no Python `__new__`, still
+immutable. Its place in its log is its only position.
 """
 
 from __future__ import annotations
@@ -117,9 +119,10 @@ class Schema:
         checker; any other input takes the full checks, which raise on it
         or widen it.
         """
-        return self._check(values)
+        # A values tuple is never empty, so only a non-exact row is falsy here.
+        return self._check(values) or self._full_check(values)
 
-    def _check(self, values: Mapping[str, Any]) -> tuple:
+    def _check(self, values: Mapping[str, Any]) -> tuple | None:
         # First call only: compile this schema's checker and cache it on the
         # instance like `field_names`, where it shadows this method.
         check = _compile_checker(self)
@@ -177,11 +180,14 @@ class Record(namedtuple("Record", ("schema", "values", "tick"))):
         return dict(zip(self.schema.field_names, self.values))
 
 
-def _compile_checker(schema: Schema) -> Callable[[Mapping[str, Any]], tuple]:
-    """Generate and compile `schema`'s row checker (see the module docstring).
+def _compile_checker(schema: Schema) -> Callable[[Mapping[str, Any]], tuple | None]:
+    """Generate and compile `schema`'s row checker (see the module docstring):
+    the values tuple of an exact row, None for any other.
 
     Field names reach the source only as `repr` of an exact `str`, checked
-    in `Schema.__post_init__`; values are bound to `v0`, `v1`, ...
+    in `Schema.__post_init__`; values are bound to `v0`, `v1`, ... The
+    checker refers to nothing but builtins, and is defined apart from its
+    globals: a schema that dies is freed by reference counting.
     """
     names = [f"v{i}" for i in range(len(schema.fields))]
     reads = "".join(
@@ -200,11 +206,10 @@ def _compile_checker(schema: Schema) -> Callable[[Mapping[str, Any]], tuple]:
         "        else:\n"
         f"            if {exact}:\n"
         f"                return ({', '.join(names)},)\n"
-        "    return full(values)\n"
     )
-    namespace = {"full": schema._full_check}
-    exec(compile(source, f"<row checker {schema.name!r}>", "exec"), namespace)
-    return namespace["check"]
+    defined: dict[str, Callable] = {}
+    exec(compile(source, f"<row checker {schema.name!r}>", "exec"), {}, defined)
+    return defined["check"]
 
 
 class StreamDecl(NamedTuple):

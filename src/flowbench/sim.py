@@ -168,7 +168,9 @@ class _FbpDriver:
 class _SoaDriver:
     """Delivers each event as one API call and observes the responses of
     routes that name a kept observation kind (`keep`: the kinds to observe,
-    None for all); every call is made either way."""
+    None for all); every call is made either way. The dataset exporter is
+    the service with an `export_dataset` API; a build where two have one is
+    refused with `ValueError` before any tick."""
 
     instance = None
 
@@ -176,6 +178,10 @@ class _SoaDriver:
         self.built = built
         self.registry = built.registry
         fields = {(s.id, a.name): a.request_fields for s in self.registry.service_specs() for a in s.apis}
+        exporters = [sid for sid, api in fields if api == "export_dataset"]
+        if len(exporters) > 1:
+            raise ValueError(f"services {exporters} each have an export_dataset API; a build exports one dataset")
+        self._exporter = exporters[0] if exporters else None
         # event kind -> (service, api, request fields, obs_kind or None if not kept, observe_when)
         self._routes = {
             kind: (
@@ -203,13 +209,12 @@ class _SoaDriver:
         return batch
 
     def finish(self, rows_only: bool) -> tuple[list[dict] | None, dict]:
-        """The exported rows and the registry's per-API call counts, the
-        export included, as `api/<service>.<api>` in key order; rows-only:
-        the rows alone."""
-        service = self.built.dataset_service
+        """The rows the one service with an `export_dataset` API exports and
+        the registry's per-API call counts, the export included, as
+        `api/<service>.<api>` in key order; rows-only: the rows alone."""
         rows = None
-        if service is not None:
-            rows = self.registry.call("sim", service, "export_dataset", {})["rows"]
+        if self._exporter is not None:
+            rows = self.registry.call("sim", self._exporter, "export_dataset", {})["rows"]
         if rows_only:
             return rows, {}
         counts = {f"api/{callee}.{api}": n for (callee, api), n in self.registry.call_counts.items()}

@@ -13,6 +13,7 @@ from flowbench.canon import canonical_json
 from flowbench.graph import upstream_closure, validate
 from flowbench.mlkit import fit_bigram, nearest_rank
 from flowbench.rng import SplitMix64, derive_seed
+from flowbench.runtime import start
 from flowbench.sim import execute
 from util_graphs import nested_scan_timeline
 
@@ -145,21 +146,44 @@ class TestClaimRoute:
             insurance_claims.claim_route(claim)
 
     def test_chain_matches_rule_composition(self):
-        # The chained per-rule functions and the one-shot router must agree.
-        rng = SplitMix64(derive_seed(17, "chain"))
-        for _ in range(200):
-            claim = {
-                "kind": ("auto", "home", "health")[rng.randrange(3)],
-                "amount": rng.uniform(0, 30000),
-                "prior_claims": rng.randrange(6),
-                "flagged": rng.random() < 0.2,
-            }
-            chained = (
+        # The chained per-rule functions and the one-shot router must agree,
+        # on unknown kinds too: equal results, or the same `ValueError`.
+        def outcome(route, claim):
+            try:
+                return route(claim)
+            except ValueError as exc:
+                return ("ValueError", str(exc))
+
+        def chained(claim):
+            return (
                 insurance_claims.rule_flagged(claim)
                 or insurance_claims.rule_amount(claim)
                 or insurance_claims.rule_kind(claim)
             )
-            assert chained == insurance_claims.claim_route(claim)
+
+        rng = SplitMix64(derive_seed(17, "chain"))
+        for _ in range(400):
+            claim = {
+                "kind": ("auto", "home", "health", "boat")[rng.randrange(4)],
+                "amount": rng.uniform(0, 30000),
+                "prior_claims": rng.randrange(6),
+                "flagged": rng.random() < 0.2,
+            }
+            assert outcome(chained, claim) == outcome(insurance_claims.claim_route, claim)
+        boat = {"kind": "boat", "amount": 500.0, "prior_claims": 0, "flagged": True}
+        assert insurance_claims.claim_route(boat) == "reject"
+        with pytest.raises(ValueError, match="unknown claim kind 'boat'"):
+            insurance_claims.claim_route({**boat, "flagged": False})
+
+    def test_both_paradigms_reject_a_flagged_unknown_kind(self):
+        claim = {"claim_id": 1, "kind": "boat", "amount": 500.0, "prior_claims": 0, "flagged": True}
+        scenario = apps.make_scenario("insurance_claims", 10, 1)
+        inst = start(insurance_claims.build_fbp("min", scenario).graph)
+        inst.inject("claims", claim)
+        inst.step()
+        assert [r.as_dict() for r in inst.read("decisions")] == [{"claim_id": 1, "decision": "reject"}]
+        registry = insurance_claims.build_soa("min", scenario).registry
+        assert registry.call("sim", "intake", "submit_claim", claim) == {"claim_id": 1, "decision": "reject"}
 
     def test_soa_list_decisions_hands_out_copies(self):
         scenario = apps.make_scenario("insurance_claims", 10, 1)

@@ -137,6 +137,22 @@ class TestCollect:
                 dataset_name="d",
             )
 
+    @pytest.mark.parametrize(
+        "label,features",
+        [
+            (("wait",), ("ride", "dist")),  # the key again as a feature
+            (("wait",), ("dist", "wait")),  # a label field as a feature
+            (("ride", "wait"), ("dist",)),  # the key again as a label field
+        ],
+    )
+    def test_a_dataset_row_holds_each_field_once(self, label, features):
+        with pytest.raises(CollectionError, match="the key, feature and label fields must differ"):
+            CollectionSpec(
+                label=StreamSelect("waits", label, "ride"),
+                features=(StreamSelect("feats", features, "ride"),),
+                dataset_name="d",
+            )
+
 
 def _two_feature_spec():
     return CollectionSpec(

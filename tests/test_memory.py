@@ -14,6 +14,7 @@ import weakref
 import pytest
 
 from flowbench import apps, metrics, sim
+from flowbench.graph import Schema
 from flowbench.services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 
 TICKS, SEED = 40, 3
@@ -124,3 +125,16 @@ def test_a_context_without_its_registry_keeps_its_store_but_cannot_call(collecto
     assert dict(ctx.store_table("notes")) == {"b": {"n": 1}}
     with pytest.raises(ReferenceError):
         ctx.call("svc", "ping", {})
+
+
+def test_a_schema_that_checked_rows_is_no_cycle(collector_off):
+    # A per-build schema (a derived dataset stream's) dies with its build:
+    # its compiled checker must not lead back to it.
+    def check_rows():
+        schema = Schema("s", (("n", "int"), ("f", "float")))
+        assert schema.coerce_row({"n": 1, "f": 2.0}) == (1, 2.0)  # exact: the compiled checker
+        assert schema.coerce_row({"n": 1, "f": 2}) == (1, 2.0)  # widened: the full checks
+        return weakref.ref(schema)
+
+    assert cyclic_garbage(check_rows) == 0
+    assert check_rows()() is None

@@ -13,6 +13,7 @@ from flowbench.apps import UntrainedModelError
 from flowbench.cli import main
 from flowbench.runtime import NodeError
 from flowbench.services import HandlerError
+from util_runs import forbid_simulation
 
 OFFLINE_APPS = ("insurance_claims", "ride_allocation")
 VERSIONS = [
@@ -21,14 +22,6 @@ VERSIONS = [
     for paradigm in apps.PARADIGMS
     for stage in apps.APP_STAGES
 ]
-
-
-def _forbid_simulation(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a build-only path simulated")
-
-    monkeypatch.setattr(sim, "training_rows", refuse)
-    monkeypatch.setattr(sim, "execute", refuse)
 
 
 @pytest.mark.parametrize("app,paradigm,stage", VERSIONS)
@@ -46,25 +39,25 @@ def test_structure_manifest_equals_trained_build_manifest(app, paradigm, stage):
 class TestNoSimulation:
     @pytest.mark.parametrize("app,paradigm,stage", VERSIONS)
     def test_build_app(self, monkeypatch, app, paradigm, stage):
-        _forbid_simulation(monkeypatch)
+        forbid_simulation(monkeypatch)
         built = apps.build_app(apps.app_version(app, paradigm, stage), apps.make_scenario(app, 30, 5))
         assert built.routes
 
     @pytest.mark.parametrize("app,paradigm,stage", VERSIONS)
     def test_manifest(self, monkeypatch, app, paradigm, stage):
-        _forbid_simulation(monkeypatch)
+        forbid_simulation(monkeypatch)
         assert metrics.manifest(apps.app_version(app, paradigm, stage)).components
 
     @pytest.mark.parametrize("app", OFFLINE_APPS)
     @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
     def test_cli_diff(self, monkeypatch, capsys, app, paradigm):
-        _forbid_simulation(monkeypatch)
+        forbid_simulation(monkeypatch)
         assert main(["diff", app, "data", "ml", "--paradigm", paradigm]) == 0
         assert "affected_count" in capsys.readouterr().out
 
     @pytest.mark.parametrize("app", OFFLINE_APPS)
     def test_cli_graph(self, monkeypatch, capsys, app):
-        _forbid_simulation(monkeypatch)
+        forbid_simulation(monkeypatch)
         assert main(["graph", app, "ml"]) == 0
         assert capsys.readouterr().out.startswith("digraph flow {")
 
@@ -75,7 +68,7 @@ class TestGivenModel:
     # dropping the model.
     @pytest.mark.parametrize("app,paradigm,stage", VERSIONS)
     def test_build_app(self, monkeypatch, app, paradigm, stage):
-        _forbid_simulation(monkeypatch)
+        forbid_simulation(monkeypatch)
         version, scenario = apps.app_version(app, paradigm, stage), apps.make_scenario(app, 30, 5)
         trains = stage == "ml" and app in OFFLINE_APPS
         assert (apps.trainer(version, scenario) is not None) == trains
@@ -141,13 +134,13 @@ class TestAppMismatch:
 
     @pytest.mark.parametrize("version,other", CASES)
     def test_manifest_refuses(self, monkeypatch, version, other):
-        _forbid_simulation(monkeypatch)
+        forbid_simulation(monkeypatch)
         with pytest.raises(ValueError, match=f"a scenario of '{other}' cannot run a version of '{version[0]}'"):
             metrics.manifest(apps.app_version(*version), apps.make_scenario(other, 20, 1))
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     @pytest.mark.parametrize("version,other", CASES)
     def test_builds_refuse_before_training(self, monkeypatch, call, version, other):
-        _forbid_simulation(monkeypatch)
+        forbid_simulation(monkeypatch)
         with pytest.raises(ValueError, match=f"a scenario of '{other}' cannot run a version of '{version[0]}'"):
             self.CALLS[call](apps.app_version(*version), apps.make_scenario(other, 20, 1))

@@ -1,5 +1,5 @@
 """Shared helpers: record what a run's world was shown and which service
-calls a registry served.
+calls a registry served; forbid simulation on a build-only path.
 
 A run keeps no observation documents; the world's `observe` is the one
 place they are seen, so tests that check them record them there. A
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 
-from flowbench import apps
+from flowbench import apps, sim
 from flowbench.services import ServiceRegistry
 from flowbench.sim import ExecutionResult, Scenario, execute
 
@@ -72,3 +72,14 @@ def recorded_calls(registry_class: type = ServiceRegistry):
         yield calls
     finally:
         registry_class.call = call
+
+
+def forbid_simulation(monkeypatch) -> None:
+    """Make any training run or `sim.execute` fail the test: for paths that
+    must build without simulating."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a build-only path simulated")
+
+    monkeypatch.setattr(sim, "training_rows", refuse)
+    monkeypatch.setattr(sim, "execute", refuse)
