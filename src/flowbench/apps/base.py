@@ -9,7 +9,10 @@ the spec derives (`collection.with_dataset`), and refuses a spec that
 does not fit the graph with a `CollectionError`. A soa build's exporter
 is the one service with an `export_dataset` API, which returns the rows.
 Business logic lives in per-app shared functions so the two paradigms
-differ only in architecture.
+differ only in architecture; shared functions also build each record both
+twins emit, which the fbp node and the soa handler both call, and an API
+carrying such a record (or a world event) declares its schema's
+`field_names` as its wire fields.
 
 The model stage of an app that trains offline takes its fitted model as a
 build argument; `sim.train` fits it as a step of the run. Built without

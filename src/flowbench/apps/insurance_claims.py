@@ -83,6 +83,11 @@ def claim_features(claim) -> tuple[float, ...]:
     )
 
 
+def decision_row(claim_id, decision: str) -> dict:
+    """A claim's final decision, as the payout path records it."""
+    return {"claim_id": claim_id, "decision": decision}
+
+
 COLLECTION = CollectionSpec(
     label=StreamSelect("decisions", ("decision",), "claim_id"),
     features=(StreamSelect("claims", FEATURE_FIELDS, "claim_id"),),
@@ -117,12 +122,7 @@ def _screen(rule):
 
 
 def _payout(inputs):
-    return {
-        "decisions": [
-            {"claim_id": r["claim_id"], "decision": r["decision"]}
-            for r in inputs["screened"]
-        ]
-    }
+    return {"decisions": [decision_row(r["claim_id"], r["decision"]) for r in inputs["screened"]]}
 
 
 def _classifier(model: TreeModel):
@@ -204,7 +204,7 @@ def _rules_service(stage: str, trained: bool) -> ServiceSpec:
                 ApiSpec(
                     "predict",
                     predict if trained else untrained("insurance_claims", "soa"),
-                    ("kind", "amount", "prior_claims", "flagged"),
+                    FEATURE_FIELDS,
                     ("decision",),
                 ),
             ),
@@ -230,10 +230,10 @@ def _rules_service(stage: str, trained: bool) -> ServiceSpec:
 
 def _payout_service(stage: str) -> ServiceSpec:
     def process(req, ctx):
-        ctx.routine("save_payout", {"claim_id": req["claim_id"], "decision": req["decision"]})
+        ctx.routine("save_payout", decision_row(req["claim_id"], req["decision"]))
         return {"claim_id": req["claim_id"]}
 
-    apis = [ApiSpec("process", process, ("claim_id", "decision"), ("claim_id",))]
+    apis = [ApiSpec("process", process, DECISION.field_names, ("claim_id",))]
     routines = [
         RoutineSpec("save_payout", lambda ctx, doc: ctx.store_put("payouts", str(doc["claim_id"]), doc)),
     ]
@@ -247,8 +247,7 @@ def _payout_service(stage: str) -> ServiceSpec:
 
 
 def _intake_service(stage: str) -> ServiceSpec:
-    def submit_claim_min(req, ctx):
-        ctx.routine("save_claim", dict(req))
+    def screened(req, ctx):
         decision = ctx.call("rules", "check_flagged", {"flagged": req["flagged"]})["decision"]
         if not decision:
             decision = ctx.call("rules", "check_amount", {"amount": req["amount"]})["decision"]
@@ -258,30 +257,25 @@ def _intake_service(stage: str) -> ServiceSpec:
                 "check_kind",
                 {"kind": req["kind"], "amount": req["amount"], "prior_claims": req["prior_claims"]},
             )["decision"]
-        ctx.call("payout", "process", {"claim_id": req["claim_id"], "decision": decision})
-        return {"claim_id": req["claim_id"], "decision": decision}
+        return decision
 
-    def submit_claim_ml(req, ctx):
+    def predicted(req, ctx):
+        return ctx.call("rules", "predict", {f: req[f] for f in FEATURE_FIELDS})["decision"]
+
+    decide = predicted if stage == "ml" else screened
+
+    def submit_claim(req, ctx):
         ctx.routine("save_claim", dict(req))
-        decision = ctx.call(
-            "rules",
-            "predict",
-            {
-                "kind": req["kind"],
-                "amount": req["amount"],
-                "prior_claims": req["prior_claims"],
-                "flagged": req["flagged"],
-            },
-        )["decision"]
-        ctx.call("payout", "process", {"claim_id": req["claim_id"], "decision": decision})
-        return {"claim_id": req["claim_id"], "decision": decision}
+        row = decision_row(req["claim_id"], decide(req, ctx))
+        ctx.call("payout", "process", dict(row))
+        return row
 
     apis = [
         ApiSpec(
             "submit_claim",
-            submit_claim_ml if stage == "ml" else submit_claim_min,
-            ("claim_id", "kind", "amount", "prior_claims", "flagged"),
-            ("claim_id", "decision"),
+            submit_claim,
+            CLAIM.field_names,
+            DECISION.field_names,
             logic_version="v2" if stage == "ml" else "v1",
         )
     ]

@@ -79,6 +79,15 @@ def build_timeline(user_id, edges, posts, limit: int = TIMELINE_LIMIT) -> list[i
     return recent_posts(followed_at, by_author, limit)
 
 
+def timeline(user_id, post_ids) -> dict:
+    """A user's timeline: its post ids, newest first, comma-joined."""
+    return {"user_id": user_id, "post_ids": ",".join(str(i) for i in post_ids)}
+
+
+def bot_post(user_id, text: str) -> dict:
+    return {"user_id": user_id, "text": text}
+
+
 def bot_text(state: dict, new_texts: list[str], master_seed: int) -> str:
     """Add a corpus's new texts to its bot state, the bigram counts and the
     corpus size (`{"counts": {}, "seen": 0}` at first), and emit one post;
@@ -111,7 +120,7 @@ def _timeline_node(inputs, state):
     out = []
     for req in inputs["requests"]:
         ids = recent_posts(followed_at.get(req["user_id"], {}), by_author, TIMELINE_LIMIT)
-        out.append({"user_id": req["user_id"], "post_ids": ",".join(str(i) for i in ids)})
+        out.append(timeline(req["user_id"], ids))
     return {"timelines": out}
 
 
@@ -134,7 +143,7 @@ def _bot_node(target: str, master_seed: int):
     def transform(inputs, state):
         texts = [r["text"] for r in inputs["corpus"] if r["user_id"] == target]
         text = bot_text(state, texts, master_seed)
-        return {"posts": [{"user_id": target, "text": text}] if text else []}
+        return {"posts": [bot_post(target, text)] if text else []}
 
     return transform
 
@@ -213,7 +222,7 @@ def _users_service() -> ServiceSpec:
     return ServiceSpec(
         "users",
         apis=(
-            ApiSpec("follow", follow, ("follower", "followee"), ("follower", "followee")),
+            ApiSpec("follow", follow, FOLLOW.field_names, FOLLOW.field_names),
             ApiSpec("list_follows", list_follows, (), ("edges",)),
         ),
         routines=(
@@ -251,7 +260,7 @@ def _posts_service(stage: str) -> ServiceSpec:
             ApiSpec(
                 "create_post",
                 create_post,
-                ("post_id", "author", "text"),
+                POST.field_names,
                 ("post_id",),
                 logic_version="v2" if fan_out else "v1",
             ),
@@ -271,10 +280,9 @@ def _timeline_service(stage: str, scenario: Scenario) -> ServiceSpec:
             (post_id, author, tick)
             for post_id, author, _text, tick in ctx.call("posts", "list_posts", {})["posts"]
         ]
-        ids = build_timeline(req["user_id"], edges, posts)
-        return {"user_id": req["user_id"], "post_ids": ",".join(str(i) for i in ids)}
+        return timeline(req["user_id"], build_timeline(req["user_id"], edges, posts))
 
-    apis = [ApiSpec("get_timeline", get_timeline, ("user_id",), ("user_id", "post_ids"))]
+    apis = [ApiSpec("get_timeline", get_timeline, TIMELINE_REQUEST.field_names, TIMELINE.field_names)]
     routines: list[RoutineSpec] = []
     if stage in ("data", "ml"):
         def record_interest(req, ctx):
@@ -306,11 +314,9 @@ def _timeline_service(stage: str, scenario: Scenario) -> ServiceSpec:
             state = ctx.routine("get_bot_state", req["user_id"])
             text = bot_text(state, corpus[state["seen"]:], seed)
             ctx.routine("put_bot_state", req["user_id"], state)
-            return {"user_id": req["user_id"], "text": text}
+            return bot_post(req["user_id"], text)
 
-        apis.append(
-            ApiSpec("generate_bot_post", generate_bot_post, ("user_id",), ("user_id", "text"))
-        )
+        apis.append(ApiSpec("generate_bot_post", generate_bot_post, ("user_id",), BOT_POST.field_names))
         routines.extend(
             (
                 RoutineSpec(

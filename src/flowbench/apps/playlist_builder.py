@@ -60,6 +60,11 @@ def sample_playlist(catalog, k, rng, min_gross=None) -> list[str]:
     return rng.sample(titles, k)
 
 
+def playlist(request_id, genre, titles) -> dict:
+    """A built playlist: its titles in draw order, `|`-joined."""
+    return {"request_id": request_id, "genre": genre, "titles": "|".join(titles)}
+
+
 # ----------------------------------------------------------------------
 # Dataflow build
 # ----------------------------------------------------------------------
@@ -83,9 +88,7 @@ def _builder(master_seed: int):
             titles = sample_playlist(
                 catalogs.get(req["genre"], ()), req["k"], rng, thresholds.get(req["genre"])
             )
-            out.append(
-                {"request_id": req["request_id"], "genre": req["genre"], "titles": "|".join(titles)}
-            )
+            out.append(playlist(req["request_id"], req["genre"], titles))
         return {"playlists": out}
 
     return transform
@@ -181,7 +184,7 @@ def _catalog_service(stage: str) -> ServiceSpec:
         ApiSpec(
             "add_movie",
             add_movie,
-            ("title", "genre", "gross"),
+            MOVIE.field_names,
             ("title",),
             logic_version="v2" if track_stats else "v1",
         ),
@@ -225,7 +228,7 @@ def _builder_service(stage: str, scenario: Scenario) -> ServiceSpec:
                 min_gross = stats["q75"]
         rng = request_rng(seed, req["request_id"])
         titles = sample_playlist([(title, gross) for title, _, gross in movies], req["k"], rng, min_gross)
-        return {"request_id": req["request_id"], "genre": req["genre"], "titles": "|".join(titles)}
+        return playlist(req["request_id"], req["genre"], titles)
 
     return ServiceSpec(
         "builder",
@@ -233,8 +236,8 @@ def _builder_service(stage: str, scenario: Scenario) -> ServiceSpec:
             ApiSpec(
                 "build_playlist",
                 build_playlist,
-                ("request_id", "genre", "k"),
-                ("request_id", "genre", "titles"),
+                PLAYLIST_REQUEST.field_names,
+                PLAYLIST.field_names,
                 logic_version="v2" if filtered else "v1",
             ),
         ),

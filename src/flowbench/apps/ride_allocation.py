@@ -100,6 +100,21 @@ def feature_vector(doc) -> tuple[float, ...]:
     return tuple(float(doc[f]) for f in FEATURE_FIELDS)
 
 
+def assignment(alloc) -> dict:
+    """The rider-facing part of an allocation."""
+    return {"ride_id": alloc["ride_id"], "driver_id": alloc["driver_id"], "matched": alloc["matched"]}
+
+
+def pickup_wait(ride_id, pickup_time, request_tick) -> dict:
+    """A realized wait: pickup time less the tick the ride was requested."""
+    return {"ride_id": ride_id, "wait_time": pickup_time - request_tick}
+
+
+def wait_estimate(model: LinearModel, alloc) -> dict:
+    """`model`'s wait prediction for one allocation."""
+    return {"ride_id": alloc["ride_id"], "estimated_wait": predict_linear(model, feature_vector(alloc))}
+
+
 COLLECTION = CollectionSpec(
     label=StreamSelect("pickup_waits", ("wait_time",), "ride_id"),
     features=(StreamSelect("allocations", FEATURE_FIELDS, "ride_id"),),
@@ -157,12 +172,7 @@ def _allocator(inputs, fleet: _Fleet):
 
 
 def _publisher(inputs):
-    return {
-        "assignments": [
-            {"ride_id": r["ride_id"], "driver_id": r["driver_id"], "matched": r["matched"]}
-            for r in inputs["allocations"]
-        ]
-    }
+    return {"assignments": [assignment(r) for r in inputs["allocations"]]}
 
 
 def _tracker(inputs, by_ride: dict):
@@ -174,28 +184,13 @@ def _tracker(inputs, by_ride: dict):
         alloc = by_ride.get(pickup["ride_id"])
         if alloc is None or not alloc["matched"]:
             continue
-        out.append(
-            {
-                "ride_id": pickup["ride_id"],
-                "wait_time": pickup["pickup_time"] - alloc["request_tick"],
-            }
-        )
+        out.append(pickup_wait(pickup["ride_id"], pickup["pickup_time"], alloc["request_tick"]))
     return {"waits": out}
 
 
 def _estimator(model: LinearModel):
     def transform(inputs):
-        out = []
-        for alloc in inputs["allocations"]:
-            if not alloc["matched"]:
-                continue
-            out.append(
-                {
-                    "ride_id": alloc["ride_id"],
-                    "estimated_wait": predict_linear(model, feature_vector(alloc)),
-                }
-            )
-        return {"estimates": out}
+        return {"estimates": [wait_estimate(model, a) for a in inputs["allocations"] if a["matched"]]}
 
     return transform
 
@@ -280,7 +275,7 @@ def _drivers_service() -> ServiceSpec:
     return ServiceSpec(
         "drivers",
         apis=(
-            ApiSpec("register", register, ("driver_id", "x", "y"), ("driver_id",)),
+            ApiSpec("register", register, DRIVER_EVENT.field_names, ("driver_id",)),
             ApiSpec("set_busy", set_availability(False), ("driver_id",), ("driver_id",)),
             ApiSpec("set_available", set_availability(True), ("driver_id",), ("driver_id",)),
             ApiSpec("list_available", list_available, (), ("drivers",)),
@@ -308,8 +303,8 @@ def _allocator_service(stage: str, trained: bool) -> ServiceSpec:
         ApiSpec(
             "allocate",
             allocate,
-            ("ride_id", "rider_x", "rider_y", "request_tick"),
-            ("ride_id", "driver_id", "matched", "distance", "n_available", "request_tick", "tod"),
+            (*RIDE_REQUEST.field_names, "request_tick"),
+            ALLOCATION.field_names,
             logic_version="v2" if store_allocations else "v1",
         )
     ]
@@ -328,13 +323,10 @@ def _allocator_service(stage: str, trained: bool) -> ServiceSpec:
     if stage == "ml":
         def estimate_wait(req, ctx):
             alloc = ctx.routine("get_allocations").get(str(req["ride_id"]))
-            return {
-                "ride_id": req["ride_id"],
-                "estimated_wait": predict_linear(ctx.routine("get_model"), feature_vector(alloc)),
-            }
+            return wait_estimate(ctx.routine("get_model"), alloc)
 
         handler = estimate_wait if trained else untrained("ride_allocation", "soa")
-        apis.append(ApiSpec("estimate_wait", handler, ("ride_id",), ("ride_id", "estimated_wait")))
+        apis.append(ApiSpec("estimate_wait", handler, ("ride_id",), WAIT_ESTIMATE.field_names))
         routines.extend(
             (
                 RoutineSpec("put_model", lambda ctx, model: ctx.store_put("models", "wait", model)),
@@ -353,35 +345,21 @@ def _rides_service(stage: str) -> ServiceSpec:
             "request_tick": ctx.tick,
         }
         ctx.routine("save_ride", ride)
-        alloc = ctx.call(
-            "allocator",
-            "allocate",
-            {
-                "ride_id": req["ride_id"],
-                "rider_x": req["rider_x"],
-                "rider_y": req["rider_y"],
-                "request_tick": ctx.tick,
-            },
-        )
-        return {
-            "ride_id": alloc["ride_id"],
-            "driver_id": alloc["driver_id"],
-            "matched": alloc["matched"],
-        }
+        return assignment(ctx.call("allocator", "allocate", dict(ride)))
 
     def record_pickup(req, ctx):
         ride = ctx.routine("get_ride", req["ride_id"])
-        wait = req["pickup_time"] - ride["request_tick"]
-        ctx.routine("save_pickup", {"ride_id": req["ride_id"], "wait_time": wait})
-        return {"ride_id": req["ride_id"], "wait_time": wait}
+        row = pickup_wait(req["ride_id"], req["pickup_time"], ride["request_tick"])
+        ctx.routine("save_pickup", dict(row))
+        return row
 
     def record_completion(req, ctx):
         ctx.call("drivers", "set_available", {"driver_id": req["driver_id"]})
         return {"ride_id": req["ride_id"]}
 
     apis = [
-        ApiSpec("request_ride", request_ride, ("ride_id", "rider_x", "rider_y"), ("ride_id", "driver_id", "matched")),
-        ApiSpec("record_pickup", record_pickup, ("ride_id", "pickup_time"), ("ride_id", "wait_time")),
+        ApiSpec("request_ride", request_ride, RIDE_REQUEST.field_names, ASSIGNMENT.field_names),
+        ApiSpec("record_pickup", record_pickup, RAW_PICKUP.field_names, PICKUP_WAIT.field_names),
         ApiSpec("record_completion", record_completion, ("ride_id", "driver_id"), ("ride_id",)),
     ]
     routines = [

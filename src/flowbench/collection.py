@@ -50,15 +50,8 @@ class CollectionSpec:
     dataset_name: str
 
     def __post_init__(self):
-        names: list[str] = []
-        for sel in self.features:
-            names.extend(sel.fields)
-        dupes = {n for n in names if names.count(n) > 1}
-        if dupes:
-            raise CollectionError(
-                f"feature fields must be unique across the spec, repeated: {sorted(dupes)}"
-            )
-        row = [self.label.key_field, *names, *self.label.fields]  # a dataset stream record
+        features = [f for sel in self.features for f in sel.fields]
+        row = [self.label.key_field, *features, *self.label.fields]  # a dataset stream record
         dupes = {n for n in row if row.count(n) > 1}
         if dupes:
             raise CollectionError(f"the key, feature and label fields must differ, repeated: {sorted(dupes)}")

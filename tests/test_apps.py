@@ -16,6 +16,7 @@ from flowbench.rng import SplitMix64, derive_seed
 from flowbench.runtime import start
 from flowbench.sim import execute
 from util_graphs import nested_scan_timeline
+from util_runs import observed
 
 
 RIDE_COORDS = st.one_of(st.sampled_from([0.0, 1.0, 3.0, -3.0, 4.0]), st.floats(-50.0, 50.0))
@@ -451,6 +452,37 @@ class TestCrossParadigmDigests:
         soa = execute(scenario, apps.app_version(app, "soa", stage)).digests
         kinds = [k for k in self.KINDS[app] if k != "bot_post" or stage == "ml"]
         assert {k: fbp[k] for k in kinds} == {k: soa[k] for k in kinds}
+
+
+class TestRecordParity:
+    """Each record both twins emit has its schema's fields, in order, at
+    every stage that emits it, in both paradigms."""
+
+    # kind -> (app, its schema, the stages that emit it)
+    RECORDS = {
+        "assignment": ("ride_allocation", ride_allocation.ASSIGNMENT, apps.APP_STAGES),
+        "pickup_wait": ("ride_allocation", ride_allocation.PICKUP_WAIT, apps.APP_STAGES),
+        "wait_estimate": ("ride_allocation", ride_allocation.WAIT_ESTIMATE, ("ml",)),
+        "decision": ("insurance_claims", insurance_claims.DECISION, apps.APP_STAGES),
+        "timeline": ("mblogger", mblogger.TIMELINE, apps.APP_STAGES),
+        "bot_post": ("mblogger", mblogger.BOT_POST, ("ml",)),
+        "playlist": ("playlist_builder", playlist_builder.PLAYLIST, apps.APP_STAGES),
+    }
+    NOT_SHARED = {
+        "corpus": "fbp only: the soa twin publishes no interest corpora (the data-discovery gap)",
+        "genre_stats": "another protocol: soa answers every poll and adds n_movies",
+    }
+
+    @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
+    @pytest.mark.parametrize("stage", apps.APP_STAGES)
+    @pytest.mark.parametrize("app", apps.APP_NAMES)
+    def test_each_record_has_its_schema_fields(self, app, stage, paradigm):
+        _, docs = observed(apps.make_scenario(app, 120, 1), apps.app_version(app, paradigm, stage))
+        expected = {kind for kind, (a, _, stages) in self.RECORDS.items() if a == app and stage in stages}
+        assert docs.keys() - self.NOT_SHARED.keys() == expected
+        for kind in expected:
+            schema = self.RECORDS[kind][1]
+            assert {tuple(doc["data"]) for doc in docs[kind]} == {schema.field_names}, kind
 
 
 class TestFeatureDiscoverability:

@@ -1,8 +1,7 @@
-"""Canonical JSON: the shared encoder's bytes, what it refuses, the
-fallback used where `json`'s C encoder is missing, and the observation
-envelope the tick loop wraps around an encoded `data`."""
+"""Canonical JSON: the shared encoder's bytes against the stdlib
+encoder's, what it refuses, and the observation envelope the tick loop
+wraps around an encoded `data`."""
 
-import importlib
 import json
 import math
 
@@ -70,43 +69,12 @@ def test_a_container_holding_itself_is_refused():
     assert canonical_json(doc) == '{"a":[1]}'
 
 
-class TestFallbackEncoder:
-    """`canon` reloaded as if `json.encoder.c_make_encoder` were None."""
-
-    @pytest.fixture(scope="class")
-    def fallback(self):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(json.encoder, "c_make_encoder", None)
-            try:
-                encode = importlib.reload(canon).canonical_json
-                assert encode == canon._ENCODER.encode and encode is not canonical_json
-                yield encode
-            finally:
-                mp.undo()
-                importlib.reload(canon)
-                assert canon.canonical_json != canon._ENCODER.encode
-
-    # `canonical_json`, imported above, is the C path: a reload keeps the
-    # module's dict, so the encoder it calls is still there.
-    @given(JSON_VALUES)
-    @settings(max_examples=200, deadline=None)
-    def test_bytes_equal_the_c_path(self, fallback, value):
-        assert fallback(value) == canonical_json(value)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_floats_are_refused(self, fallback, bad):
-        with pytest.raises(ValueError):
-            fallback({"b": bad})
-        with pytest.raises(ValueError):
-            fallback([[bad]])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, object()])
-    def test_a_refused_document_encodes_once_fixed(self, fallback, bad):
-        doc = {"i": {"a": 1}, "z": bad}
-        with pytest.raises((ValueError, TypeError)):
-            fallback(doc)
-        doc["z"] = 0.0
-        assert fallback(doc) == '{"i":{"a":1},"z":0.0}'
+@given(JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_bytes_equal_the_stdlib_encoder_with_the_same_options(value):
+    # `_ENCODER.encode` goes through `json`'s Python-level wrapper, which
+    # builds a fresh encoder per call: the reference for the one built at import.
+    assert canonical_json(value) == canon._ENCODER.encode(value)
 
 
 # Kinds with quotes, backslashes, control and non-ASCII characters, which

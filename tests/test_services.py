@@ -25,7 +25,7 @@ from flowbench.services import (
     UnknownServiceError,
 )
 from flowbench.sim import execute, run_scenario
-from util_runs import recorded_calls
+from util_runs import recorded_calls, recorded_wire
 
 
 def _echo_service():
@@ -477,6 +477,29 @@ def test_report_counts_equal_the_calls_made(app, stage):
     for spec in result.built.registry.service_specs():
         if any(api.name == "export_dataset" for api in spec.apis):
             assert result.counts[f"api/{spec.id}.export_dataset"] == 1
+
+
+@pytest.mark.parametrize("seed", (1, 9))
+@pytest.mark.parametrize("stage", apps.APP_STAGES)
+@pytest.mark.parametrize("app", apps.APP_NAMES)
+def test_every_call_carries_exactly_its_declared_wire_fields(app, stage, seed):
+    # The `ApiSpec` signature is the wire: each request holds exactly its
+    # API's `request_fields` and each response its `response_fields`, in
+    # the training run of an ml stage too, and the serving run calls every API.
+    with recorded_wire() as wire:
+        result = execute(apps.make_scenario(app, 120, seed), apps.app_version(app, "soa", stage))
+        for registry, calls in wire.items():
+            declared = {
+                (spec.id, api.name): (sorted(api.request_fields), sorted(api.response_fields))
+                for spec in registry.service_specs()
+                for api in spec.apis
+            }
+            for callee, api, request, response in calls:
+                assert (sorted(request), sorted(response)) == declared[(callee, api)], (callee, api)
+        served = result.built.registry
+        assert {(callee, api) for callee, api, _, _ in wire[served]} == {
+            (spec.id, api.name) for spec in served.service_specs() for api in spec.apis
+        }
 
 
 def _containers(obj, into: set) -> set:

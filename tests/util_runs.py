@@ -1,10 +1,11 @@
 """Shared helpers: record what a run's world was shown and which service
-calls a registry served; forbid simulation on a build-only path.
+calls a registry served, with the fields each carried; forbid simulation
+on a build-only path.
 
 A run keeps no observation documents; the world's `observe` is the one
 place they are seen, so tests that check them record them there. A
 registry keeps only its per-API call counts; tests that check the order,
-callers or ticks of calls record them at `ServiceRegistry.call`.
+callers, ticks or wire fields of calls record them at `ServiceRegistry.call`.
 """
 
 from __future__ import annotations
@@ -72,6 +73,32 @@ def recorded_calls(registry_class: type = ServiceRegistry):
         yield calls
     finally:
         registry_class.call = call
+
+
+@contextmanager
+def recorded_wire():
+    """Within the block, record every `ServiceRegistry.call` that returns:
+    per registry, `(callee, api, request keys, response keys)` in return
+    order, so a call comes after the calls its handler makes. The
+    request's keys are read as the call starts.
+
+    Yields the registry -> calls mapping; the registries in it stay alive
+    until the block ends.
+    """
+    wire: defaultdict[object, list[tuple[str, str, tuple, tuple]]] = defaultdict(list)
+    call = ServiceRegistry.call
+
+    def recording(self, caller, callee, api, request):
+        request_keys = tuple(request)
+        response = call(self, caller, callee, api, request)
+        wire[self].append((callee, api, request_keys, tuple(response)))
+        return response
+
+    ServiceRegistry.call = recording
+    try:
+        yield wire
+    finally:
+        ServiceRegistry.call = call
 
 
 def forbid_simulation(monkeypatch) -> None:
