@@ -29,6 +29,8 @@ with one subscript and one type test per field. Anything else, an int
 for a float, a subclass, a missing or extra key, the checker answers
 None, and `coerce_row` takes the full checks with their messages. The
 checker holds nothing of its schema, so a schema is no reference cycle.
+`Record.as_dict` is compiled per schema the same way, on first use: one
+dict display of the unpacked values, keyed by the field names' `repr`s.
 A `Record` is a tuple underneath (schema, values, tick), built by the
 runtime with `tuple.__new__`: no attributes, no Python `__new__`, still
 immutable. Its place in its log is its only position.
@@ -92,7 +94,7 @@ class Schema:
             if type(field) is not tuple or len(field) != 2:
                 raise ValueError(f"schema {self.name!r}: field {field!r} is not a (name, type) pair")
             fname, ftype = field
-            # Exact str only: the compiled checker embeds `repr(fname)` in its source.
+            # Exact str only: the compiled checker and dict maker embed `repr(fname)` in their source.
             if type(fname) is not str or not fname:
                 raise ValueError(f"schema {self.name!r}: field name {fname!r} is not a non-empty str")
             if ftype not in FIELD_TYPES:
@@ -128,6 +130,12 @@ class Schema:
         check = _compile_checker(self)
         object.__setattr__(self, "_check", check)
         return check(values)
+
+    def _as_dict(self, values: tuple) -> dict[str, Any]:
+        # First call only, as `_check`: compile the record-to-dict maker.
+        make = _compile_dict_maker(self)
+        object.__setattr__(self, "_as_dict", make)
+        return make(values)
 
     def _full_check(self, values: Mapping[str, Any]) -> tuple:
         """The checks behind `coerce_row` for rows off the compiled fast path."""
@@ -177,7 +185,8 @@ class Record(namedtuple("Record", ("schema", "values", "tick"))):
         return self.values[self.schema._index[name]]
 
     def as_dict(self) -> dict[str, Any]:
-        return dict(zip(self.schema.field_names, self.values))
+        """A fresh `{field: value}` dict in field order, made by the schema's compiled maker."""
+        return self.schema._as_dict(self.values)
 
 
 def _compile_checker(schema: Schema) -> Callable[[Mapping[str, Any]], tuple | None]:
@@ -210,6 +219,19 @@ def _compile_checker(schema: Schema) -> Callable[[Mapping[str, Any]], tuple | No
     defined: dict[str, Callable] = {}
     exec(compile(source, f"<row checker {schema.name!r}>", "exec"), {}, defined)
     return defined["check"]
+
+
+def _compile_dict_maker(schema: Schema) -> Callable[[tuple], dict[str, Any]]:
+    """Generate and compile `schema`'s record-to-dict maker: one dict
+    display of the unpacked values tuple, `dict(zip(field_names, values))`
+    at less than half its cost. Built like `_compile_checker`; the maker
+    refers to nothing at all."""
+    names = [f"v{i}" for i in range(len(schema.fields))]
+    pairs = ", ".join(f"{fname!r}: {v}" for v, fname in zip(names, schema.field_names))
+    source = f"def as_dict(values):\n    {', '.join(names)}, = values\n    return {{{pairs}}}\n"
+    defined: dict[str, Callable] = {}
+    exec(compile(source, f"<dict maker {schema.name!r}>", "exec"), {}, defined)
+    return defined["as_dict"]
 
 
 class StreamDecl(NamedTuple):

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import NamedTuple
 
 START = "<s>"
@@ -65,6 +67,27 @@ def _check_finite(row: int, features, fitter: str) -> None:
         raise ValueError(f"{fitter}() row {row} has a non-finite feature: {tuple(features)!r}")
 
 
+def _normal_equations(rows, d: int) -> tuple[list[list[float]], list[float]]:
+    """X^T X and X^T y, the intercept column first, over `rows` of `d` features.
+
+    Each sum runs over a pair of columns, adding the products in row order
+    from 0.0, as a row-by-row loop adds them, so every entry is bit-equal to
+    that loop's; the upper triangle is summed and mirrored, since `a * b`
+    is `b * a`. `functools.reduce` adds plainly: `sum` compensates from
+    Python 3.12 on, and `math.fsum` and `math.sumprod` round otherwise, so
+    each of them would change the bits.
+    """
+    cols = [[1.0] * len(rows)] + [[float(features[i]) for features, _ in rows] for i in range(d)]
+    ys = [float(label) for _, label in rows]
+    n = d + 1
+    xtx = [[0.0] * n for _ in range(n)]
+    xty = [reduce(add, map(mul, col, ys), 0.0) for col in cols]
+    for i in range(n):
+        for j in range(i, n):
+            xtx[i][j] = xtx[j][i] = reduce(add, map(mul, cols[i], cols[j]), 0.0)
+    return xtx, xty
+
+
 def fit_linear(rows: list[tuple[tuple[float, ...], float]]) -> LinearModel:
     """Least squares via the normal equations.
 
@@ -83,17 +106,7 @@ def fit_linear(rows: list[tuple[tuple[float, ...], float]]) -> LinearModel:
         if not math.isfinite(label):
             raise ValueError(f"fit_linear() row {i} has a non-finite label: {label!r}")
     n = d + 1  # intercept column first
-
-    xtx = [[0.0] * n for _ in range(n)]
-    xty = [0.0] * n
-    for features, label in rows:
-        x = (1.0,) + tuple(float(v) for v in features)
-        y = float(label)
-        for i in range(n):
-            xty[i] += x[i] * y
-            for j in range(n):
-                xtx[i][j] += x[i] * x[j]
-
+    xtx, xty = _normal_equations(rows, d)
     theta = _solve(xtx, xty)
     if theta is None:
         ridged = [row[:] for row in xtx]

@@ -12,7 +12,9 @@ function of the input logs, and two instances of one graph never share it.
 One `step()` walks the nodes in a frozen topological order, so records
 produced upstream are visible downstream within the same tick. A node
 runs at a tick only if at least one of its in-ports gained records since
-it last ran; otherwise it is not called, and a fold's state is untouched.
+it last ran, which `step` reads off each log's length against the port's
+cursor before it builds any view; otherwise it is not called, and a
+fold's state is untouched.
 So every record a node gets at a tick was appended at that tick: injected
 before the step, or produced upstream earlier in the same walk.
 A transform that must act without input is not supported. `invocations`
@@ -204,9 +206,12 @@ class RuntimeInstance:
         produced: dict[str, int] = {}
         try:
             for nid, transform, fold, state, ins, outs, out_names in self._plan:
-                inputs = {name: PortView(log, cursors[key]) for name, log, key in ins}
-                if not any(inputs.values()):
+                for _, log, key in ins:
+                    if len(log) > cursors[key]:
+                        break
+                else:
                     continue  # no in-port gained records: the node does not run
+                inputs = {name: PortView(log, cursors[key]) for name, log, key in ins}
                 try:
                     result = transform(inputs, state) if fold else transform(inputs)
                 except Exception as exc:

@@ -21,7 +21,10 @@ the batch's sort key and is folded into a running per-kind SHA-256 as the
 run goes, so the digests keep no document, no text and no second encoding.
 Every doc is `{"data": ..., "kind": ..., "tick": ...}`, keys already in
 canonical order, so only its `data` is encoded; the rest is an envelope
-made once per kind (`_Envelope`) and once per tick.
+made once per kind (`_Envelope`) and once per tick. The `data` goes
+through an encoder compiled for the shape of its kind's first doc
+(`canon.flat_encoder`), and through the C encoder when it has another
+shape; either way the text is the same.
 
 A run of an ml version that trains offline first fits its model (`train`)
 to the rows of a data-stage run (`training_rows`). That run needs only the
@@ -223,26 +226,34 @@ class _SoaDriver:
 
 class _Envelope(dict):
     """Encodes a tick's observation docs with one `canonical_json` call
-    each; maps each kind to the envelope text between a doc's data and
-    its tick.
+    each; maps each kind to its entry: the envelope text between a doc's
+    data and its tick, and the encoder compiled for that kind's data.
 
     A doc `{"data": d, "kind": k, "tick": t}` has its keys in canonical
-    order, so its text is `'{"data":' + canonical_json(d) + self[k] +
-    str(t) + "}"`, where `self[k]` is `',"kind":' + canonical_json(k) +
-    ',"tick":'`, made on first use. The kind is encoded through `canon`,
-    not the `canonical_json` name this module binds, so that name is
-    called once per observation (the benchmark's tracer counts its calls).
+    order, so its text is `'{"data":' + canonical_json(d) + text +
+    str(t) + "}"`, where `text` is `',"kind":' + canonical_json(k) +
+    ',"tick":'`. Both parts of an entry are made from the kind's first doc
+    in the run: the encoder is `canon.flat_encoder` of that doc's data,
+    None for data that is not flat, and `canonical_json` falls back to the
+    C encoder for any later data of another shape. The kind is encoded
+    through `canon`, not the `canonical_json` name this module binds, so
+    that name is called once per observation (the benchmark's tracer
+    counts and times its calls, which run the compiled encoders; compiling
+    one happens here, outside them).
     """
-
-    def __missing__(self, kind: str) -> str:
-        text = self[kind] = f',"kind":{canon.canonical_json(kind)},"tick":'
-        return text
 
     def sorted_texts(self, batch: list[dict], tick: int) -> list[tuple[str, dict]]:
         """(text, doc) for each doc of tick `tick`'s batch, sorted by text;
         ties keep their order."""
         end = f"{tick}}}"
-        encoded = [(f'{{"data":{canonical_json(doc["data"])}{self[doc["kind"]]}{end}', doc) for doc in batch]
+        encoded = []
+        for doc in batch:
+            data, kind = doc["data"], doc["kind"]
+            entry = self.get(kind)
+            if entry is None:
+                entry = self[kind] = (f',"kind":{canon.canonical_json(kind)},"tick":', canon.flat_encoder(data))
+            text, flat = entry
+            encoded.append((f'{{"data":{canonical_json(data, flat)}{text}{end}', doc))
         encoded.sort(key=itemgetter(0))
         return encoded
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from flowbench import apps
+from flowbench import apps, canon
 from flowbench.canon import canonical_json, sha256_hex
 from flowbench.sim import execute, run_scenario
 
@@ -74,6 +74,17 @@ def test_table_covers_every_version(golden):
 @pytest.mark.parametrize("version", VERSIONS, ids=lambda v: v.key)
 def test_report_matches_golden(golden, version, seed):
     assert report_digest(version, seed) == golden["reports"][_label(version, seed)]
+
+
+@pytest.mark.parametrize("version", [v for v in VERSIONS if v.stage == "ml"], ids=lambda v: v.key)
+def test_report_matches_golden_with_every_observation_on_the_c_encoder(golden, version, monkeypatch):
+    # The compiled flat encoders and the C encoder give the same texts, so
+    # the same digests: with no kind given an encoder, the report is unchanged.
+    asked = []
+    monkeypatch.setattr(canon, "flat_encoder", lambda sample: asked.append(sample) and None)
+    seed = SEEDS[0]
+    assert report_digest(version, seed) == golden["reports"][_label(version, seed)]
+    assert asked
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -329,6 +329,37 @@ class TestRecord:
         assert a != Record(self.SCHEMA, (4, "x"), 8)
 
 
+def _dict_maker_agrees(schema: Schema, values: tuple) -> None:
+    made = Record(schema, values, 0).as_dict()
+    assert list(made.items()) == list(zip(schema.field_names, values))
+    assert made == dict(zip(schema.field_names, values))
+
+
+class TestCompiledDictMaker:
+    @pytest.mark.parametrize("schema", sorted({s.schema for g in app_graphs() for s in g.streams}, key=repr),
+                             ids=lambda s: s.name)
+    def test_equals_zip_for_every_stream_schema_of_every_build(self, schema):
+        # The soa builds declare no streams: every schema here is an fbp build's.
+        sample = {"int": -(2**70), "float": 0.5, "text": "t'\"", "bool": True}
+        _dict_maker_agrees(schema, tuple(sample[ftype] for _, ftype in schema.fields))
+        _dict_maker_agrees(schema, tuple(range(len(schema.fields))))
+
+    @given(st.lists(st.sampled_from(AWKWARD_NAMES) | st.text(min_size=1), min_size=1, max_size=6, unique=True),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_zip_for_names_that_need_escaping(self, names, data):
+        schema = Schema("s", tuple((name, "text") for name in names))
+        _dict_maker_agrees(schema, tuple(data.draw(st.lists(VALUES, min_size=len(names), max_size=len(names)))))
+
+    def test_compiled_once_per_schema_and_each_dict_fresh(self):
+        schema = Schema("m", (("v", "int"), ("w", "text")))
+        first = Record(schema, (1, "a"), 0).as_dict()
+        make = schema._as_dict
+        second = Record(schema, (1, "a"), 0).as_dict()
+        assert schema._as_dict is make and first == second and first is not second
+        assert schema == Schema("m", (("v", "int"), ("w", "text")))
+
+
 class TestValidate:
     def test_minimal_valid_graph(self):
         assert validate(chain_graph()) == []

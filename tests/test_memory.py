@@ -13,8 +13,8 @@ import weakref
 
 import pytest
 
-from flowbench import apps, metrics, sim
-from flowbench.graph import Schema
+from flowbench import apps, canon, metrics, sim
+from flowbench.graph import Record, Schema
 from flowbench.services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 
 TICKS, SEED = 40, 3
@@ -138,3 +138,25 @@ def test_a_schema_that_checked_rows_is_no_cycle(collector_off):
 
     assert cyclic_garbage(check_rows) == 0
     assert check_rows()() is None
+
+
+def test_a_schema_that_made_a_dict_is_no_cycle(collector_off):
+    # Nor may its compiled record-to-dict maker.
+    def make_dict():
+        schema = Schema("s", (("n", "int"), ("f", "float")))
+        assert Record(schema, (1, 2.0), 0).as_dict() == {"n": 1, "f": 2.0}
+        return weakref.ref(schema)
+
+    assert cyclic_garbage(make_dict) == 0
+    assert make_dict()() is None
+
+
+def test_a_flat_encoder_is_no_cycle(collector_off):
+    # An observation kind's encoder lives as long as its run's envelope.
+    def encode():
+        encoder = canon.flat_encoder({"a": 1, "b": "x"})
+        assert encoder({"a": 2, "b": "y"}) == '{"a":2,"b":"y"}'
+        return weakref.ref(encoder)
+
+    assert cyclic_garbage(encode) == 0
+    assert encode()() is None

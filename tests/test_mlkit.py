@@ -17,6 +17,7 @@ from flowbench.mlkit import (
     TreeLeaf,
     TreeModel,
     TreeSplit,
+    _normal_equations,
     add_bigrams,
     fit_bigram,
     fit_linear,
@@ -27,6 +28,16 @@ from flowbench.mlkit import (
     predict_tree,
 )
 from flowbench.rng import SplitMix64, derive_seed
+
+
+# Feature values and labels for the normal equations: ints, and floats of
+# every magnitude, so that the order of the additions shows in the bits.
+FEATURES = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150),
+    st.sampled_from([0.1, 1e16, 1.0, -0.0, 5e-324, 1 / 3]),
+)
 
 
 def tree_depth(node) -> int:
@@ -84,6 +95,25 @@ class TestFitLinear:
         rows = [((0.0,), 1.0), ((1.0,), bad), ((2.0,), 5.0)]
         with pytest.raises(ValueError, match=r"fit_linear\(\) row 1 has a non-finite label"):
             fit_linear(rows)
+
+    @given(
+        st.integers(1, 6).flatmap(lambda d: st.lists(
+            st.tuples(st.lists(FEATURES, min_size=d, max_size=d).map(tuple), FEATURES), min_size=1, max_size=40,
+        ))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_normal_equations_are_bit_equal_to_the_row_by_row_loop(self, rows):
+        n = len(rows[0][0]) + 1
+        xtx, xty = [[0.0] * n for _ in range(n)], [0.0] * n
+        for features, label in rows:
+            x = (1.0,) + tuple(float(v) for v in features)
+            for i in range(n):
+                xty[i] += x[i] * float(label)
+                for j in range(n):
+                    xtx[i][j] += x[i] * x[j]
+        got_xtx, got_xty = _normal_equations(rows, n - 1)
+        assert [list(map(float.hex, row)) for row in got_xtx] == [list(map(float.hex, row)) for row in xtx]
+        assert list(map(float.hex, got_xty)) == list(map(float.hex, xty))
 
     @given(st.integers(min_value=0, max_value=999))
     @settings(max_examples=25, deadline=None)

@@ -23,9 +23,9 @@ TRAINED_APPS = tuple(app for app in apps.APP_NAMES if hasattr(getattr(apps, app)
 def counted(calls: list):
     """`canonical_json`, recording each document it is given in `calls`."""
 
-    def encode(obj):
+    def encode(obj, flat=None):
         calls.append(obj)
-        return canonical_json(obj)
+        return canonical_json(obj, flat)
 
     return encode
 
