@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from ..sim import Scenario
 from . import insurance_claims, mblogger, playlist_builder, ride_allocation
-from .base import APP_STAGES, PARADIGMS, ApiRoute, AppVersion, FbpBuild, NoTrainingRowsError, SoaBuild, UntrainedModelError
+from .base import (
+    APP_STAGES, PARADIGMS, ApiRoute, AppVersion, Event, FbpBuild, NoTrainingRowsError, Scenario, SoaBuild,
+    UntrainedModelError,
+)
 
 _MODULES = {
     "insurance_claims": insurance_claims,
@@ -87,8 +89,10 @@ __all__ = [
     "PARADIGMS",
     "ApiRoute",
     "AppVersion",
+    "Event",
     "FbpBuild",
     "NoTrainingRowsError",
+    "Scenario",
     "SoaBuild",
     "UntrainedModelError",
     "app_version",

@@ -1,9 +1,13 @@
-"""Common shapes for application versions.
+"""Common shapes for application versions and the worlds that drive them.
 
-Every application ships six builds (two paradigms, three stages). A build
-bundles the artifact itself (graph or service registry) with the routing
-tables the simulation needs: which event kinds it can deliver and which
-outputs are observable. A data or ml build also has its dataset. An fbp
+A `Scenario` fixes the outside world; each app's `World` turns it into
+`Event`s, drawn from a generator the base seeds. `sim` drives a world
+against a build and reads what the build declares; nothing here imports it.
+
+Every application ships six builds (two paradigms, three stages). An fbp
+build's routes are its input streams: an event is injected into the one
+whose schema is named after its kind. A soa build routes each event kind
+to an API (`ApiRoute`). A data or ml build also has its dataset. An fbp
 build names only its `CollectionSpec`: `FbpBuild` adds the dataset stream
 the spec derives (`collection.with_dataset`), and refuses a spec that
 does not fit the graph with a `CollectionError`. A soa build's exporter
@@ -17,17 +21,19 @@ carrying such a record (or a world event) declares its schema's
 The model stage of an app that trains offline takes its fitted model as a
 build argument; `sim.train` fits it as a step of the run. Built without
 one (set-up, manifests, diffs, graph export), the model-serving node or
-API is `untrained` and refuses to run. Worlds check their count and scale params at construction with
-`checked_count` and `checked_scale`; neither converts what it is given.
+API is `untrained` and refuses to run. Worlds check their count and
+scale params at construction with `checked_count` and `checked_scale`;
+neither converts what it is given.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from ..collection import with_dataset
+from ..rng import SplitMix64, checked_seed, derive_seed
 
 APP_STAGES = ("min", "data", "ml")
 PARADIGMS = ("fbp", "soa")
@@ -42,6 +48,55 @@ class UntrainedModelError(RuntimeError):
 class NoTrainingRowsError(ValueError):
     """The training run of a model stage collected no rows: the scenario
     is too short to train on, so it names no runnable model build."""
+
+
+class Event(NamedTuple):
+    tick: int
+    kind: str
+    payload: dict
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """World configuration. Same scenario, same event sequence.
+
+    Equality covers the params; the hash leaves them out (a dict has none).
+    Seeds are full 64-bit values; anything outside [0, 2**64) is refused
+    rather than masked, so two seed labels never name the same run. Ticks
+    must be an int >= 0; a bool or a float is refused, not run.
+    """
+
+    app: str
+    ticks: int
+    seed: int
+    params: dict = field(default_factory=dict, hash=False)
+
+    def __post_init__(self):
+        if isinstance(self.ticks, bool) or not isinstance(self.ticks, int) or self.ticks < 0:
+            raise ValueError(f"ticks must be an int >= 0, got {self.ticks!r}")
+        checked_seed(self.seed)
+
+
+class World:
+    """Base for per-app worlds: exogenous arrivals plus reactions, drawn
+    from `rng`, seeded from the scenario's seed and app."""
+
+    observes: tuple[str, ...] = ()
+    """The observation kinds whose content and order `observe` uses. A
+    rows-only run shows the world only these, so a world that reacts to a
+    kind it does not declare here trains on different rows."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.rng = SplitMix64(derive_seed(scenario.seed, "world", scenario.app))
+
+    def generate_events(self, tick: int) -> list[Event]:
+        raise NotImplementedError
+
+    def observe(self, tick: int, docs: list[dict]) -> None:
+        """Called once per tick with the app's sorted observation batch: the
+        whole batch in a serving run, only the kinds in `observes` in a
+        rows-only run."""
 
 
 def untrained(app: str, paradigm: str) -> Callable:
@@ -104,9 +159,8 @@ class ApiRoute(NamedTuple):
 
 
 class FbpBuild:
-    def __init__(self, graph, routes: dict[str, str], obs_kinds: dict[str, str], collection=None):
+    def __init__(self, graph, obs_kinds: dict[str, str], collection=None):
         self.graph = graph if collection is None else with_dataset(graph, collection)
-        self.routes = routes  # event kind -> the input stream id it is injected into
         self.obs_kinds = obs_kinds  # output stream id -> observation kind
         self.collection = collection
 

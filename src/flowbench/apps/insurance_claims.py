@@ -16,8 +16,7 @@ from ..graph import GraphBuilder, Schema
 from ..mlkit import TreeModel, fit_tree, predict_tree
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
-from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, untrained
+from .base import ApiRoute, Event, FbpBuild, Scenario, SoaBuild, World, untrained
 
 DEFAULT_PARAMS = {"claim_rate": 4.0}
 
@@ -182,7 +181,6 @@ def build_fbp(stage: str, scenario: Scenario, model: TreeModel | None = None) ->
 
     return FbpBuild(
         b.build(),
-        routes={"claim": "claims"},
         obs_kinds={"decisions": "decision"},
         collection=COLLECTION if stage in ("data", "ml") else None,
     )
@@ -342,7 +340,6 @@ class ClaimsWorld(World):
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
-        self.rng = SplitMix64(derive_seed(scenario.seed, "world", "insurance_claims"))
         self.claim_rate = checked_rate("claim_rate", scenario.params["claim_rate"])
         self.next_claim_id = 0
 

@@ -18,8 +18,7 @@ from ..graph import GraphBuilder, Schema
 from ..mlkit import BigramModel, add_bigrams, fit_bigram, generate  # noqa: F401 (fit_bigram: bench/tracer.py)
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
-from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, checked_count
+from .base import ApiRoute, Event, FbpBuild, Scenario, SoaBuild, World, checked_count
 
 DEFAULT_PARAMS = {
     "n_users": 8,
@@ -191,12 +190,7 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
         )
         obs_kinds["bot_posts"] = "bot_post"
 
-    routes = {
-        "follow": "follows",
-        "post": "posts",
-        "timeline_request": "timeline_requests",
-    }
-    return FbpBuild(b.build(), routes, obs_kinds)
+    return FbpBuild(b.build(), obs_kinds)
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +356,6 @@ class BloggerWorld(World):
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         p = scenario.params
-        self.rng = SplitMix64(derive_seed(scenario.seed, "world", "mblogger"))
         self.n_users = checked_count("n_users", p["n_users"], 1)
         self.follow_rate = checked_rate("follow_rate", p["follow_rate"])
         self.post_rate = checked_rate("post_rate", p["post_rate"])

@@ -20,8 +20,7 @@ from ..graph import GraphBuilder, Schema
 from ..mlkit import nearest_rank
 from ..rng import SplitMix64, checked_rate, derive_seed
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
-from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild
+from .base import ApiRoute, Event, FbpBuild, Scenario, SoaBuild, World
 
 DEFAULT_PARAMS = {
     "genres": ("action", "comedy", "drama"),
@@ -147,11 +146,7 @@ def build_fbp(stage: str, scenario: Scenario) -> FbpBuild:
         logic_version="v2" if stage == "ml" else "v1",
     )
 
-    routes = {
-        "movie": "movies",
-        "playlist_request": "playlist_requests",
-    }
-    return FbpBuild(b.build(), routes, obs_kinds)
+    return FbpBuild(b.build(), obs_kinds)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +267,6 @@ class PlaylistWorld(World):
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         p = scenario.params
-        self.rng = SplitMix64(derive_seed(scenario.seed, "world", "playlist_builder"))
         genres = p["genres"]
         if not isinstance(genres, (list, tuple)) or not genres or not all(isinstance(g, str) and g for g in genres):
             raise ValueError(f"genres must be a non-empty list or tuple of non-empty str, got {genres!r}")

@@ -19,10 +19,9 @@ import math
 from ..collection import CollectionSpec, StreamSelect, join
 from ..graph import GraphBuilder, Schema
 from ..mlkit import LinearModel, predict_linear, fit_linear
-from ..rng import SplitMix64, checked_rate, derive_seed
+from ..rng import checked_rate
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
-from ..sim import Event, Scenario, World
-from .base import ApiRoute, FbpBuild, SoaBuild, checked_count, checked_scale, untrained
+from .base import ApiRoute, Event, FbpBuild, Scenario, SoaBuild, World, checked_count, checked_scale, untrained
 
 DEFAULT_PARAMS = {
     "n_drivers": 20,
@@ -239,13 +238,7 @@ def build_fbp(stage: str, scenario: Scenario, model: LinearModel | None = None) 
     obs_kinds = {"assignments": "assignment", "pickup_waits": "pickup_wait"}
     if stage == "ml":
         obs_kinds["wait_estimates"] = "wait_estimate"
-    routes = {
-        "driver_event": "driver_events",
-        "ride_completion": "ride_completions",
-        "raw_pickup": "raw_pickups",
-        "ride_request": "ride_requests",
-    }
-    return FbpBuild(b.build(), routes, obs_kinds, COLLECTION if stage in ("data", "ml") else None)
+    return FbpBuild(b.build(), obs_kinds, COLLECTION if stage in ("data", "ml") else None)
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +410,6 @@ class RideWorld(World):
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
         p = scenario.params
-        self.rng = SplitMix64(derive_seed(scenario.seed, "world", "ride_allocation"))
         self.n_drivers = checked_count("n_drivers", p["n_drivers"], 0)
         self.request_rate = checked_rate("request_rate", p["request_rate"])
         self.noise = checked_scale("noise", p["noise"])

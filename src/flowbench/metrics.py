@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import apps
 from .canon import fingerprint
-from .sim import Scenario
 
 # Fixed build context for inventories: fingerprints depend only on
 # structure and version tags, never on what a scenario produced.
@@ -91,12 +91,10 @@ def soa_manifest(registry, version_key: str) -> ComponentManifest:
     return ComponentManifest(version_key, components)
 
 
-def manifest(version, scenario: Scenario | None = None) -> ComponentManifest:
+def manifest(version, scenario: apps.Scenario | None = None) -> ComponentManifest:
     """Inventory one app version from its `apps.build_app` build (nothing
     trains or simulates), under a fixed default scenario unless one is
     supplied."""
-    from . import apps
-
     if scenario is None:
         scenario = apps.make_scenario(version.app, MANIFEST_TICKS, MANIFEST_SEED)
     built = apps.build_app(version, scenario)

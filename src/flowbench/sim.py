@@ -1,9 +1,9 @@
 """Seeded discrete-event harness that drives an application version.
 
-A scenario fixes everything about the outside world: the app, the tick
-count, the seed, and generator parameters. Each tick the world emits
-events (exogenous arrivals plus reactions to what the app produced
-earlier), the harness delivers them and then observes the app's outputs.
+A scenario, its world and their events are the apps' (`apps.base`). Each
+tick the world emits events (exogenous arrivals plus reactions to what
+the app produced earlier), the harness delivers them and then observes
+the app's outputs.
 
 One tick loop drives both paradigms through a small driver: `tick(tick,
 events)` delivers a tick's events and returns its observation batch, and
@@ -11,10 +11,11 @@ events)` delivers a tick's events and returns its observation batch, and
 each batch, hashes it and shows it to the world, the one reader of a run's
 observations. The rows are the row documents `collection.join` built, in
 both paradigms: the service twin's `export_dataset` response carries them.
-Value records (`RunReport`, `ExecutionResult`, a build's routes) are
-NamedTuples, whose field reads cost about twice an attribute read, so each
-driver unpacks `built.routes` into per-kind tuples when it starts and its
-`tick` reads no record field; mutable holders are plain classes.
+The fbp routes are read off the graph's wiring once per run: one per input
+stream, keyed by its schema's name. Value records (`RunReport`,
+`ExecutionResult`, `ApiRoute`) are NamedTuples, whose field reads cost
+about twice an attribute read, so each driver unpacks its routes into
+per-kind tuples when it starts and its `tick` reads no record field.
 
 Each observation is encoded as canonical JSON exactly once: that text is
 the batch's sort key and is folded into a running per-kind SHA-256 as the
@@ -42,61 +43,15 @@ and monotonicity checks rely on.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import canon
+from . import apps, canon
 from .canon import canonical_json
 from .collection import collect, publish_rows
-from .rng import checked_seed, derive_seed
+from .graph import Category
+from .rng import derive_seed
 from .runtime import start
-
-
-class Event(NamedTuple):
-    tick: int
-    kind: str
-    payload: dict
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """World configuration. Same scenario, same event sequence.
-
-    Seeds are full 64-bit values; anything outside [0, 2**64) is refused
-    rather than masked, so two seed labels never name the same run. Ticks
-    must be an int >= 0; a bool or a float is refused, not run.
-    """
-
-    app: str
-    ticks: int
-    seed: int
-    params: dict = field(default_factory=dict, hash=False, compare=False)
-
-    def __post_init__(self):
-        if isinstance(self.ticks, bool) or not isinstance(self.ticks, int) or self.ticks < 0:
-            raise ValueError(f"ticks must be an int >= 0, got {self.ticks!r}")
-        checked_seed(self.seed)
-
-
-class World:
-    """Base for per-app worlds: exogenous arrivals plus reactions."""
-
-    observes: tuple[str, ...] = ()
-    """The observation kinds whose content and order `observe` uses. A
-    rows-only run shows the world only these, so a world that reacts to a
-    kind it does not declare here trains on different rows."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-
-    def generate_events(self, tick: int) -> list[Event]:
-        raise NotImplementedError
-
-    def observe(self, tick: int, docs: list[dict]) -> None:
-        """Called once per tick with the app's sorted observation batch: the
-        whole batch in a serving run, only the kinds in `observes` in a
-        rows-only run."""
 
 
 class RunReport(NamedTuple):
@@ -125,23 +80,31 @@ class ExecutionResult(NamedTuple):
 
 
 class _FbpDriver:
-    """Delivers by injection into input streams, steps the runtime once per
-    tick and observes the records each output stream of a kept kind gained
-    (`keep`: the kinds to observe, None for all)."""
+    """Delivers each event by injection into the input stream whose schema
+    is named after its kind, steps the runtime once per tick and observes
+    the records each output stream of a kept kind gained (`keep`: the kinds
+    to observe, None for all). A graph where two input streams have one
+    schema name is refused with `ValueError` before any tick."""
 
     def __init__(self, built, keep: frozenset[str] | None):
         self.built = built
-        self.instance = start(built.graph)
-        fields = {s.id: s.schema.field_names for s in built.graph.streams}
+        graph = built.graph
+        self.instance = start(graph)
+        roles = graph.wiring().roles
+        inputs = [s for s in graph.streams if roles[s.id] is Category.INPUT]
+        kinds = [s.schema.name for s in inputs]
+        shared = [s.id for s, kind in zip(inputs, kinds) if kinds.count(kind) > 1]
+        if shared:
+            raise ValueError(f"input streams {shared} share a schema name; an event kind routes to one input stream")
         # event kind -> (input stream id, its field names)
-        self._routes = {kind: (sid, fields[sid]) for kind, sid in built.routes.items()}
+        self._routes = {s.schema.name: (s.id, s.schema.field_names) for s in inputs}
         # (output stream id, kind) of each kept kind
         self._observed = sorted(
             (sid, kind) for sid, kind in built.obs_kinds.items() if keep is None or kind in keep
         )
         self._read_pos = {sid: 0 for sid, _ in self._observed}
 
-    def tick(self, tick: int, events: list[Event]) -> list[dict]:
+    def tick(self, tick: int, events: list[apps.Event]) -> list[dict]:
         routes, instance, read_pos = self._routes, self.instance, self._read_pos
         for _, kind, payload in events:
             route = routes.get(kind)
@@ -194,7 +157,7 @@ class _SoaDriver:
             for kind, r in built.routes.items()
         }
 
-    def tick(self, tick: int, events: list[Event]) -> list[dict]:
+    def tick(self, tick: int, events: list[apps.Event]) -> list[dict]:
         routes, registry = self._routes, self.registry
         registry.tick = tick
         batch = []
@@ -258,7 +221,7 @@ class _Envelope(dict):
         return encoded
 
 
-def execute(scenario: Scenario, version, *, rows_only: bool = False) -> ExecutionResult:
+def execute(scenario: apps.Scenario, version, *, rows_only: bool = False) -> ExecutionResult:
     """Train (`train`), build and run the full tick loop; keep the live app for inspection.
 
     Per tick, each observation is encoded once: its `data` is encoded and
@@ -274,8 +237,6 @@ def execute(scenario: Scenario, version, *, rows_only: bool = False) -> Executio
     shown to the world as above, but nothing is hashed and `finish`
     neither counts nor publishes. `counts` and `digests` are then empty.
     """
-    from . import apps  # local import: the apps import this module
-
     model = train(scenario, version)
     built = apps.build_app(version, scenario, model)
     world = apps.make_world(scenario)
@@ -305,7 +266,7 @@ def observation_digests(hashes: dict[str, hashlib._Hash]) -> dict[str, str]:
     return {kind: running.hexdigest() for kind, running in sorted(hashes.items())}
 
 
-def run_scenario(scenario: Scenario, version) -> RunReport:
+def run_scenario(scenario: apps.Scenario, version) -> RunReport:
     """Execute and summarize: per-stream/per-api counts plus output digests."""
     result = execute(scenario, version)
     return RunReport(
@@ -320,34 +281,30 @@ def run_scenario(scenario: Scenario, version) -> RunReport:
     )
 
 
-def training_rows(app: str, paradigm: str, scenario: Scenario) -> list[dict]:
+def training_rows(scenario: apps.Scenario, paradigm: str) -> list[dict]:
     """Collect the offline dataset a model stage trains on.
 
-    Runs the same app's data stage on a sibling scenario whose seed is
+    Runs the scenario's app's data stage on a sibling scenario whose seed is
     derived from the serving seed, so training is deterministic but does
     not replay the exact serving workload. The run is rows-only (see
     `execute`): it returns the rows the full run would collect, without
     the digests, counts and published dataset stream of a serving run.
     `train` is its one caller outside tests.
     """
-    from . import apps
-
-    sibling = Scenario(app, scenario.ticks, derive_seed(scenario.seed, "train"), dict(scenario.params))
-    result = execute(sibling, apps.app_version(app, paradigm, "data"), rows_only=True)
+    sibling = apps.Scenario(scenario.app, scenario.ticks, derive_seed(scenario.seed, "train"), dict(scenario.params))
+    result = execute(sibling, apps.app_version(scenario.app, paradigm, "data"), rows_only=True)
     return result.dataset_rows or []
 
 
-def train(scenario: Scenario, version):
+def train(scenario: apps.Scenario, version):
     """The model `version` serves under `scenario`: the app's `fit_model`
     over `training_rows`, or None for a version that trains nothing. A run
     that collects no rows raises `NoTrainingRowsError`; a scenario of
     another app raises `ValueError` before anything runs."""
-    from . import apps
-
     fit_model = apps.trainer(version, scenario)
     if fit_model is None:
         return None
-    rows = training_rows(version.app, version.paradigm, scenario)
+    rows = training_rows(scenario, version.paradigm)
     if not rows:
         raise apps.NoTrainingRowsError(
             f"{version.app} {version.paradigm} ml: the training run collected no rows"

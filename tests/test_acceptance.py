@@ -203,7 +203,7 @@ def test_c07_wait_regression_recovery():
         "ride_allocation", 200, 5, {"noise": 1.0, "request_rate": 1.4, "n_drivers": 25}
     )
     noisy_result = execute(noisy, apps.app_version("ride_allocation", "fbp", "ml"))
-    assert len(sim.training_rows("ride_allocation", "fbp", noisy)) >= 200
+    assert len(sim.training_rows(noisy, "fbp")) >= 200
     est = {r["ride_id"]: r["estimated_wait"] for r in noisy_result.instance.read("wait_estimates", 0)}
     real = {r["ride_id"]: r["wait_time"] for r in noisy_result.instance.read("pickup_waits", 0)}
     errors = [abs(est[k] - real[k]) for k in real if k in est]
@@ -219,7 +219,7 @@ def test_c08_classifier_reproduces_rule_chain():
     scenario = apps.make_scenario("insurance_claims", 200, 5)
     result = execute(scenario, apps.app_version("insurance_claims", "fbp", "ml"))
     model = result.model
-    training = sim.training_rows("insurance_claims", "fbp", scenario)
+    training = sim.training_rows(scenario, "fbp")
     assert len(training) >= 500
     for row in training:
         predicted = predict_tree(model, insurance_claims.claim_features(row["features"]))

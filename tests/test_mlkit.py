@@ -305,7 +305,7 @@ class TestFitTreeMatchesReference:
     @pytest.mark.parametrize("seed", [3, 7])
     def test_real_claims_training_rows(self, seed):
         scenario = apps.make_scenario("insurance_claims", 1500, seed)
-        rows = sim.training_rows("insurance_claims", "fbp", scenario)
+        rows = sim.training_rows(scenario, "fbp")
         data = [(insurance_claims.claim_features(r["features"]), r["label"]["decision"]) for r in rows]
         model = fit_tree(data, insurance_claims.TREE_DEPTH)
         assert repr(model) == repr(reference_fit_tree(data, insurance_claims.TREE_DEPTH))

@@ -19,6 +19,7 @@ from flowbench import apps
 
 KEPT_DATACLASSES = [
     "flowbench.apps.base.AppVersion",
+    "flowbench.apps.base.Scenario",
     "flowbench.collection.CollectionSpec",
     "flowbench.graph.Schema",
     "flowbench.mlkit.LinearModel",
@@ -27,7 +28,6 @@ KEPT_DATACLASSES = [
     "flowbench.mlkit.TreeSplit",
     "flowbench.services.ApiSpec",
     "flowbench.services.ServiceSpec",
-    "flowbench.sim.Scenario",
 ]
 
 _LIST_DATACLASSES = """

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from flowbench import apps
-from flowbench.apps import ride_allocation
+from flowbench import apps, sim
+from flowbench.apps import Event, FbpBuild, Scenario, insurance_claims, ride_allocation
 from flowbench.canon import canonical_json, sha256_hex
+from flowbench.graph import Category, GraphBuilder
+from flowbench.rng import SplitMix64, derive_seed
 from flowbench.runtime import TickSummary
-from flowbench.sim import Event, Scenario, run_scenario
+from flowbench.sim import run_scenario
 from util_runs import observed
 
 
@@ -87,6 +89,14 @@ class TestScenario:
         assert Scenario("mblogger", 0, 2**64 - 1).ticks == 0
         with pytest.raises(ValueError, match="ticks"):
             Scenario("mblogger", -1, 0)
+
+    def test_equality_covers_params_and_the_hash_leaves_them_out(self):
+        scenario = apps.make_scenario("ride_allocation", 20, 1)
+        same = apps.make_scenario("ride_allocation", 20, 1)
+        other = apps.make_scenario("ride_allocation", 20, 1, {"noise": 0.0})
+        assert scenario == same and hash(scenario) == hash(same)
+        assert scenario != other and hash(scenario) == hash(other)  # a dict has no hash
+        assert len({scenario, same, other}) == 2
 
     def test_unknown_param_key_refused(self):
         # A misspelt override must not silently run with the default.
@@ -200,13 +210,39 @@ class TestRunningDigests:
             assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("app", apps.APP_NAMES)
+def test_each_world_draws_from_its_own_seeded_generator(app):
+    world, expected = apps.make_world(apps.make_scenario(app, 10, 4)), SplitMix64(derive_seed(4, "world", app))
+    assert [world.rng.random() for _ in range(3)] == [expected.random() for _ in range(3)]
+
+
+# Oracle for the fbp routes of every stage: event kind -> the input stream
+# its events must land in.
+FBP_ROUTES = {
+    "insurance_claims": {"claim": "claims"},
+    "mblogger": {"follow": "follows", "post": "posts", "timeline_request": "timeline_requests"},
+    "playlist_builder": {"movie": "movies", "playlist_request": "playlist_requests"},
+    "ride_allocation": {
+        "driver_event": "driver_events",
+        "raw_pickup": "raw_pickups",
+        "ride_completion": "ride_completions",
+        "ride_request": "ride_requests",
+    },
+}
+
+
 class TestConservation:
-    def test_every_routable_event_is_delivered_exactly_once(self):
+    @pytest.mark.parametrize("stage", apps.APP_STAGES)
+    @pytest.mark.parametrize("app", apps.APP_NAMES)
+    def test_every_routable_event_is_delivered_exactly_once(self, app, stage):
         # Replay the world against the recorded observation batches and
         # compare per-kind event counts with what actually landed in the
         # input streams.
-        scenario = apps.make_scenario("ride_allocation", 60, 6)
-        result, observations = observed(scenario, apps.app_version("ride_allocation", "fbp", "min"))
+        scenario = apps.make_scenario(app, 60, 6)
+        result, observations = observed(scenario, apps.app_version(app, "fbp", stage))
+        routes = FBP_ROUTES[app]
+        roles = result.built.graph.wiring().roles
+        assert sorted(sid for sid, role in roles.items() if role is Category.INPUT) == sorted(routes.values())
 
         by_tick: dict[int, list] = {}
         for docs in observations.values():
@@ -216,10 +252,26 @@ class TestConservation:
             by_tick[tick].sort(key=canonical_json)
 
         events = _collect_events(scenario, by_tick)
-        routable = {}
+        routable = dict.fromkeys(routes.values(), 0)
         for ev in events:
-            stream_id = result.built.routes.get(ev.kind)
+            stream_id = routes.get(ev.kind)
             if stream_id is not None and ev.tick < scenario.ticks:
-                routable[stream_id] = routable.get(stream_id, 0) + 1
-        for stream_id, expected in routable.items():
-            assert result.instance.length(stream_id) == expected
+                routable[stream_id] += 1
+        assert all(routable.values())
+        assert {sid: result.instance.length(sid) for sid in routable} == routable
+
+    def test_two_input_streams_of_one_schema_are_refused_before_any_tick(self, monkeypatch):
+        def two_claim_inputs(stage, scenario, model=None):
+            b = GraphBuilder().stream("claims", insurance_claims.CLAIM).stream("more_claims", insurance_claims.CLAIM)
+            b.stream("decisions", insurance_claims.SCREENED)
+            b.node("merge", lambda ins: {}, inputs={"a": "claims", "b": "more_claims"}, outputs={"out": "decisions"})
+            return FbpBuild(b.build(), {"decisions": "decision"})
+
+        def tick(self, tick):
+            raise AssertionError("a refused build ticked")
+
+        monkeypatch.setattr(insurance_claims, "build_fbp", two_claim_inputs)
+        monkeypatch.setattr(insurance_claims.ClaimsWorld, "generate_events", tick)
+        version = apps.app_version("insurance_claims", "fbp", "min")
+        with pytest.raises(ValueError, match=r"input streams \['claims', 'more_claims'\] share a schema name"):
+            sim.execute(apps.make_scenario("insurance_claims", 20, 1), version)

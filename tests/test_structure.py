@@ -41,7 +41,7 @@ class TestNoSimulation:
     def test_build_app(self, monkeypatch, app, paradigm, stage):
         forbid_simulation(monkeypatch)
         built = apps.build_app(apps.app_version(app, paradigm, stage), apps.make_scenario(app, 30, 5))
-        assert built.routes
+        assert built.graph.streams if paradigm == "fbp" else built.routes
 
     @pytest.mark.parametrize("app,paradigm,stage", VERSIONS)
     def test_manifest(self, monkeypatch, app, paradigm, stage):
@@ -74,7 +74,8 @@ class TestGivenModel:
         assert (apps.trainer(version, scenario) is not None) == trains
         model = object()
         if trains:
-            assert apps.build_app(version, scenario, model).routes
+            built = apps.build_app(version, scenario, model)
+            assert built.graph.streams if paradigm == "fbp" else built.routes
         else:
             with pytest.raises(ValueError, match=f"^{version.key} trains no model and cannot be given one$"):
                 apps.build_app(version, scenario, model)
@@ -99,7 +100,7 @@ class TestTraining:
         if stage != "ml":
             assert calls == [] and result.model is None
             return
-        assert calls == [(app, paradigm, scenario)]
+        assert calls == [(scenario, paradigm)]
         assert returned[0]
         # The run keeps the model, not the rows it was fitted to.
         assert result.model is not None

@@ -12,10 +12,10 @@ model.
 import pytest
 
 from flowbench import apps, sim
-from flowbench.apps import ride_allocation
+from flowbench.apps import Scenario, ride_allocation
 from flowbench.canon import canonical_json
 from flowbench.rng import derive_seed
-from flowbench.sim import Scenario, execute
+from flowbench.sim import execute
 
 TRAINED_APPS = tuple(app for app in apps.APP_NAMES if hasattr(getattr(apps, app), "fit_model"))
 
@@ -42,7 +42,7 @@ def full_rows(app: str, paradigm: str, scenario: Scenario) -> list[dict]:
 @pytest.mark.parametrize("app", TRAINED_APPS)
 def test_training_rows_equal_the_full_run(app, paradigm, seed, ticks):
     scenario = apps.make_scenario(app, ticks, seed)
-    assert sim.training_rows(app, paradigm, scenario) == full_rows(app, paradigm, scenario)
+    assert sim.training_rows(scenario, paradigm) == full_rows(app, paradigm, scenario)
 
 
 @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
@@ -53,7 +53,7 @@ def test_ride_rows_depend_on_the_declared_kinds(paradigm, monkeypatch):
     expected = full_rows("ride_allocation", paradigm, scenario)
     assert expected
     monkeypatch.setattr(ride_allocation.RideWorld, "observes", ())
-    assert sim.training_rows("ride_allocation", paradigm, scenario) != expected
+    assert sim.training_rows(scenario, paradigm) != expected
 
 
 @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
@@ -125,7 +125,7 @@ def test_a_run_with_no_training_rows_refuses(app, paradigm):
 @pytest.mark.parametrize("app", TRAINED_APPS)
 def test_both_paradigms_train_equal_models_from_equal_rows(app, seed):
     scenario = apps.make_scenario(app, 200, seed)
-    rows = {p: sim.training_rows(app, p, scenario) for p in apps.PARADIGMS}
+    rows = {p: sim.training_rows(scenario, p) for p in apps.PARADIGMS}
     models = {p: sim.train(scenario, apps.app_version(app, p, "ml")) for p in apps.PARADIGMS}
     assert rows["fbp"] and rows["fbp"] == rows["soa"]
     assert models["fbp"] is not None and models["fbp"] == models["soa"]

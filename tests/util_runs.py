@@ -14,8 +14,9 @@ from collections import defaultdict
 from contextlib import contextmanager
 
 from flowbench import apps, sim
+from flowbench.apps import Scenario
 from flowbench.services import ServiceRegistry
-from flowbench.sim import ExecutionResult, Scenario, execute
+from flowbench.sim import ExecutionResult, execute
 
 
 def observed(scenario: Scenario, version) -> tuple[ExecutionResult, dict[str, list[dict]]]:
