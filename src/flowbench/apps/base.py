@@ -1,8 +1,11 @@
 """Common shapes for application versions and the worlds that drive them.
 
 A `Scenario` fixes the outside world; each app's `World` turns it into
-`Event`s, drawn from a generator the base seeds. `sim` drives a world
-against a build and reads what the build declares; nothing here imports it.
+`Event`s, drawn from a generator the base seeds, and is shown what the
+app observed. Neither carries a tick: an event belongs to the tick it was
+generated for, and an observation, a `(kind, data)` pair, to the tick it
+is shown at. `sim` drives a world against a build and reads what the
+build declares; nothing here imports it.
 
 Every application ships six builds (two paradigms, three stages). An fbp
 build's routes are its input streams: an event is injected into the one
@@ -51,7 +54,6 @@ class NoTrainingRowsError(ValueError):
 
 
 class Event(NamedTuple):
-    tick: int
     kind: str
     payload: dict
 
@@ -93,10 +95,10 @@ class World:
     def generate_events(self, tick: int) -> list[Event]:
         raise NotImplementedError
 
-    def observe(self, tick: int, docs: list[dict]) -> None:
-        """Called once per tick with the app's sorted observation batch: the
-        whole batch in a serving run, only the kinds in `observes` in a
-        rows-only run."""
+    def observe(self, tick: int, observations: list[tuple[str, dict]]) -> None:
+        """Called once per tick with the app's observations of that tick as
+        `(kind, data)` pairs, sorted by their canonical text: all of them in
+        a serving run, only the kinds in `observes` in a rows-only run."""
 
 
 def untrained(app: str, paradigm: str) -> Callable:

@@ -349,7 +349,7 @@ class ClaimsWorld(World):
             claim = random_claim(self.rng)
             claim["claim_id"] = self.next_claim_id
             self.next_claim_id += 1
-            events.append(Event(tick, "claim", claim))
+            events.append(Event("claim", claim))
         return events
 
 

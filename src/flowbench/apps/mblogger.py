@@ -383,18 +383,17 @@ class BloggerWorld(World):
             if follower == followee or (follower, followee) in self.edges:
                 continue
             self.edges.add((follower, followee))
-            events.append(Event(tick, "follow", {"follower": follower, "followee": followee}))
+            events.append(Event("follow", {"follower": follower, "followee": followee}))
         for _ in range(self.rng.poisson(self.post_rate)):
             author = self._user()
             events.append(
                 Event(
-                    tick,
                     "post",
                     {"post_id": self.next_post_id, "author": author, "text": self._post_text(author)},
                 )
             )
             self.next_post_id += 1
         for _ in range(self.rng.poisson(self.request_rate)):
-            events.append(Event(tick, "timeline_request", {"user_id": self._user()}))
-        events.append(Event(tick, "bot_poll", {"user_id": self.bot_user}))
+            events.append(Event("timeline_request", {"user_id": self._user()}))
+        events.append(Event("bot_poll", {"user_id": self.bot_user}))
         return events

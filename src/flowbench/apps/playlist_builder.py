@@ -283,11 +283,10 @@ class PlaylistWorld(World):
             self.next_movie += 1
             genre = self.genres[self.rng.randrange(len(self.genres))]
             gross = self.rng.uniform(1.0, 100.0)
-            events.append(Event(tick, "movie", {"title": title, "genre": genre, "gross": gross}))
+            events.append(Event("movie", {"title": title, "genre": genre, "gross": gross}))
         for _ in range(self.rng.poisson(self.request_rate)):
             events.append(
                 Event(
-                    tick,
                     "playlist_request",
                     {
                         "request_id": self.next_request,
@@ -298,5 +297,5 @@ class PlaylistWorld(World):
             )
             self.next_request += 1
         for genre in self.genres:
-            events.append(Event(tick, "stats_poll", {"genre": genre}))
+            events.append(Event("stats_poll", {"genre": genre}))
         return events

@@ -426,7 +426,7 @@ class RideWorld(World):
                 x = self.rng.uniform(0.0, self.world_size)
                 y = self.rng.uniform(0.0, self.world_size)
                 self.driver_pos[driver_id] = (x, y)
-                events.append(Event(tick, "driver_event", {"driver_id": driver_id, "x": x, "y": y}))
+                events.append(Event("driver_event", {"driver_id": driver_id, "x": x, "y": y}))
         events.extend(self.pending.pop(tick, []))
         for _ in range(self.rng.poisson(self.request_rate)):
             ride_id = self.next_ride_id
@@ -434,37 +434,27 @@ class RideWorld(World):
             x = self.rng.uniform(0.0, self.world_size)
             y = self.rng.uniform(0.0, self.world_size)
             self.rider_pos[ride_id] = (x, y, tick)
-            events.append(
-                Event(tick, "ride_request", {"ride_id": ride_id, "rider_x": x, "rider_y": y})
-            )
+            events.append(Event("ride_request", {"ride_id": ride_id, "rider_x": x, "rider_y": y}))
         return events
 
-    def observe(self, tick: int, docs: list[dict]) -> None:
-        for doc in docs:
-            if doc["kind"] != "assignment" or not doc["data"]["matched"]:
+    def observe(self, tick: int, observations: list[tuple[str, dict]]) -> None:
+        for kind, data in observations:
+            if kind != "assignment":
                 continue
-            ride_id = doc["data"]["ride_id"]
-            driver_id = doc["data"]["driver_id"]
-            rx, ry, request_tick = self.rider_pos[ride_id]
+            ride_id = data["ride_id"]
+            rx, ry, request_tick = self.rider_pos.pop(ride_id)  # one assignment per request
+            if not data["matched"]:
+                continue
+            driver_id = data["driver_id"]
             dx, dy = self.driver_pos[driver_id]
             distance = euclid(rx, ry, dx, dy)
             wait = 2.0 * distance + 1.0 + self.noise * self.rng.uniform(-1.0, 1.0)
             pickup_tick = tick + max(1, _round_half_up(wait))
             self.pending.setdefault(pickup_tick, []).append(
-                Event(
-                    pickup_tick,
-                    "raw_pickup",
-                    {"ride_id": ride_id, "pickup_time": request_tick + wait},
-                )
+                Event("raw_pickup", {"ride_id": ride_id, "pickup_time": request_tick + wait})
             )
             completion_tick = pickup_tick + 1 + _round_half_up(distance)
             self.pending.setdefault(completion_tick, []).append(
-                Event(
-                    completion_tick,
-                    "ride_completion",
-                    {"ride_id": ride_id, "driver_id": driver_id},
-                )
+                Event("ride_completion", {"ride_id": ride_id, "driver_id": driver_id})
             )
-            self.pending.setdefault(tick + 1, []).append(
-                Event(tick + 1, "estimate_poll", {"ride_id": ride_id})
-            )
+            self.pending.setdefault(tick + 1, []).append(Event("estimate_poll", {"ride_id": ride_id}))

@@ -275,6 +275,10 @@ class RuntimeInstance:
     def stream_ids(self) -> list[str]:
         return sorted(self._logs)
 
+    def input_schemas(self) -> dict:
+        """Each input stream's id -> its schema, in the graph's stream order."""
+        return {sid: schema for sid, (schema, _, _) in self._inputs.items()}
+
     def _log(self, stream_id: str) -> list[Record]:
         try:
             return self._logs[stream_id]

@@ -6,31 +6,34 @@ the app produced earlier), the harness delivers them and then observes
 the app's outputs.
 
 One tick loop drives both paradigms through a small driver: `tick(tick,
-events)` delivers a tick's events and returns its observation batch, and
-`finish()` returns the dataset rows and the report counts. The loop sorts
-each batch, hashes it and shows it to the world, the one reader of a run's
-observations. The rows are the row documents `collection.join` built, in
-both paradigms: the service twin's `export_dataset` response carries them.
-The fbp routes are read off the graph's wiring once per run: one per input
-stream, keyed by its schema's name. Value records (`RunReport`,
-`ExecutionResult`, `ApiRoute`) are NamedTuples, whose field reads cost
-about twice an attribute read, so each driver unpacks its routes into
-per-kind tuples when it starts and its `tick` reads no record field.
+events)` delivers a tick's events and returns its `(kind, data)`
+observations, and `finish()` returns the dataset rows and the report
+counts. The loop owns the clock: no event or observation holds its tick.
+It sorts each tick's observations, hashes them and shows them to the
+world, the one reader of a run's observations. The rows are the row
+documents `collection.join` built, in both paradigms: the service twin's
+`export_dataset` response carries them. The fbp routes are the started
+runtime's input streams, keyed by their schemas' names. Value records
+(`RunReport`, `ExecutionResult`, `ApiRoute`) are NamedTuples, whose field
+reads cost about twice an attribute read, so each driver unpacks its
+routes into per-kind tuples when it starts and its `tick` reads no record
+field. A build naming a stream, an API or a field it lacks is refused
+with `ValueError` before any tick.
 
-Each observation is encoded as canonical JSON exactly once: that text is
-the batch's sort key and is folded into a running per-kind SHA-256 as the
-run goes, so the digests keep no document, no text and no second encoding.
-Every doc is `{"data": ..., "kind": ..., "tick": ...}`, keys already in
-canonical order, so only its `data` is encoded; the rest is an envelope
-made once per kind (`_Envelope`) and once per tick. The `data` goes
-through an encoder compiled for the shape of its kind's first doc
+Each observation is encoded as canonical JSON exactly once: its text is
+that of a document of its data, kind and tick, which exists only as this
+text. The text is the sort key and is folded into a running per-kind
+SHA-256 as the run goes, so the digests keep no document, no text and no
+second encoding. Only the `data` is encoded; the rest is an envelope made
+once per kind (`_Envelope`) and once per tick. The `data` goes through an
+encoder compiled for the shape of its kind's first observation
 (`canon.flat_encoder`), and through the C encoder when it has another
 shape; either way the text is the same.
 
 A run of an ml version that trains offline first fits its model (`train`)
 to the rows of a data-stage run (`training_rows`). That run needs only the
-rows, so it runs the same loop rows-only: the drivers make docs only of
-the kinds the world reacts to (`World.observes`), nothing is hashed, and
+rows, so it runs the same loop rows-only: the drivers observe only the
+kinds the world reacts to (`World.observes`), nothing is hashed, and
 `finish` collects or exports the rows without counting or publishing them.
 
 The world is deliberately stage-blind: it always reports everything that
@@ -49,7 +52,6 @@ from typing import NamedTuple
 from . import apps, canon
 from .canon import canonical_json
 from .collection import collect, publish_rows
-from .graph import Category
 from .rng import derive_seed
 from .runtime import start
 
@@ -69,7 +71,7 @@ class RunReport(NamedTuple):
 
 
 class ExecutionResult(NamedTuple):
-    """A run's live app, rows, counts, digests and model: no observation documents."""
+    """A run's live app, rows, counts, digests and model: no observations."""
 
     built: object
     instance: object | None  # RuntimeInstance for dataflow builds
@@ -84,29 +86,30 @@ class _FbpDriver:
     is named after its kind, steps the runtime once per tick and observes
     the records each output stream of a kept kind gained (`keep`: the kinds
     to observe, None for all). A graph where two input streams have one
-    schema name is refused with `ValueError` before any tick."""
+    schema name, or that lacks an observed stream, is refused."""
 
     def __init__(self, built, keep: frozenset[str] | None):
         self.built = built
-        graph = built.graph
-        self.instance = start(graph)
-        roles = graph.wiring().roles
-        inputs = [s for s in graph.streams if roles[s.id] is Category.INPUT]
-        kinds = [s.schema.name for s in inputs]
-        shared = [s.id for s, kind in zip(inputs, kinds) if kinds.count(kind) > 1]
+        self.instance = instance = start(built.graph)
+        inputs = instance.input_schemas()
+        kinds = [schema.name for schema in inputs.values()]
+        shared = [sid for sid, kind in zip(inputs, kinds) if kinds.count(kind) > 1]
         if shared:
             raise ValueError(f"input streams {shared} share a schema name; an event kind routes to one input stream")
+        missing = sorted(set(built.obs_kinds).difference(instance.stream_ids()))
+        if missing:
+            raise ValueError(f"observed streams {missing} are not streams of the graph")
         # event kind -> (input stream id, its field names)
-        self._routes = {s.schema.name: (s.id, s.schema.field_names) for s in inputs}
+        self._routes = {schema.name: (sid, schema.field_names) for sid, schema in inputs.items()}
         # (output stream id, kind) of each kept kind
         self._observed = sorted(
             (sid, kind) for sid, kind in built.obs_kinds.items() if keep is None or kind in keep
         )
         self._read_pos = {sid: 0 for sid, _ in self._observed}
 
-    def tick(self, tick: int, events: list[apps.Event]) -> list[dict]:
+    def tick(self, tick: int, events: list[apps.Event]) -> list[tuple[str, dict]]:
         routes, instance, read_pos = self._routes, self.instance, self._read_pos
-        for _, kind, payload in events:
+        for kind, payload in events:
             route = routes.get(kind)
             if route is not None:
                 sid, fields = route
@@ -115,7 +118,7 @@ class _FbpDriver:
         batch = []
         for sid, kind in self._observed:
             new = instance.read(sid, read_pos[sid])
-            batch += [{"data": rec.as_dict(), "kind": kind, "tick": tick} for rec in new]
+            batch += [(kind, rec.as_dict()) for rec in new]
             read_pos[sid] += len(new)
         return batch
 
@@ -135,33 +138,35 @@ class _SoaDriver:
     """Delivers each event as one API call and observes the responses of
     routes that name a kept observation kind (`keep`: the kinds to observe,
     None for all); every call is made either way. The dataset exporter is
-    the service with an `export_dataset` API; a build where two have one is
-    refused with `ValueError` before any tick."""
+    the service with an `export_dataset` API. A build where two have one,
+    or a route to a missing API or response field, is refused."""
 
     instance = None
 
     def __init__(self, built, keep: frozenset[str] | None):
         self.built = built
         self.registry = built.registry
-        fields = {(s.id, a.name): a.request_fields for s in self.registry.service_specs() for a in s.apis}
-        exporters = [sid for sid, api in fields if api == "export_dataset"]
+        specs = {(s.id, a.name): a for s in self.registry.service_specs() for a in s.apis}
+        exporters = [sid for sid, api in specs if api == "export_dataset"]
         if len(exporters) > 1:
             raise ValueError(f"services {exporters} each have an export_dataset API; a build exports one dataset")
         self._exporter = exporters[0] if exporters else None
         # event kind -> (service, api, request fields, obs_kind or None if not kept, observe_when)
-        self._routes = {
-            kind: (
-                r.service, r.api, fields[(r.service, r.api)],
-                r.obs_kind if keep is None or r.obs_kind in keep else None, r.observe_when,
-            )
-            for kind, r in built.routes.items()
-        }
+        self._routes = {}
+        for kind, r in built.routes.items():
+            spec = specs.get((r.service, r.api))
+            if spec is None:
+                raise ValueError(f"route {kind!r} calls {r.service}.{r.api}, an API no service has")
+            if r.observe_when is not None and r.observe_when not in spec.response_fields:
+                raise ValueError(f"route {kind!r} observes when {r.observe_when!r}, not a field {r.api} responds with")
+            kept = r.obs_kind if keep is None or r.obs_kind in keep else None
+            self._routes[kind] = (r.service, r.api, spec.request_fields, kept, r.observe_when)
 
-    def tick(self, tick: int, events: list[apps.Event]) -> list[dict]:
+    def tick(self, tick: int, events: list[apps.Event]) -> list[tuple[str, dict]]:
         routes, registry = self._routes, self.registry
         registry.tick = tick
         batch = []
-        for _, kind, payload in events:
+        for kind, payload in events:
             route = routes.get(kind)
             if route is None:
                 continue
@@ -171,7 +176,7 @@ class _SoaDriver:
                 continue
             if observe_when is not None and not response.get(observe_when):
                 continue
-            batch.append({"data": response, "kind": obs_kind, "tick": tick})
+            batch.append((obs_kind, response))
         return batch
 
     def finish(self, rows_only: bool) -> tuple[list[dict] | None, dict]:
@@ -188,35 +193,34 @@ class _SoaDriver:
 
 
 class _Envelope(dict):
-    """Encodes a tick's observation docs with one `canonical_json` call
-    each; maps each kind to its entry: the envelope text between a doc's
-    data and its tick, and the encoder compiled for that kind's data.
+    """Encodes each `(kind, data)` observation of a tick with one
+    `canonical_json` call; maps each kind to its entry: the envelope text
+    between the data and the tick, and the encoder for that kind's data.
 
-    A doc `{"data": d, "kind": k, "tick": t}` has its keys in canonical
-    order, so its text is `'{"data":' + canonical_json(d) + text +
-    str(t) + "}"`, where `text` is `',"kind":' + canonical_json(k) +
-    ',"tick":'`. Both parts of an entry are made from the kind's first doc
-    in the run: the encoder is `canon.flat_encoder` of that doc's data,
-    None for data that is not flat, and `canonical_json` falls back to the
-    C encoder for any later data of another shape. The kind is encoded
-    through `canon`, not the `canonical_json` name this module binds, so
-    that name is called once per observation (the benchmark's tracer
-    counts and times its calls, which run the compiled encoders; compiling
-    one happens here, outside them).
+    An observation's text is that of the document `{"data": d, "kind": k,
+    "tick": t}`. Its keys are in canonical order, so the text is
+    `'{"data":' + canonical_json(d) + text + str(t) + "}"`, where `text` is
+    `',"kind":' + canonical_json(k) + ',"tick":'`. Both parts of an entry
+    are made from the kind's first observation in the run: the encoder is
+    `canon.flat_encoder` of its data, None for data that is not flat, and
+    `canonical_json` falls back to the C encoder for any later data of
+    another shape. The kind is encoded through `canon`, not the
+    `canonical_json` name this module binds, so that name is called once
+    per observation (the benchmark's tracer counts and times its calls,
+    which run the compiled encoders; compiling happens here, outside them).
     """
 
-    def sorted_texts(self, batch: list[dict], tick: int) -> list[tuple[str, dict]]:
-        """(text, doc) for each doc of tick `tick`'s batch, sorted by text;
-        ties keep their order."""
+    def sorted_texts(self, batch: list[tuple[str, dict]], tick: int) -> list[tuple[str, str, dict]]:
+        """(text, kind, data) for each observation of tick `tick`, sorted by
+        text; ties keep their order."""
         end = f"{tick}}}"
         encoded = []
-        for doc in batch:
-            data, kind = doc["data"], doc["kind"]
+        for kind, data in batch:
             entry = self.get(kind)
             if entry is None:
                 entry = self[kind] = (f',"kind":{canon.canonical_json(kind)},"tick":', canon.flat_encoder(data))
             text, flat = entry
-            encoded.append((f'{{"data":{canonical_json(data, flat)}{text}{end}', doc))
+            encoded.append((f'{{"data":{canonical_json(data, flat)}{text}{end}', kind, data))
         encoded.sort(key=itemgetter(0))
         return encoded
 
@@ -224,15 +228,15 @@ class _Envelope(dict):
 def execute(scenario: apps.Scenario, version, *, rows_only: bool = False) -> ExecutionResult:
     """Train (`train`), build and run the full tick loop; keep the live app for inspection.
 
-    Per tick, each observation is encoded once: its `data` is encoded and
-    wrapped in its kind's and tick's envelope (`_Envelope`), which gives
-    the text `canonical_json` gives the whole doc. The batch is sorted by
-    that text (ties keep their order), each text is folded into its kind's
-    running hash, so `digests` is ready at the end, and the batch is shown
-    to the world. No document is kept beyond its tick.
+    Per tick, each `(kind, data)` observation is encoded once: its `data`
+    is encoded and wrapped in its kind's and tick's envelope (`_Envelope`).
+    The observations are sorted by that text (ties keep their order), each
+    text is folded into its kind's running hash, so `digests` is ready at
+    the end, and the pairs are shown to the world. No observation is kept
+    beyond its tick.
 
     `rows_only` is for runs that need only `dataset_rows` (training,
-    `flowbench collect`): the drivers make docs only of the kinds in
+    `flowbench collect`): the drivers observe only the kinds in
     `world.observes` (every API call is still made), which are sorted and
     shown to the world as above, but nothing is hashed and `finish`
     neither counts nor publishes. `counts` and `digests` are then empty.
@@ -247,22 +251,21 @@ def execute(scenario: apps.Scenario, version, *, rows_only: bool = False) -> Exe
     for tick in range(scenario.ticks):
         encoded = envelope.sorted_texts(driver.tick(tick, world.generate_events(tick)), tick)
         if not rows_only:
-            for text, doc in encoded:
-                kind = doc["kind"]
+            for text, kind, _ in encoded:
                 running = hashes.get(kind)
                 if running is None:
                     hashes[kind] = hashlib.sha256(text.encode())
                 else:
                     running.update(b"\n" + text.encode())
-        world.observe(tick, [doc for _, doc in encoded])
+        world.observe(tick, [(kind, data) for _, kind, data in encoded])
     rows, counts = driver.finish(rows_only)
     return ExecutionResult(built, driver.instance, rows, counts, observation_digests(hashes), model)
 
 
 def observation_digests(hashes: dict[str, hashlib._Hash]) -> dict[str, str]:
     """Hex digest per kind, in kind order. Each running hash has seen the
-    texts of the docs `observe` got, joined by newlines: a digest equals
-    `sha256_hex("\n".join(canonical_json(d) for d in docs))`."""
+    texts (`_Envelope`) of the observations `observe` got, joined by
+    newlines: a digest is `sha256_hex` of those texts so joined."""
     return {kind: running.hexdigest() for kind, running in sorted(hashes.items())}
 
 

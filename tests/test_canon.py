@@ -88,15 +88,18 @@ TICKS = st.integers(0, 2**63)
 @settings(max_examples=200, deadline=None)
 def test_the_envelope_text_equals_the_whole_doc_encoded(data, kind, tick):
     doc = {"data": data, "kind": kind, "tick": tick}
-    assert sim._Envelope().sorted_texts([doc], tick) == [(canonical_json(doc), doc)]
+    assert sim._Envelope().sorted_texts([(kind, data)], tick) == [(canonical_json(doc), kind, data)]
 
 
 @given(st.lists(st.tuples(JSON_VALUES, st.sampled_from(["a", "b\"", "\u00e9"]) | KINDS), max_size=6), TICKS)
 @settings(max_examples=100, deadline=None)
 def test_a_batch_sorts_by_the_whole_doc_text(pairs, tick):
-    batch = [{"data": data, "kind": kind, "tick": tick} for data, kind in pairs]
+    batch = [(kind, data) for data, kind in pairs]
     envelope = sim._Envelope()
-    expected = sorted(((canonical_json(doc), doc) for doc in batch), key=lambda pair: pair[0])
+    expected = sorted(
+        ((canonical_json({"data": data, "kind": kind, "tick": tick}), kind, data) for kind, data in batch),
+        key=lambda encoded: encoded[0],
+    )
     assert envelope.sorted_texts(batch, tick) == expected
     assert envelope.sorted_texts(batch, tick) == expected  # the kinds' envelopes now cached
 
@@ -104,7 +107,7 @@ def test_a_batch_sorts_by_the_whole_doc_text(pairs, tick):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_float_in_the_data_is_refused_in_the_envelope(bad):
     with pytest.raises(ValueError):
-        sim._Envelope().sorted_texts([{"data": {"x": [bad]}, "kind": "k", "tick": 3}], 3)
+        sim._Envelope().sorted_texts([("k", {"x": [bad]})], 3)
 
 
 # Flat dicts, the shape `flat_encoder` compiles for: keys with quotes,
@@ -229,4 +232,4 @@ def test_an_envelope_gives_the_whole_doc_text_whatever_shape_each_kind_starts_wi
     envelope = sim._Envelope()
     for kind, data in pairs:
         doc = {"data": data, "kind": kind, "tick": tick}
-        assert envelope.sorted_texts([doc], tick) == [(canonical_json(doc), doc)]
+        assert envelope.sorted_texts([(kind, data)], tick) == [(canonical_json(doc), kind, data)]

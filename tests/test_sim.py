@@ -7,7 +7,7 @@ import pytest
 from flowbench import apps, sim
 from flowbench.apps import Event, FbpBuild, Scenario, insurance_claims, ride_allocation
 from flowbench.canon import canonical_json, sha256_hex
-from flowbench.graph import Category, GraphBuilder
+from flowbench.graph import Category, FlowGraph, GraphBuilder
 from flowbench.rng import SplitMix64, derive_seed
 from flowbench.runtime import TickSummary
 from flowbench.sim import run_scenario
@@ -15,7 +15,7 @@ from util_runs import observed
 
 
 def _collect_events(scenario, observation_feed=None):
-    """Replay the world alone, feeding it recorded observation batches."""
+    """Replay the world alone, feeding it recorded `(kind, data)` batches."""
     world = apps.make_world(scenario)
     all_events = []
     for tick in range(scenario.ticks):
@@ -42,19 +42,16 @@ class TestGenerateEvents:
         driver_id = 0
         dx, dy = world.driver_pos[driver_id]
         distance = (dx * dx + dy * dy) ** 0.5
-        world.observe(
-            4,
-            [{"kind": "assignment", "tick": 4,
-              "data": {"ride_id": 77, "driver_id": driver_id, "matched": True}}],
-        )
+        world.observe(4, [("assignment", {"ride_id": 77, "driver_id": driver_id, "matched": True})])
         wait = 2.0 * distance + 1.0
         expected_tick = 4 + max(1, int(wait + 0.5))
         pickups = [
-            ev for evs in world.pending.values() for ev in evs if ev.kind == "raw_pickup"
+            (tick, ev) for tick, evs in world.pending.items() for ev in evs if ev.kind == "raw_pickup"
         ]
         assert len(pickups) == 1
-        assert pickups[0].tick == expected_tick
-        assert pickups[0].payload["pickup_time"] == 4 + wait
+        assert pickups[0][0] == expected_tick
+        assert pickups[0][1].payload["pickup_time"] == 4 + wait
+        assert world.rider_pos == {}  # the request is forgotten once assigned
 
     def test_same_scenario_same_event_sequence(self):
         scenario = apps.make_scenario("mblogger", 40, 9)
@@ -121,7 +118,7 @@ class TestScenario:
 @pytest.mark.parametrize(
     "cls,fields,other",
     [
-        (Event, (3, "ride_request", {"ride_id": 1}), (3, "ride_request", {"ride_id": 2})),
+        (Event, ("ride_request", {"ride_id": 1}), ("ride_request", {"ride_id": 2})),
         (TickSummary, (3, {"allocations": 2}), (3, {"allocations": 1})),
     ],
 )
@@ -245,17 +242,14 @@ class TestConservation:
         assert sorted(sid for sid, role in roles.items() if role is Category.INPUT) == sorted(routes.values())
 
         by_tick: dict[int, list] = {}
-        for docs in observations.values():
-            for doc in docs:
-                by_tick.setdefault(doc["tick"], []).append(doc)
-        for tick in by_tick:
-            by_tick[tick].sort(key=canonical_json)
+        for doc in sorted((doc for docs in observations.values() for doc in docs), key=canonical_json):
+            by_tick.setdefault(doc["tick"], []).append((doc["kind"], doc["data"]))
 
-        events = _collect_events(scenario, by_tick)
+        events = _collect_events(scenario, by_tick)  # of the run's ticks only
         routable = dict.fromkeys(routes.values(), 0)
         for ev in events:
             stream_id = routes.get(ev.kind)
-            if stream_id is not None and ev.tick < scenario.ticks:
+            if stream_id is not None:
                 routable[stream_id] += 1
         assert all(routable.values())
         assert {sid: result.instance.length(sid) for sid in routable} == routable
@@ -275,3 +269,114 @@ class TestConservation:
         version = apps.app_version("insurance_claims", "fbp", "min")
         with pytest.raises(ValueError, match=r"input streams \['claims', 'more_claims'\] share a schema name"):
             sim.execute(apps.make_scenario("insurance_claims", 20, 1), version)
+
+
+class TestDriversRefuseWhatABuildLacks:
+    """Each case fails in the driver's start, before the world makes tick 0."""
+
+    @pytest.fixture(autouse=True)
+    def no_tick(self, monkeypatch):
+        def tick(self, tick):
+            raise AssertionError("a refused build ticked")
+
+        monkeypatch.setattr(ride_allocation.RideWorld, "generate_events", tick)
+
+    def test_a_soa_route_to_a_missing_api(self, monkeypatch):
+        def change(built):
+            built.routes["ride_request"] = apps.ApiRoute("rides", "request_rid", obs_kind="assignment")
+
+        with pytest.raises(ValueError, match=r"route 'ride_request' calls rides\.request_rid"):
+            self.execute(monkeypatch, "soa", change)
+
+    def test_a_soa_route_observed_when_a_field_its_api_lacks(self, monkeypatch):
+        def change(built):
+            built.routes["ride_request"] = apps.ApiRoute("rides", "request_ride", "assignment", "matchd")
+
+        with pytest.raises(ValueError, match=r"route 'ride_request' observes when 'matchd'"):
+            self.execute(monkeypatch, "soa", change)
+
+    def test_an_observed_stream_the_graph_lacks(self, monkeypatch):
+        def change(built):
+            built.obs_kinds["asignments"] = "assignment"
+
+        with pytest.raises(ValueError, match=r"observed streams \['asignments'\]"):
+            self.execute(monkeypatch, "fbp", change)
+
+    @staticmethod
+    def execute(monkeypatch, paradigm, change):
+        build = getattr(ride_allocation, f"build_{paradigm}")
+
+        def changed(*args):
+            built = build(*args)
+            change(built)
+            return built
+
+        monkeypatch.setattr(ride_allocation, f"build_{paradigm}", changed)
+        sim.execute(apps.make_scenario("ride_allocation", 20, 1), apps.app_version("ride_allocation", paradigm, "min"))
+
+
+@pytest.mark.parametrize("stage", apps.APP_STAGES)
+@pytest.mark.parametrize("app", apps.APP_NAMES)
+def test_an_fbp_run_indexes_its_graph_wiring_once(app, stage, monkeypatch):
+    # The runtime indexes the wiring when it starts; the driver reads its
+    # routes off the started instance. An ml run also starts its training run's graph.
+    wiring, indexed = FlowGraph.wiring, []
+
+    def counted(graph):
+        indexed.append(graph)
+        return wiring(graph)
+
+    monkeypatch.setattr(FlowGraph, "wiring", counted)
+    scenario, version = apps.make_scenario(app, 30, 3), apps.app_version(app, "fbp", stage)
+    result = sim.execute(scenario, version)
+    runs = 1 if apps.trainer(version, scenario) is None else 2
+    assert indexed[-1] is result.built.graph
+    assert len(indexed) == len({id(graph) for graph in indexed}) == runs
+
+
+def _checked(world, checks: list[str]):
+    """`world`, checking each event it emits and each batch it is shown and
+    appending to `checks` what it checked."""
+    generate, observe = world.generate_events, world.observe
+
+    def generate_events(tick):
+        events = generate(tick)
+        for ev in events:
+            assert type(ev) is Event and len(ev) == 2 and isinstance(ev.kind, str) and isinstance(ev.payload, dict)
+        checks.extend("event" for _ in events)
+        return events
+
+    def observed(tick, observations):
+        for pair in observations:
+            assert type(pair) is tuple and len(pair) == 2
+            assert isinstance(pair[0], str) and isinstance(pair[1], dict)
+        texts = [canonical_json({"data": data, "kind": kind, "tick": tick}) for kind, data in observations]
+        assert texts == sorted(texts)
+        checks.extend("observation" for _ in observations)
+        return observe(tick, observations)
+
+    world.generate_events, world.observe = generate_events, observed
+    return world
+
+
+@pytest.mark.parametrize("paradigm", apps.PARADIGMS)
+@pytest.mark.parametrize("app", apps.APP_NAMES)
+def test_worlds_emit_kind_payload_events_and_are_shown_sorted_kind_data_pairs(app, paradigm, monkeypatch):
+    scenario, checks = apps.make_scenario(app, 40, 2), []
+    make_world = apps.make_world
+    monkeypatch.setattr(apps, "make_world", lambda sc: _checked(make_world(sc), checks) if sc is scenario else make_world(sc))
+    sim.execute(scenario, apps.app_version(app, paradigm, "ml"))
+    assert Event._fields == ("kind", "payload")
+    assert {"event", "observation"} <= set(checks)
+
+
+@pytest.mark.parametrize("paradigm", apps.PARADIGMS)
+def test_the_ride_world_forgets_each_request_once_it_is_assigned(paradigm, monkeypatch):
+    # Every request gets one assignment, matched or not, in the tick it is
+    # made, so no rider position outlives its run; the goldens pin the rest.
+    scenario, worlds = apps.make_scenario("ride_allocation", 200, 3), []
+    make_world = apps.make_world
+    monkeypatch.setattr(apps, "make_world", lambda sc: worlds.append(make_world(sc)) or worlds[-1])
+    sim.execute(scenario, apps.app_version("ride_allocation", paradigm, "ml"))
+    assert len(worlds) == 2  # the training run's world and the serving run's
+    assert all(world.next_ride_id > 0 and world.rider_pos == {} for world in worlds)

@@ -75,13 +75,13 @@ def test_rows_only_run_keeps_only_the_rows(app, paradigm, monkeypatch):
 )
 @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
 def test_rows_only_run_shows_the_world_only_declared_kinds(paradigm, rows_only, kinds, monkeypatch):
-    # Each doc the world is shown is encoded once, and no other doc is made.
+    # Each observation the world is shown is encoded once, and no other is made.
     shown, encoded = [], []
     observe = ride_allocation.RideWorld.observe
 
-    def recorded(self, tick, docs):
-        shown.extend(doc["kind"] for doc in docs)
-        return observe(self, tick, docs)
+    def recorded(self, tick, observations):
+        shown.extend(kind for kind, _ in observations)
+        return observe(self, tick, observations)
 
     monkeypatch.setattr(ride_allocation.RideWorld, "observe", recorded)
     monkeypatch.setattr(sim, "canonical_json", counted(encoded))
@@ -93,7 +93,7 @@ def test_rows_only_run_shows_the_world_only_declared_kinds(paradigm, rows_only, 
 
 @pytest.mark.parametrize("paradigm", apps.PARADIGMS)
 def test_a_rows_only_claims_run_encodes_no_observation(paradigm, monkeypatch):
-    # The claims world observes nothing, so the drivers make no decision doc.
+    # The claims world observes nothing, so the drivers observe no decision.
     encoded = []
     monkeypatch.setattr(sim, "canonical_json", counted(encoded))
     scenario = apps.make_scenario("insurance_claims", 60, 3)

@@ -2,8 +2,9 @@
 calls a registry served, with the fields each carried; forbid simulation
 on a build-only path.
 
-A run keeps no observation documents; the world's `observe` is the one
-place they are seen, so tests that check them record them there. A
+A run keeps no observations; the world's `observe` is the one place they
+are seen, as `(kind, data)` pairs, so tests that check them record them
+there and rebuild the whole document each stands for, tick included. A
 registry keeps only its per-API call counts; tests that check the order,
 callers, ticks or wire fields of calls record them at `ServiceRegistry.call`.
 """
@@ -21,8 +22,8 @@ from flowbench.sim import ExecutionResult, execute
 
 def observed(scenario: Scenario, version) -> tuple[ExecutionResult, dict[str, list[dict]]]:
     """Execute `version` under `scenario`. Returns the result and each
-    observation kind's documents in the order the world's `observe`
-    received them.
+    observation kind's documents, `{"data", "kind", "tick"}` rebuilt from
+    the tick and pair the world's `observe` received, in that order.
 
     Only the world built for `scenario` itself is recorded: an ml run
     trains first (`sim.train`) on a world built for a sibling `Scenario`.
@@ -36,9 +37,9 @@ def observed(scenario: Scenario, version) -> tuple[ExecutionResult, dict[str, li
             return world
         observe = world.observe
 
-        def recorded(tick: int, batch: list[dict]) -> None:
-            for doc in batch:
-                docs.setdefault(doc["kind"], []).append(doc)
+        def recorded(tick: int, batch: list[tuple[str, dict]]) -> None:
+            for kind, data in batch:
+                docs.setdefault(kind, []).append({"data": data, "kind": kind, "tick": tick})
             observe(tick, batch)
 
         world.observe = recorded
