@@ -12,7 +12,8 @@ sim         seeded discrete-event harness driving every app version against its 
 metrics     component manifests, affected-components diff
 cli         command-line front end
 
-Each imports only modules listed above it, plus the leaves `rng` and `canon`.
+Each imports only modules listed above it, plus the leaves `rng`, `canon` and
+`value` (the immutable-value base).
 """
 
 __version__ = "0.1.0"

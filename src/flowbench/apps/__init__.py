@@ -53,7 +53,7 @@ def make_scenario(app: str, ticks: int, seed: int, overrides: dict | None = None
 def _module(version: AppVersion, scenario: Scenario):
     if version.app != scenario.app:
         raise ValueError(f"a scenario of {scenario.app!r} cannot run a version of {version.app!r}")
-    return _MODULES[version.app]
+    return _MODULES[_known(version.app)]
 
 
 def build_app(version: AppVersion, scenario: Scenario, model=None):

@@ -32,11 +32,11 @@ neither converts what it is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from ..collection import with_dataset
 from ..rng import SplitMix64, checked_seed, derive_seed
+from ..value import Value
 
 APP_STAGES = ("min", "data", "ml")
 PARADIGMS = ("fbp", "soa")
@@ -58,25 +58,29 @@ class Event(NamedTuple):
     payload: dict
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """World configuration. Same scenario, same event sequence.
 
     Equality covers the params; the hash leaves them out (a dict has none).
     Seeds are full 64-bit values; anything outside [0, 2**64) is refused
     rather than masked, so two seed labels never name the same run. Ticks
-    must be an int >= 0; a bool or a float is refused, not run.
+    must be an int >= 0; a bool or a float is refused, not run. Given no
+    params, a scenario gets a fresh empty dict.
     """
 
-    app: str
-    ticks: int
-    seed: int
-    params: dict = field(default_factory=dict, hash=False)
+    _fields = ("app", "ticks", "seed", "params")
 
-    def __post_init__(self):
+    def __init__(self, app: str, ticks: int, seed: int, params: dict | None = None):
+        object.__setattr__(self, "app", app)
+        object.__setattr__(self, "ticks", ticks)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "params", {} if params is None else params)
         if isinstance(self.ticks, bool) or not isinstance(self.ticks, int) or self.ticks < 0:
             raise ValueError(f"ticks must be an int >= 0, got {self.ticks!r}")
         checked_seed(self.seed)
+
+    def __hash__(self):
+        return hash((self.app, self.ticks, self.seed))
 
 
 class World:
@@ -128,13 +132,13 @@ def checked_scale(name: str, value) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class AppVersion:
-    app: str
-    paradigm: str
-    stage: str
+class AppVersion(Value):
+    _fields = ("app", "paradigm", "stage")
 
-    def __post_init__(self):
+    def __init__(self, app: str, paradigm: str, stage: str):
+        object.__setattr__(self, "app", app)
+        object.__setattr__(self, "paradigm", paradigm)
+        object.__setattr__(self, "stage", stage)
         if self.paradigm not in PARADIGMS:
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
         if self.stage not in APP_STAGES:

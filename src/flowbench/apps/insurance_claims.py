@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..collection import CollectionSpec, StreamSelect, join
 from ..graph import GraphBuilder, Schema
 from ..mlkit import TreeModel, fit_tree, predict_tree
-from ..rng import SplitMix64, checked_rate, derive_seed
+from ..rng import SplitMix64, checked_rate
 from ..services import ApiSpec, RoutineSpec, ServiceRegistry, ServiceSpec
 from .base import ApiRoute, Event, FbpBuild, Scenario, SoaBuild, World, untrained
 
@@ -63,11 +63,6 @@ def rule_kind(claim) -> str:
     if claim["kind"] == "auto" and claim["amount"] <= 1000 and claim["prior_claims"] <= 2:
         return "fast_track"
     return "standard"
-
-
-def claim_route(claim) -> str:
-    """The full rule chain, evaluated in fixed order."""
-    return rule_flagged(claim) or rule_amount(claim) or rule_kind(claim)
 
 
 def claim_features(claim) -> tuple[float, ...]:
@@ -351,14 +346,3 @@ class ClaimsWorld(World):
             self.next_claim_id += 1
             events.append(Event("claim", claim))
         return events
-
-
-def sample_claims(seed: int, count: int) -> list[dict]:
-    """Fresh claims from the same distribution; used for held-out checks."""
-    rng = SplitMix64(derive_seed(seed, "fresh-claims"))
-    claims = []
-    for i in range(count):
-        claim = random_claim(rng)
-        claim["claim_id"] = i
-        claims.append(claim)
-    return claims

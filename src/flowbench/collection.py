@@ -23,12 +23,12 @@ reads off the selected streams in the order `publish_rows` writes a row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .canon import canonical_json
 from .graph import FlowGraph, Schema, StreamDecl, UnknownElementError, upstream_closure
 from .runtime import RuntimeInstance
+from .value import Value
 
 
 class CollectionError(Exception):
@@ -43,13 +43,13 @@ class StreamSelect(NamedTuple):
     key_field: str
 
 
-@dataclass(frozen=True)
-class CollectionSpec:
-    label: StreamSelect
-    features: tuple[StreamSelect, ...]
-    dataset_name: str
+class CollectionSpec(Value):
+    _fields = ("label", "features", "dataset_name")
 
-    def __post_init__(self):
+    def __init__(self, label: StreamSelect, features: tuple[StreamSelect, ...], dataset_name: str):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "dataset_name", dataset_name)
         features = [f for sel in self.features for f in sel.fields]
         row = [self.label.key_field, *features, *self.label.fields]  # a dataset stream record
         dupes = {n for n in row if row.count(n) > 1}

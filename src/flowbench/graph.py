@@ -41,9 +41,10 @@ from __future__ import annotations
 import heapq
 from collections import Counter, namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, NamedTuple
+
+from .value import Value
 
 # Field type -> the Python type of its values. The compiled checker tests
 # `type(v) is` it; the full checks accept an instance of it, never a bool
@@ -77,14 +78,14 @@ class SchemaMismatchError(ValueError):
     """A row of values does not conform to a schema."""
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Value):
     """Named, ordered field list. Field order is canonical."""
 
-    name: str
-    fields: tuple[tuple[str, str], ...]
+    _fields = ("name", "fields")
 
-    def __post_init__(self):
+    def __init__(self, name: str, fields: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fields", fields)
         if type(self.fields) is not tuple:
             raise ValueError(f"schema {self.name!r}: fields must be a tuple, got {self.fields!r}")
         if not self.fields:
@@ -194,7 +195,7 @@ def _compile_checker(schema: Schema) -> Callable[[Mapping[str, Any]], tuple | No
     the values tuple of an exact row, None for any other.
 
     Field names reach the source only as `repr` of an exact `str`, checked
-    in `Schema.__post_init__`; values are bound to `v0`, `v1`, ... The
+    in `Schema.__init__`; values are bound to `v0`, `v1`, ... The
     checker refers to nothing but builtins, and is defined apart from its
     globals: a schema that dies is freed by reference counting.
     """

@@ -21,10 +21,11 @@ its serving node or stored in its serving service as is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
 from typing import NamedTuple
+
+from .value import Value
 
 START = "<s>"
 END = "</s>"
@@ -35,10 +36,12 @@ END = "</s>"
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    coefficients: tuple[float, ...]
-    intercept: float
+class LinearModel(Value):
+    _fields = ("coefficients", "intercept")
+
+    def __init__(self, coefficients: tuple[float, ...], intercept: float):
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "intercept", intercept)
 
 
 def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
@@ -132,23 +135,29 @@ def predict_linear(model: LinearModel, features) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeLeaf:
-    label: object
+class TreeLeaf(Value):
+    _fields = ("label",)
+
+    def __init__(self, label: object):
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class TreeSplit:
-    feature: int
-    threshold: float
-    left: "TreeLeaf | TreeSplit"
-    right: "TreeLeaf | TreeSplit"
+class TreeSplit(Value):
+    _fields = ("feature", "threshold", "left", "right")
+
+    def __init__(self, feature: int, threshold: float, left: TreeLeaf | TreeSplit, right: TreeLeaf | TreeSplit):
+        object.__setattr__(self, "feature", feature)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class TreeModel:
-    root: TreeLeaf | TreeSplit
-    max_depth: int
+class TreeModel(Value):
+    _fields = ("root", "max_depth")
+
+    def __init__(self, root: TreeLeaf | TreeSplit, max_depth: int):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "max_depth", max_depth)
 
 
 def _class_counts(node: list) -> dict:

@@ -16,6 +16,7 @@ from flowbench.collection import collect, write_dataset
 from flowbench.graph import Category, topological_order, upstream_closure, downstream_closure, validate
 from flowbench.mlkit import predict_tree
 from flowbench.sim import execute, run_scenario
+from util_claims import claim_route, sample_claims
 from util_graphs import brute_force_closure, node_edges, random_dag
 from util_runs import observed
 
@@ -225,9 +226,9 @@ def test_c08_classifier_reproduces_rule_chain():
         predicted = predict_tree(model, insurance_claims.claim_features(row["features"]))
         assert predicted == row["label"]["decision"]
 
-    fresh = insurance_claims.sample_claims(seed=977, count=1000)
+    fresh = sample_claims(seed=977, count=1000)
     agree = sum(
-        predict_tree(model, insurance_claims.claim_features(c)) == insurance_claims.claim_route(c)
+        predict_tree(model, insurance_claims.claim_features(c)) == claim_route(c)
         for c in fresh
     )
     assert agree >= 950, f"fresh agreement {agree}/1000"

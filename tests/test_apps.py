@@ -15,6 +15,7 @@ from flowbench.mlkit import fit_bigram, nearest_rank
 from flowbench.rng import SplitMix64, derive_seed
 from flowbench.runtime import start
 from flowbench.sim import execute
+from util_claims import claim_route
 from util_graphs import nested_scan_timeline
 from util_runs import observed
 
@@ -127,24 +128,24 @@ class TestClaimRoute:
     def test_flagged_always_rejected(self):
         for amount in (10.0, 500.0, 99999.0):
             claim = {"kind": "home", "amount": amount, "prior_claims": 0, "flagged": True}
-            assert insurance_claims.claim_route(claim) == "reject"
+            assert claim_route(claim) == "reject"
 
     def test_small_auto_claim_fast_tracked(self):
         claim = {"kind": "auto", "amount": 500.0, "prior_claims": 0, "flagged": False}
-        assert insurance_claims.claim_route(claim) == "fast_track"
+        assert claim_route(claim) == "fast_track"
 
     def test_large_claim_reviewed(self):
         claim = {"kind": "home", "amount": 20000.0, "prior_claims": 0, "flagged": False}
-        assert insurance_claims.claim_route(claim) == "manual_review"
+        assert claim_route(claim) == "manual_review"
 
     def test_everything_else_standard(self):
         claim = {"kind": "health", "amount": 5000.0, "prior_claims": 1, "flagged": False}
-        assert insurance_claims.claim_route(claim) == "standard"
+        assert claim_route(claim) == "standard"
 
     def test_unknown_kind_rejected(self):
         claim = {"kind": "marine", "amount": 10.0, "prior_claims": 0, "flagged": False}
         with pytest.raises(ValueError, match="unknown claim kind"):
-            insurance_claims.claim_route(claim)
+            claim_route(claim)
 
     def test_chain_matches_rule_composition(self):
         # The chained per-rule functions and the one-shot router must agree,
@@ -170,11 +171,11 @@ class TestClaimRoute:
                 "prior_claims": rng.randrange(6),
                 "flagged": rng.random() < 0.2,
             }
-            assert outcome(chained, claim) == outcome(insurance_claims.claim_route, claim)
+            assert outcome(chained, claim) == outcome(claim_route, claim)
         boat = {"kind": "boat", "amount": 500.0, "prior_claims": 0, "flagged": True}
-        assert insurance_claims.claim_route(boat) == "reject"
+        assert claim_route(boat) == "reject"
         with pytest.raises(ValueError, match="unknown claim kind 'boat'"):
-            insurance_claims.claim_route({**boat, "flagged": False})
+            claim_route({**boat, "flagged": False})
 
     def test_both_paradigms_reject_a_flagged_unknown_kind(self):
         claim = {"claim_id": 1, "kind": "boat", "amount": 500.0, "prior_claims": 0, "flagged": True}

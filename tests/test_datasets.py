@@ -6,14 +6,12 @@ not fit the graph is refused then, before any tick. A soa build's exporter
 is the one service with an `export_dataset` API.
 """
 
-import dataclasses
-
 import pytest
 
 from flowbench import apps, metrics, sim
 from flowbench.apps import insurance_claims, ride_allocation
 from flowbench.cli import main
-from flowbench.collection import CollectionError
+from flowbench.collection import CollectionError, CollectionSpec
 from flowbench.graph import Schema
 from flowbench.services import ApiSpec, ServiceSpec
 from util_runs import forbid_simulation
@@ -76,7 +74,7 @@ def _bad_spec(app, fault):
         sel = sel._replace(fields=sel.fields + ("nope",))
     else:
         sel = sel._replace(key_field=_OTHER_TYPE[app])
-    return dataclasses.replace(spec, features=(sel,))
+    return CollectionSpec(spec.label, (sel,), spec.dataset_name)
 
 
 FAULTS = {
@@ -123,7 +121,7 @@ def test_an_added_feature_reaches_the_dataset_stream_and_the_manifest(monkeypatc
     before = metrics.manifest(version)
     spec = ride_allocation.COLLECTION
     sel = spec.features[0]
-    edited = dataclasses.replace(spec, features=(sel._replace(fields=sel.fields + ("request_tick",)),))
+    edited = CollectionSpec(spec.label, (sel._replace(fields=sel.fields + ("request_tick",)),), spec.dataset_name)
     monkeypatch.setattr(ride_allocation, "COLLECTION", edited)
 
     result = sim.execute(apps.make_scenario("ride_allocation", 200, 3), version)

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowbench import apps
-from flowbench.apps import insurance_claims
 from flowbench.rng import _GAMMA, MASK64, SplitMix64, _mix64, checked_rate, derive_seed
 from flowbench.sim import execute, run_scenario
+from util_claims import sample_claims
 
 EDGE_SEEDS = [0, 1, 2**64 - 1]
 
@@ -180,8 +180,8 @@ class TestSeedRange:
 
     def test_no_seed_aliases_another(self):
         with pytest.raises(ValueError, match="seed"):
-            insurance_claims.sample_claims(2**64 + 1, 3)
-        assert insurance_claims.sample_claims(1, 3) == insurance_claims.sample_claims(1, 3)
+            sample_claims(2**64 + 1, 3)
+        assert sample_claims(1, 3) == sample_claims(1, 3)
 
 
 class TestPoisson:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from flowbench import apps, sim
+from flowbench import apps, metrics, sim
 from flowbench.apps import Event, FbpBuild, Scenario, insurance_claims, ride_allocation
 from flowbench.canon import canonical_json, sha256_hex
 from flowbench.graph import Category, FlowGraph, GraphBuilder
@@ -113,6 +113,15 @@ class TestScenario:
     def test_unknown_app_refused_by_name(self, call):
         with pytest.raises(ValueError, match="unknown app 'nope'"):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [apps.build_app, apps.trainer, lambda version, scenario: run_scenario(scenario, version), metrics.manifest],
+        ids=["build_app", "trainer", "run_scenario", "manifest"],
+    )
+    def test_a_directly_built_version_of_an_unknown_app_is_refused_by_name(self, call):
+        with pytest.raises(ValueError, match="unknown app 'nope'"):
+            call(apps.AppVersion("nope", "fbp", "min"), Scenario("nope", 10, 1))
 
 
 @pytest.mark.parametrize(
